@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race race-obs chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
+.PHONY: ci vet lint build test race race-obs chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json bench-smoke serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
 
 ci: vet build test race chaos fuzz-seed
 
@@ -101,6 +101,15 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -o BENCH_3.json
 	@echo wrote BENCH_3.json
 
+# Benchmark smoke: the tests of the bench module (its own Go module, so
+# outside the root `go test ./...`), then every benchmark workload for
+# two seconds. The run exits non-zero on any wrong or failed answer; its
+# library-path recomputation checks the service's answers, world slot
+# included, against worlds built from scratch.
+bench-smoke:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload all --seconds 2 --trace 0
+
 # End-to-end smoke test of the assessment service binary: builds
 # cmd/litmus-serve, boots it on an ephemeral port, submits the golden
 # scenario through the typed client and asserts the decision (and exact
@@ -129,8 +138,9 @@ bench-serve:
 # pair (AssessChangelog vs per-change AssessChangeContext) through
 # cmd/benchjson for trend-spotting, then the full service-path run: a
 # 1000-entry changelog as one POST /v1/assess/batch vs 1000 sequential
-# singles, written to BENCH_8.json — the target (wall ≤ 0.35×,
-# allocations ≤ 0.25×) is enforced by the run's exit code.
+# singles, written to BENCH_8.json — the target (wall ≤ 0.35× the
+# singles, allocations ≤ 0.25× of N standalone jobs that each build
+# their world) is enforced by the run's exit code.
 bench-batch:
 	$(GO) test -bench 'BatchChangelog|SequentialSingles' -benchmem -benchtime 1x -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -o BENCH_8_engine.json

@@ -63,6 +63,19 @@ func TestSamplesForMatchesSampleColumns(t *testing.T) {
 	if &again[0][0] != &samples[0][0] {
 		t.Error("samplesFor recomputed instead of returning the cache")
 	}
+	// Computing a shape reseeds one generator rather than allocating a
+	// source per iteration, so its allocations do not grow with
+	// Iterations.
+	allocs := func(iters int) float64 {
+		b := MustNewAssessor(Config{Seed: 42, Iterations: iters})
+		return testing.AllocsPerRun(10, func() {
+			delete(b.rt.samples, sampleKey{n, k}) // force a recomputation
+			b.samplesFor(n, k)
+		})
+	}
+	if few, many := allocs(25), allocs(400); many > few {
+		t.Errorf("samplesFor allocates %v blocks at 400 iterations, %v at 25: want no growth", many, few)
+	}
 }
 
 func TestPooledLag1EmptyWindows(t *testing.T) {

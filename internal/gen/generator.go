@@ -222,6 +222,14 @@ func (g *Generator) Counters(id string) []kpi.Counters {
 	if cs, ok := g.counters[id]; ok {
 		return cs
 	}
+	cs := g.synthesize(id)
+	g.counters[id] = cs
+	return cs
+}
+
+// synthesize draws element id's counters. It is deterministic in (seed,
+// element ID), so a cached and an uncached draw are bit-identical.
+func (g *Generator) synthesize(id string) []kpi.Counters {
 	e := g.net.MustElement(id)
 	rates := g.ratesFor(e)
 	rng := rand.New(rand.NewSource(g.hashSeed("series", id)))
@@ -294,7 +302,6 @@ func (g *Generator) Counters(id string) []kpi.Counters {
 
 		out[i] = g.sampleCounters(rng, rates, stepHours, loadMult, stress)
 	}
-	g.counters[id] = out
 	return out
 }
 
@@ -395,7 +402,23 @@ func clampInt64(v, lo, hi int64) int64 {
 // Series returns the KPI time-series for element id, derived from the
 // element's generated counters.
 func (g *Generator) Series(id string, k kpi.KPI) timeseries.Series {
-	cs := g.Counters(id)
+	return g.seriesOf(g.Counters(id), k)
+}
+
+// SeriesFor returns element id's series for each KPI of ks, in order,
+// bit-identical to Series. Unlike Series it does not cache the element's
+// counters: it serves callers that keep the series themselves and would
+// otherwise retain both.
+func (g *Generator) SeriesFor(id string, ks []kpi.KPI) []timeseries.Series {
+	cs := g.synthesize(id)
+	out := make([]timeseries.Series, len(ks))
+	for i, k := range ks {
+		out[i] = g.seriesOf(cs, k)
+	}
+	return out
+}
+
+func (g *Generator) seriesOf(cs []kpi.Counters, k kpi.KPI) timeseries.Series {
 	vals := make([]float64, len(cs))
 	for i, c := range cs {
 		vals[i] = c.Compute(k)

@@ -260,6 +260,27 @@ func TestCountersCached(t *testing.T) {
 	}
 }
 
+func TestSeriesForMatchesSeriesWithoutCaching(t *testing.T) {
+	net := testNetwork()
+	cfg := DefaultConfig(dailyIndex(30))
+	id := net.OfKind(netsim.NodeB)[0]
+	ks := []kpi.KPI{kpi.VoiceRetainability, kpi.DataAccessibility}
+	g := New(net, cfg)
+	got := g.SeriesFor(id, ks)
+	if _, cached := g.counters[id]; cached {
+		t.Error("SeriesFor cached the element's counters")
+	}
+	ref := New(net, cfg)
+	for i, k := range ks {
+		want := ref.Series(id, k)
+		for j := range want.Values {
+			if math.Float64bits(got[i].Values[j]) != math.Float64bits(want.Values[j]) {
+				t.Fatalf("%v at %d: SeriesFor %v, Series %v", k, j, got[i].Values[j], want.Values[j])
+			}
+		}
+	}
+}
+
 func TestEmptyIndexPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -144,6 +144,7 @@ func TestWritePrometheusHelp(t *testing.T) {
 		MetricCacheHits, MetricCacheMisses, MetricJobSeconds,
 		MetricJobQueueSeconds, MetricJobRunSeconds, MetricJobs,
 		MetricJobRetries, MetricJobPanics,
+		MetricWorldCacheHits, MetricWorldCacheMisses,
 		MetricJournalAppends, MetricJournalReplayed, MetricJournalCompactions,
 		MetricRouterBreakerTransitions, MetricRouterHedges, MetricRouterHedgeWins,
 	} {

@@ -118,6 +118,12 @@ const (
 	MetricCacheHits = "litmus_cache_hits_total"
 	// MetricCacheMisses counts submissions that enqueued a fresh job.
 	MetricCacheMisses = "litmus_cache_misses_total"
+	// MetricWorldCacheHits counts serve jobs whose synthetic world was
+	// already resident in the process-wide world slot.
+	MetricWorldCacheHits = "litmus_world_cache_hits_total"
+	// MetricWorldCacheMisses counts serve jobs that built their synthetic
+	// world and replaced the world slot's previous one.
+	MetricWorldCacheMisses = "litmus_world_cache_misses_total"
 	// MetricJobSeconds is the queue-to-completion latency histogram of
 	// assessment jobs.
 	MetricJobSeconds = "litmus_job_seconds"
@@ -167,6 +173,9 @@ const (
 	// SpanServeJob covers one queued assessment job from dequeue to
 	// completion (the pipeline stages nest beneath it).
 	SpanServeJob = "serve-job"
+	// SpanWorld covers a serve job's world-slot lookup, and the world
+	// build on a miss (internal/serve/world.go).
+	SpanWorld = "world"
 )
 
 // Batch-assessment span names.
@@ -219,6 +228,9 @@ var helpText = map[string]string{
 	MetricJobs:            "Finished assessment jobs, labeled by terminal status.",
 	MetricJobRetries:      "Worker-side retries of transiently failed assessment jobs.",
 	MetricJobPanics:       "Per-job panics recovered by a worker.",
+
+	MetricWorldCacheHits:   "Serve jobs whose synthetic world was already resident in the world slot.",
+	MetricWorldCacheMisses: "Serve jobs that built their synthetic world and replaced the world slot.",
 
 	MetricJournalAppends:     "Records appended to the durability journal.",
 	MetricJournalReplayed:    "Completed results repopulated from the journal during boot replay.",

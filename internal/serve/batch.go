@@ -15,11 +15,13 @@ package serve
 // never changes per-entry digests, and duplicate entries within a batch
 // dedup onto one computation.
 //
-// Determinism: each entry reads a provider that overlays only that
-// entry's ground-truth effect on the shared base world. The generator
-// consumes no randomness for elements outside an effect's scope, so an
-// entry's series — and therefore its result bytes — are identical to a
-// single submission's world built with that entry's effect alone.
+// Determinism: each entry reads the world slot's provider (world.go),
+// the same one a single submission of that change reads: only that
+// entry's ground-truth effect, overlaid on the shared base world and its
+// memoized series. The generator consumes no randomness for elements
+// outside an effect's scope, so an entry's series — and therefore its
+// result bytes — are identical to a world built with that entry's effect
+// alone.
 
 import (
 	"context"
@@ -30,10 +32,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/control"
-	"repro/internal/gen"
-	"repro/internal/kpi"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/serve/journal"
 
@@ -373,7 +371,7 @@ type batchOutcome struct {
 }
 
 // executeBatch runs one attempt of a batch job: the unique uncached
-// entries go through the engine's batch path against one shared world;
+// entries go through the engine's batch path in the world slot's world;
 // cached entries are spliced back in from their submit-time resolution.
 // The per-entry results land in the cache under the per-entry digests —
 // the same keys single submissions use.
@@ -381,40 +379,13 @@ func (s *Server) executeBatch(ctx context.Context, scope *obs.Scope, j *job) (ar
 	bs := j.batch
 	outcomes := map[string]batchOutcome{}
 	if len(bs.pending) > 0 {
+		// Entries differ only in their change, so the first one names the
+		// world and the pipeline of all of them.
 		base := bs.pending[0].req
-		net := netsim.Build(base.topo)
-		gcfg := gen.DefaultConfig(base.index)
-		gcfg.Seed = base.genSeed
-		baseGen := gen.New(net, gcfg)
-
-		assessor, err := litmus.NewAssessor(base.cfg)
+		w := worldFor(scope, base)
+		p, err := base.pipeline(w.net, scope)
 		if err != nil {
 			return ar, &permanentError{err: err}
-		}
-		var pred litmus.Predicate
-		if len(base.preds) == 1 {
-			pred = base.preds[0]
-		} else {
-			pred = control.And(base.preds...)
-		}
-
-		// Base-world series are identical for every entry, so synthesize
-		// each (element, KPI) series once per batch instead of once per
-		// entry. Panel assembly — the only phase that calls providers —
-		// is sequential, and panels treat series values as read-only, so
-		// a plain map and shared Series values are safe. Memoized values
-		// are bit-identical to fresh syntheses (the generator is
-		// deterministic), so per-entry results are unaffected.
-		type baseKey struct{ id, metric string }
-		baseCache := map[baseKey]litmus.Series{}
-		baseSeries := func(id string, metric kpi.KPI) litmus.Series {
-			k := baseKey{id, metric.String()}
-			sv, ok := baseCache[k]
-			if !ok {
-				sv = baseGen.Series(id, metric)
-				baseCache[k] = sv
-			}
-			return sv
 		}
 
 		var entries []litmus.BatchEntry
@@ -422,48 +393,16 @@ func (s *Server) executeBatch(ctx context.Context, scope *obs.Scope, j *job) (ar
 		for _, pe := range bs.pending {
 			change, err := pe.req.buildChange()
 			if err == nil {
-				err = change.Validate(net)
+				err = change.Validate(w.net)
 			}
 			if err != nil {
 				outcomes[pe.digest] = batchOutcome{errText: fmt.Sprintf("change does not fit the requested topology: %v", err)}
 				continue
 			}
-			// Per-entry provider: elements inside this change's impact
-			// scope read a generator carrying only this change's effect;
-			// everything else reads the shared base world. The generator
-			// consumes no randomness for out-of-scope elements, so the
-			// entry's series are bit-identical to the single-submission
-			// world built with this effect alone — while every entry's
-			// control panels share the base generator's one-time series
-			// synthesis and, downstream, one set of factorizations.
-			egcfg := gen.DefaultConfig(base.index)
-			egcfg.Seed = base.genSeed
-			egcfg.Effects = []gen.Effect{change.Effect(net)}
-			eg := gen.New(net, egcfg)
-			inScope := map[string]bool{}
-			for _, id := range change.ImpactScope(net) {
-				inScope[id] = true
-			}
-			provider := litmus.ProviderFunc(func(id string, metric kpi.KPI) (litmus.Series, bool) {
-				if net.Element(id) == nil {
-					return litmus.Series{}, false
-				}
-				if inScope[id] {
-					return eg.Series(id, metric), true
-				}
-				return baseSeries(id, metric), true
-			})
-			entries = append(entries, litmus.BatchEntry{Change: change, Provider: provider})
+			entries = append(entries, litmus.BatchEntry{Change: change, Provider: w.provider(change, base.kpis)})
 			digests = append(digests, pe.digest)
 		}
 		if len(entries) > 0 {
-			p := &litmus.Pipeline{
-				Network:          net,
-				Assessor:         assessor,
-				ControlPredicate: pred,
-				MaxControls:      base.maxCtrls,
-				Obs:              scope,
-			}
 			res, err := p.AssessBatch(ctx, entries, base.kpis, base.window)
 			if err != nil {
 				return ar, err

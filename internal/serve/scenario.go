@@ -1,17 +1,16 @@
 package serve
 
-// Scenario construction: a compiled request deterministically rebuilds
-// the synthetic world (topology, generator, change record) and wires the
-// assessment pipeline — the exact construction sequence of the golden
-// fixture, so the service reproduces offline assessments byte-for-byte.
+// Scenario construction: a compiled request's change record and its
+// assessment pipeline, wired on the request's world from the world slot
+// (world.go). The series are bit-identical to the golden fixture's
+// construction, so the service reproduces offline assessments
+// byte-for-byte.
 
 import (
 	"fmt"
 
 	"repro/internal/changelog"
 	"repro/internal/control"
-	"repro/internal/gen"
-	"repro/internal/kpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 
@@ -37,33 +36,12 @@ func (c *compiledRequest) buildChange() (*changelog.Change, error) {
 	}, nil
 }
 
-// buildPipeline materializes the request's world and returns the wired
-// pipeline plus the change record to assess. Unknown study elements (the
-// one validation that needs the topology) surface here, as a job error.
-func (c *compiledRequest) buildPipeline(scope *obs.Scope) (*litmus.Pipeline, *changelog.Change, error) {
-	net := netsim.Build(c.topo)
-	change, err := c.buildChange()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := change.Validate(net); err != nil {
-		return nil, nil, fmt.Errorf("change does not fit the requested topology: %w", err)
-	}
-
-	gcfg := gen.DefaultConfig(c.index)
-	gcfg.Seed = c.genSeed
-	gcfg.Effects = []gen.Effect{change.Effect(net)}
-	g := gen.New(net, gcfg)
-	provider := litmus.ProviderFunc(func(id string, metric kpi.KPI) (litmus.Series, bool) {
-		if net.Element(id) == nil {
-			return litmus.Series{}, false
-		}
-		return g.Series(id, metric), true
-	})
-
+// pipeline wires the request's assessor, control predicate and control
+// cap on net. The caller supplies the series provider.
+func (c *compiledRequest) pipeline(net *netsim.Network, scope *obs.Scope) (*litmus.Pipeline, error) {
 	assessor, err := litmus.NewAssessor(c.cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var pred litmus.Predicate
 	if len(c.preds) == 1 {
@@ -73,10 +51,29 @@ func (c *compiledRequest) buildPipeline(scope *obs.Scope) (*litmus.Pipeline, *ch
 	}
 	return &litmus.Pipeline{
 		Network:          net,
-		Provider:         provider,
 		Assessor:         assessor,
 		ControlPredicate: pred,
 		MaxControls:      c.maxCtrls,
 		Obs:              scope,
-	}, change, nil
+	}, nil
+}
+
+// buildPipeline returns the request's pipeline on its world plus the
+// change record to assess. Unknown study elements (the one validation
+// that needs the topology) surface here, as a job error.
+func (c *compiledRequest) buildPipeline(scope *obs.Scope) (*litmus.Pipeline, *changelog.Change, error) {
+	change, err := c.buildChange()
+	if err != nil {
+		return nil, nil, err
+	}
+	w := worldFor(scope, c)
+	if err := change.Validate(w.net); err != nil {
+		return nil, nil, fmt.Errorf("change does not fit the requested topology: %w", err)
+	}
+	p, err := c.pipeline(w.net, scope)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.Provider = w.provider(change, c.kpis)
+	return p, change, nil
 }

@@ -150,7 +150,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 	names := map[string]bool{}
 	collectSpanNames(root, names)
-	for _, want := range []string{obs.SpanAssessChange, obs.SpanControlSelect, obs.SpanAssessGroup, obs.SpanRankTest} {
+	for _, want := range []string{obs.SpanWorld, obs.SpanAssessChange, obs.SpanControlSelect, obs.SpanAssessGroup, obs.SpanRankTest} {
 		if !names[want] {
 			t.Errorf("span tree is missing pipeline stage %q", want)
 		}
