@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race race-obs chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json bench-smoke serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
+.PHONY: ci vet lint build test race race-pools race-obs chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json bench-smoke serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
 
 ci: vet build test race chaos fuzz-seed
 
@@ -36,6 +36,14 @@ test:
 # equivalence and concurrent-use tests drive every fan-out path.
 race:
 	$(GO) test -race ./...
+
+# Repeated race run over the engine's process-wide working-set pools
+# (internal/core/scratch.go), which every concurrent assessment shares:
+# the pool tests (poisoned recycled buffers, concurrent panel shapes, a
+# shared PanelFactors handle) and the worker-count equivalence suites
+# of the engine and the batch path, ten times each.
+race-pools:
+	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core .
 
 # Focused race run over the observability layer: the concurrent
 # metrics-registry and scope tests plus the instrumented pipeline.

@@ -353,7 +353,10 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 	// Phase 3 — the assessment grid: pure computation on immutable
 	// panels, fanned out over every live (entry × KPI) pair. Per-iteration
 	// seeding makes each group result independent of scheduling, so the
-	// batch is deterministic for every worker count.
+	// batch is deterministic for every worker count. Members only read
+	// their group's shared factors; once the fan-out has returned the
+	// batch releases them to the engine's pool, and the emptied handles
+	// would make any later adopter compute afresh.
 	type workItem struct {
 		st *batchEntryState
 		ki int
@@ -376,6 +379,9 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 		pan := it.st.panels[it.ki]
 		it.st.results[it.ki], it.st.errs[it.ki] = it.st.assessor.AssessGroupPrepared(ctx, it.st.shared[it.ki], pan.studies, pan.controls, it.st.change.At, kpis[it.ki])
 	})
+	for _, g := range groups {
+		g.factors.Release()
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -157,8 +157,8 @@ type Assessor struct {
 	// obs is the optional observability scope; nil (the default) is the
 	// zero-overhead fast path. See WithObserver.
 	obs *obs.Scope
-	// rt carries the scratch-arena pool and the deterministic sample
-	// cache (see scratch.go); shared by WithObserver-derived assessors.
+	// rt carries the deterministic sample cache (see scratch.go);
+	// shared by WithObserver-derived assessors.
 	rt *runtimeState
 }
 
@@ -267,36 +267,22 @@ func (a *Assessor) AssessElementContext(ctx context.Context, elementID string, s
 		ybFit[i] = yb[r]
 	}
 
-	fits := a.runIterations(ctx, sc, xbFull, xaFull, fitRows, ybFit, k, yBefore.Len(), yAfter.Len())
+	arena := a.runIterations(ctx, sc, xbFull, xaFull, fitRows, ybFit, k, yBefore.Len(), yAfter.Len())
+	defer arena.release()
 	if err := ctx.Err(); err != nil {
 		return ElementResult{}, err
 	}
 	sc.Counter(obs.MetricIterations).Add(int64(a.cfg.Iterations))
 	sc.Counter(obs.MetricControlsSampled).Add(int64(a.cfg.Iterations * k))
-	return a.finishElement(sc, elementID, metric, yBefore, yAfter, fits)
+	return a.finishElement(sc, elementID, metric, yBefore, yAfter, arena.fits)
 }
 
 // iterFit is one sampling iteration's output: the before/after forecasts
-// (arena-backed; see runIterations) and the fit quality.
+// (backed by a pooled fitArena; see scratch.go) and the fit quality.
 type iterFit struct {
 	fb, fa []float64
 	r2     float64
 	ok     bool
-}
-
-// newIterFits builds the per-iteration fit slots with the forecast
-// vectors carved out of one arena allocation — iteration it owns slot it
-// exclusively, so the worker fan-out writes race-free and the whole batch
-// costs two allocations instead of two per iteration.
-func newIterFits(iters, lenB, lenA int) []iterFit {
-	fits := make([]iterFit, iters)
-	arena := make([]float64, iters*(lenB+lenA))
-	for it := range fits {
-		off := it * (lenB + lenA)
-		fits[it].fb = arena[off : off+lenB : off+lenB]
-		fits[it].fa = arena[off+lenB : off+lenB+lenA : off+lenB+lenA]
-	}
-	return fits
 }
 
 // runIterations fans the sampling iterations out over the worker pool.
@@ -306,11 +292,13 @@ func newIterFits(iters, lenB, lenA int) []iterFit {
 // The shared inputs (xbFull, xaFull, ybFit, fitRows) are only read; all
 // mutable state lives in per-worker scratch arenas. A cancelable ctx is
 // polled before each iteration so canceled assessments drain fast; a
-// background context skips the poll (nil Done channel).
-func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaFull *linalg.Matrix, fitRows []int, ybFit []float64, k, lenB, lenA int) []iterFit {
+// background context skips the poll (nil Done channel). The caller
+// releases the returned arena once it has read the fits.
+func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaFull *linalg.Matrix, fitRows []int, ybFit []float64, k, lenB, lenA int) *fitArena {
 	iters := a.cfg.Iterations
 	samples := a.samplesFor(xbFull.Cols(), k)
-	fits := newIterFits(iters, lenB, lenA)
+	arena := acquireFits(iters, lenB, lenA)
+	fits := arena.fits
 	allRowsFit := len(fitRows) == lenB
 	cancelable := ctx.Done() != nil
 	var factorized, leverageSkipped, resampled atomic.Int64
@@ -320,7 +308,7 @@ func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaF
 		if cancelable && ctx.Err() != nil {
 			return
 		}
-		s := ws.get(a.rt, w)
+		s := ws.get(w)
 		cols := samples[it]
 		var xb, xfit *linalg.Matrix
 		solved := false
@@ -372,11 +360,11 @@ func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaF
 		fits[it].ok = true
 	})
 	sampling.End()
-	ws.release(a.rt)
+	ws.release()
 	sc.Counter(obs.MetricBeforeFactorizations).Add(factorized.Load())
 	sc.Counter(obs.MetricLeverageSkipped).Add(leverageSkipped.Load())
 	sc.Counter(obs.MetricIterationsResampled).Add(resampled.Load())
-	return fits
+	return arena
 }
 
 // adjustLOO replaces the fitted values at the fitted rows with
@@ -548,7 +536,11 @@ func (a *Assessor) assessGroup(ctx context.Context, shared *PanelFactors, studie
 	errs := make([]error, len(ids))
 	gs := a.adoptPanelFactors(sc, shared, studies, controls, changeAt)
 	if gs == nil {
-		gs = a.prepGroupShared(ctx, sc, studies, controls, changeAt)
+		// Factors prepared here are this call's own; adopted ones belong
+		// to the handle's holder and are never released here.
+		if gs = a.prepGroupShared(ctx, sc, studies, controls, changeAt); gs != nil {
+			defer gs.release()
+		}
 	}
 	if gs != nil {
 		// Cross-element sharing: the per-iteration factorizations were

@@ -21,6 +21,12 @@ package core
 // shares one PanelFactors handle (see PrepPanelFactors and
 // AssessGroupPrepared), reducing a changelog's factorizations from
 // Iterations × Changes to Iterations per distinct control panel.
+//
+// Panel factors are pooled (scratch.go) and have one owner each: the
+// assessGroup call that prepared them, released when it returns, or the
+// PanelFactors handle, released by its holder once every assessment
+// sharing it has returned. An assessment that adopts a handle only
+// reads it and never releases it.
 
 import (
 	"context"
@@ -37,19 +43,23 @@ import (
 // iterShared is one sampling iteration's element-independent products.
 // All fields are read-only after prepPanelFactors returns; SolveInto and
 // LeveragesInto only read the factorization, so concurrent solves against
-// one iterShared are safe.
+// one iterShared are safe. The buffers are rebuilt in place when pooled
+// factors are reused.
 type iterShared struct {
-	xb, xa *linalg.Matrix // sampled before/after designs (with intercept)
-	qr     *linalg.QR     // factorization of xb
-	hs     []float64      // hat-matrix diagonal of xb; nil if rank deficient
-	ok     bool           // false for underdetermined draws (skipped)
+	xb, xa linalg.Matrix // sampled before/after designs (with intercept)
+	qr     linalg.QR     // factorization of xb
+	hs     []float64     // hat-matrix diagonal of xb, backed by lev; nil if rank deficient
+	lev    []float64     // storage behind hs
+	work   []float64     // leverage forward-solve work vector
+	ok     bool          // false for underdetermined draws (skipped)
 }
 
 // panelFactors is the studies-independent portion of a group's shared
 // preparation: everything derived from (control panel, change time,
 // assessor config) alone. One panelFactors is reusable read-only by
 // every group — and every change — assessed against a value-identical
-// control panel at the same change time.
+// control panel at the same change time, until its owner releases it to
+// the pool.
 type panelFactors struct {
 	n, k       int
 	index      timeseries.Index
@@ -138,17 +148,8 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 
 	prep := sc.Child(obs.SpanGroupPrep)
 	defer prep.End()
-	pf := &panelFactors{
-		n:       n,
-		k:       k,
-		index:   controls.Index(),
-		splitAt: changeAt,
-		fitRows: make([]int, lenB),
-		iters:   make([]iterShared, a.cfg.Iterations),
-	}
-	for i := range pf.fitRows {
-		pf.fitRows[i] = i
-	}
+	pf := acquirePanelFactors(a.cfg.Iterations, lenB)
+	pf.n, pf.k, pf.index, pf.splitAt = n, k, controls.Index(), changeAt
 	xbFull := xBefore.DesignMatrix()
 	xaFull := xAfter.DesignMatrix()
 	samples := a.samplesFor(n, k)
@@ -161,18 +162,18 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 		st := &pf.iters[it]
 		cols := samples[it]
 		for attempt := 0; ; attempt++ {
-			st.xb = xbFull.SelectColsWithIntercept(nil, cols)
-			if st.xb.Rows() < st.xb.Cols() {
+			xb := xbFull.SelectColsWithIntercept(&st.xb, cols)
+			if xb.Rows() < xb.Cols() {
 				// Underdetermined draw: resampling cannot change the shape;
 				// the per-element path skips it too.
 				return
 			}
-			st.qr = linalg.NewQRInPlace(st.xb, st.qr)
+			st.qr.Factor(xb)
 			factorized.Add(1)
 			// The solver chain's failure conditions depend on the design
 			// alone, so the group decides accept/resample once, exactly as
 			// every element would alone (see resample.go).
-			if designUsable(st.qr, st.xb) {
+			if designUsable(&st.qr, xb) {
 				break
 			}
 			if attempt >= maxResampleAttempts {
@@ -181,11 +182,11 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 			cols = a.resampleColumns(n, k, it, attempt+1)
 			resampled.Add(1)
 		}
-		st.xa = xaFull.SelectColsWithIntercept(nil, cols)
-		hs := make([]float64, st.xb.Rows())
-		work := make([]float64, st.xb.Cols())
-		if err := st.qr.LeveragesInto(hs, st.xb, work); err == nil {
-			st.hs = hs
+		xaFull.SelectColsWithIntercept(&st.xa, cols)
+		st.lev = growFloats(st.lev, st.xb.Rows())
+		st.work = growFloats(st.work, st.xb.Cols())
+		if err := st.qr.LeveragesInto(st.lev, &st.xb, st.work); err == nil {
+			st.hs = st.lev
 		}
 		st.ok = true
 	})
@@ -210,8 +211,25 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 // Index/shape/split mismatches are detected and fall back to a fresh
 // computation; value mismatches are not detectable and would silently
 // reuse the wrong designs.
+//
+// Lifetime: the handle owns pooled buffers from PrepPanelFactors until
+// Release. The holder calls Release once every AssessGroupPrepared call
+// sharing the handle has returned; after it the handle is empty and an
+// assessment passed it computes its factors afresh. A handle never
+// released is reclaimed by the garbage collector like any other value.
 type PanelFactors struct {
 	pf *panelFactors
+}
+
+// Release returns the handle's buffers to the pool and leaves the handle
+// empty. It is nil-safe and idempotent, and must not run concurrently
+// with an assessment using the handle.
+func (f *PanelFactors) Release() {
+	if f == nil || f.pf == nil {
+		return
+	}
+	f.pf.release()
+	f.pf = nil
 }
 
 // Factorizations returns the number of QR factorizations the compute
@@ -228,7 +246,8 @@ func (f *PanelFactors) Factorizations() int64 {
 // returns nil when the panel cannot take the shared path (too few
 // controls, windows too short, no admissible sample size) — callers then
 // pass nil to AssessGroupPrepared, which behaves exactly like
-// AssessGroupContext.
+// AssessGroupContext. The caller owns the handle; see PanelFactors for
+// its lifetime.
 func (a *Assessor) PrepPanelFactors(ctx context.Context, controls *timeseries.Panel, changeAt time.Time) *PanelFactors {
 	pf := a.prepPanelFactors(ctx, a.obs, controls, changeAt)
 	if pf == nil {
@@ -292,7 +311,9 @@ func (a *Assessor) assessElementShared(ctx context.Context, elementID string, st
 	ybFit := yBefore.Values
 
 	iters := a.cfg.Iterations
-	fits := newIterFits(iters, yBefore.Len(), yAfter.Len())
+	arena := acquireFits(iters, yBefore.Len(), yAfter.Len())
+	defer arena.release()
+	fits := arena.fits
 	cancelable := ctx.Done() != nil
 	var leverageSkipped atomic.Int64
 	ws := newWorkerScratches(a.cfg.Workers, iters)
@@ -305,12 +326,12 @@ func (a *Assessor) assessElementShared(ctx context.Context, elementID string, st
 		if !st.ok {
 			return
 		}
-		s := ws.get(a.rt, w)
+		s := ws.get(w)
 		s.beta = growFloats(s.beta, st.xb.Cols())
 		s.swork = growFloats(s.swork, st.xb.Rows())
 		// The same degradation chain as the per-element path; prep accepted
 		// this design via designUsable, so one of the stages succeeds.
-		if !solveWithFallbacks(st.qr, st.xb, s.beta, ybFit, s.swork) {
+		if !solveWithFallbacks(&st.qr, &st.xb, s.beta, ybFit, s.swork) {
 			return
 		}
 		fb := st.xb.MulVecInto(fits[it].fb, s.beta)
@@ -324,7 +345,7 @@ func (a *Assessor) assessElementShared(ctx context.Context, elementID string, st
 		fits[it].ok = true
 	})
 	sampling.End()
-	ws.release(a.rt)
+	ws.release()
 	if err := ctx.Err(); err != nil {
 		return ElementResult{}, err
 	}

@@ -1,16 +1,27 @@
 package core
 
-// Scratch-arena subsystem of the regression hot path. The sampling inner
-// loop of AssessElement runs Iterations × (design build + QR factorize +
-// solve + leverages); done naively that is dozens of heap allocations per
-// iteration. Two mechanisms bring it to (amortized) zero:
+// Reusable memory of the regression hot path. Every computed assessment
+// runs Iterations × (design build + QR factorize + solve + leverages)
+// per element and keeps every iteration's forecasts for the median;
+// done naively that is dozens of heap allocations per iteration and
+// about half a MiB of buffers per group. Two mechanisms bring it to
+// (amortized) zero:
 //
-//   - elemScratch: a per-worker arena holding the design-matrix buffers,
-//     the QR factorization storage, and the solver/leverage work vectors.
-//     forEachWorker guarantees no two concurrent iterations share a
-//     worker index, so scratch reuse needs no locking; arenas are pooled
-//     on the assessor so repeated assessments do not even pay the arena
-//     construction.
+//   - three process-wide working-set pools, shared by every assessor
+//     (the serve tier builds a new assessor per job, so a pool on the
+//     assessor would never outlive a job). scratchPool holds one
+//     worker's design, QR and solver buffers for the sampling loop;
+//     fitPool one element's per-iteration forecast slots; factorPool
+//     one panel's per-iteration sampled designs, QR factors and
+//     leverages (group_shared.go). Each buffer has exactly one release
+//     point: a worker scratch when its fan-out ends, a fit arena after
+//     finishElement returns, group-local factors at the end of
+//     assessGroup, batch-shared factors through PanelFactors.Release.
+//     Slot state is reset on acquire and every float buffer is fully
+//     overwritten before it is read, so a recycled buffer never leaks
+//     into a result. The pools hold at most the concurrently assessed
+//     groups × the largest panel shape; the garbage collector drains
+//     what goes unused.
 //   - a deterministic sample cache: the control columns iteration it
 //     draws depend only on (Seed, it, n, k) — never on the element — so
 //     the per-iteration column sets are computed once per panel shape and
@@ -20,7 +31,7 @@ package core
 //
 // Nothing here may perturb the (Seed, iteration) RNG-derivation contract
 // of parallel.go: cached samples are the exact draws the contract
-// specifies, and scratch buffers are fully overwritten before every use.
+// specifies, and pooled buffers are fully overwritten before every use.
 
 import (
 	"math/rand"
@@ -28,6 +39,13 @@ import (
 	"sync"
 
 	"repro/internal/linalg"
+)
+
+// The process-wide working-set pools (see the file comment).
+var (
+	scratchPool = sync.Pool{New: func() any { return &elemScratch{} }}
+	fitPool     = sync.Pool{New: func() any { return &fitArena{} }}
+	factorPool  = sync.Pool{New: func() any { return &panelFactors{} }}
 )
 
 // elemScratch is one worker's reusable buffers for the sampling loop.
@@ -52,36 +70,6 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// sampleKey identifies a control-panel shape: the samples for iteration
-// it depend only on (Seed, it, n, k), which is what makes them shareable.
-type sampleKey struct{ n, k int }
-
-// maxSampleShapes bounds the sample cache; production pipelines see a
-// handful of panel shapes (one per control-group size), so the bound only
-// guards pathological callers. Beyond it, samples are computed uncached.
-const maxSampleShapes = 64
-
-// runtimeState is the mutable, concurrency-safe machinery an Assessor
-// carries alongside its immutable Config: the scratch-arena pool and the
-// deterministic sample cache. WithObserver shares it between derived
-// assessors — it is purely a performance artifact and never observable in
-// assessment output.
-type runtimeState struct {
-	scratch sync.Pool // *elemScratch
-
-	mu      sync.Mutex
-	samples map[sampleKey][][]int
-}
-
-func newRuntimeState() *runtimeState {
-	rt := &runtimeState{samples: make(map[sampleKey][][]int)}
-	rt.scratch.New = func() any { return &elemScratch{} }
-	return rt
-}
-
-func (rt *runtimeState) getScratch() *elemScratch  { return rt.scratch.Get().(*elemScratch) }
-func (rt *runtimeState) putScratch(s *elemScratch) { rt.scratch.Put(s) }
-
 // workerScratches is the per-call set of lazily acquired worker arenas.
 type workerScratches []*elemScratch
 
@@ -96,20 +84,106 @@ func newWorkerScratches(workers, n int) workerScratches {
 }
 
 // get returns worker w's scratch, acquiring it from the pool on first use.
-func (ws workerScratches) get(rt *runtimeState, w int) *elemScratch {
+func (ws workerScratches) get(w int) *elemScratch {
 	if ws[w] == nil {
-		ws[w] = rt.getScratch()
+		ws[w] = scratchPool.Get().(*elemScratch)
 	}
 	return ws[w]
 }
 
 // release returns every acquired scratch to the pool.
-func (ws workerScratches) release(rt *runtimeState) {
+func (ws workerScratches) release() {
 	for _, s := range ws {
 		if s != nil {
-			rt.putScratch(s)
+			scratchPool.Put(s)
 		}
 	}
+}
+
+// fitArena is one element's per-iteration fit slots, with every
+// forecast vector carved out of one buffer: iteration it owns slot it
+// exclusively, so the worker fan-out writes race-free.
+type fitArena struct {
+	fits []iterFit
+	buf  []float64
+}
+
+// acquireFits returns a pooled arena of iters slots with before/after
+// forecasts of lenB/lenA points. Every slot starts not ok with zero R²,
+// whatever the arena held before; the forecast vectors are
+// unspecified until the iteration that owns them writes them in full.
+func acquireFits(iters, lenB, lenA int) *fitArena {
+	f := fitPool.Get().(*fitArena)
+	if cap(f.fits) < iters {
+		f.fits = make([]iterFit, iters)
+	}
+	f.fits = f.fits[:iters]
+	stride := lenB + lenA
+	f.buf = growFloats(f.buf, iters*stride)
+	for it := range f.fits {
+		off := it * stride
+		f.fits[it] = iterFit{
+			fb: f.buf[off : off+lenB : off+lenB],
+			fa: f.buf[off+lenB : off+stride : off+stride],
+		}
+	}
+	return f
+}
+
+// release returns the arena to the pool. Nothing may read its slots
+// afterwards: finishElement copies every forecast it keeps.
+func (f *fitArena) release() { fitPool.Put(f) }
+
+// acquirePanelFactors returns pooled panel factors sized for iters
+// iterations over lenB before-window points. Every iteration slot starts
+// not ok with no leverages, whatever the factors held before;
+// prepPanelFactors sets the panel's identity and rebuilds each accepted
+// slot's designs, factorization and leverages in place.
+func acquirePanelFactors(iters, lenB int) *panelFactors {
+	pf := factorPool.Get().(*panelFactors)
+	pf.factorized = 0
+	if cap(pf.fitRows) < lenB {
+		pf.fitRows = make([]int, lenB)
+	}
+	pf.fitRows = pf.fitRows[:lenB]
+	for i := range pf.fitRows {
+		pf.fitRows[i] = i
+	}
+	if cap(pf.iters) < iters {
+		pf.iters = make([]iterShared, iters)
+	}
+	pf.iters = pf.iters[:iters]
+	for it := range pf.iters {
+		pf.iters[it].ok, pf.iters[it].hs = false, nil
+	}
+	return pf
+}
+
+// release returns the factors to the pool. The caller must be their
+// only owner: no assessment may read them afterwards.
+func (pf *panelFactors) release() { factorPool.Put(pf) }
+
+// sampleKey identifies a control-panel shape: the samples for iteration
+// it depend only on (Seed, it, n, k), which is what makes them shareable.
+type sampleKey struct{ n, k int }
+
+// maxSampleShapes bounds the sample cache; production pipelines see a
+// handful of panel shapes (one per control-group size), so the bound only
+// guards pathological callers. Beyond it, samples are computed uncached.
+const maxSampleShapes = 64
+
+// runtimeState is the mutable, concurrency-safe machinery an Assessor
+// carries alongside its immutable Config: the deterministic sample
+// cache, which depends on the configuration's Seed and Iterations.
+// WithObserver shares it between derived assessors — it is purely a
+// performance artifact and never observable in assessment output.
+type runtimeState struct {
+	mu      sync.Mutex
+	samples map[sampleKey][][]int
+}
+
+func newRuntimeState() *runtimeState {
+	return &runtimeState{samples: make(map[sampleKey][][]int)}
 }
 
 // samplesFor returns the sorted control-column sample for every sampling

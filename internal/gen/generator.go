@@ -82,10 +82,13 @@ func DefaultConfig(ix timeseries.Index) Config {
 }
 
 // Generator produces KPI series and raw counters for network elements.
+// It is not safe for concurrent use: it caches what it synthesizes and
+// draws every stream from one rand.Rand.
 type Generator struct {
 	net *netsim.Network
 	cfg Config
 
+	rng      *rand.Rand                  // reseeded per stream; see stream
 	regional map[netsim.Region][]float64 // cached regional stress paths
 	counters map[string][]kpi.Counters   // cached per-element counters
 }
@@ -105,6 +108,7 @@ func New(net *netsim.Network, cfg Config) *Generator {
 	return &Generator{
 		net:      net,
 		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(0)),
 		regional: make(map[netsim.Region][]float64),
 		counters: make(map[string][]kpi.Counters),
 	}
@@ -132,13 +136,23 @@ func (g *Generator) hashSeed(parts ...string) int64 {
 	return int64(h.Sum64())
 }
 
+// stream reseeds the generator's one rand.Rand for the stream labeled
+// by parts and returns it. Rand.Seed rebuilds exactly the state
+// rand.NewSource builds, so every stream draws what a fresh source
+// would, without a ~4.9 KiB source per stream. One stream is live at a
+// time: each caller consumes its draws before the next stream starts.
+func (g *Generator) stream(parts ...string) *rand.Rand {
+	g.rng.Seed(g.hashSeed(parts...))
+	return g.rng
+}
+
 // regionalStress returns (computing once) the shared AR(1) stress path of
 // a region.
 func (g *Generator) regionalStress(r netsim.Region) []float64 {
 	if path, ok := g.regional[r]; ok {
 		return path
 	}
-	rng := rand.New(rand.NewSource(g.hashSeed("region", string(r))))
+	rng := g.stream("region", string(r))
 	n := g.cfg.Index.N
 	path := make([]float64, n)
 	// Stationary start.
@@ -159,7 +173,7 @@ func (g *Generator) sensitivity(id string) float64 {
 	if s, ok := g.cfg.SensitivityOverrides[id]; ok {
 		return s
 	}
-	rng := rand.New(rand.NewSource(g.hashSeed("sens", id)))
+	rng := g.stream("sens", id)
 	return 1 + (rng.Float64()*2-1)*g.cfg.SensitivitySpread
 }
 
@@ -178,7 +192,7 @@ type baseRates struct {
 // ratesFor derives an element's baseline rates from its kind and identity.
 // Controllers and core elements aggregate more traffic than single towers.
 func (g *Generator) ratesFor(e *netsim.Element) baseRates {
-	rng := rand.New(rand.NewSource(g.hashSeed("base", e.ID)))
+	rng := g.stream("base", e.ID)
 	scale := 1.0
 	switch {
 	case e.Kind == netsim.Cell:
@@ -232,9 +246,11 @@ func (g *Generator) Counters(id string) []kpi.Counters {
 func (g *Generator) synthesize(id string) []kpi.Counters {
 	e := g.net.MustElement(id)
 	rates := g.ratesFor(e)
-	rng := rand.New(rand.NewSource(g.hashSeed("series", id)))
 	regional := g.regionalStress(e.Region)
 	sens := g.sensitivity(id)
+	// The series stream starts after the rates, regional and sensitivity
+	// streams have drawn theirs (see stream).
+	rng := g.stream("series", id)
 	n := g.cfg.Index.N
 	stepHours := g.cfg.Index.Step.Hours()
 	out := make([]kpi.Counters, n)

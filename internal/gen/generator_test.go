@@ -281,6 +281,25 @@ func TestSeriesForMatchesSeriesWithoutCaching(t *testing.T) {
 	}
 }
 
+// TestSeriesForReusesOneSource pins the per-generator rand.Rand: each
+// stream reseeds it instead of allocating a ~4.9 KiB source. On a warm
+// region SeriesFor draws three streams (rates, sensitivity, series) and
+// keeps 2 + len(ks) allocations (the counters, the result slice, one
+// value slice per KPI); a source per stream would add three more.
+func TestSeriesForReusesOneSource(t *testing.T) {
+	net := testNetwork()
+	g := New(net, DefaultConfig(dailyIndex(30)))
+	id := net.OfKind(netsim.NodeB)[0]
+	ks := []kpi.KPI{kpi.VoiceRetainability, kpi.DataAccessibility}
+	g.SeriesFor(id, ks) // warm the element's regional stress path
+	allocs := testing.AllocsPerRun(20, func() { g.SeriesFor(id, ks) })
+	const streams = 3
+	outputs := float64(2 + len(ks))
+	if allocs >= outputs+streams {
+		t.Errorf("SeriesFor allocates %v blocks for %v outputs: one source per stream or more, want fewer", allocs, outputs)
+	}
+}
+
 func TestEmptyIndexPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

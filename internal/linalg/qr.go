@@ -18,9 +18,9 @@ var ErrRankDeficient = errors.New("linalg: design matrix is numerically rank def
 // matrix: Solve, Leverages, and the fitted-value statistics all hang off
 // it, so the regression hot path factorizes each design exactly once. A
 // QR value owns its storage and may be reused across factorizations via
-// Factor (or NewQRInPlace), which recycles the packed-factor and diagonal
-// buffers instead of allocating — the scratch-arena discipline of the
-// assessment inner loop. The zero value is ready for Factor.
+// Factor, which recycles the packed-factor and diagonal buffers instead
+// of allocating — the scratch-arena discipline of the assessment inner
+// loop. The zero value is ready for Factor.
 type QR struct {
 	qr   Matrix    // packed factors: R in upper triangle, Householder vectors below
 	rd   []float64 // diagonal of R
@@ -32,19 +32,6 @@ type QR struct {
 // overdetermined regime; see core.clampSampleSize).
 func NewQR(a *Matrix) *QR {
 	f := &QR{}
-	f.Factor(a)
-	return f
-}
-
-// NewQRInPlace factorizes a into f, reusing f's internal buffers when
-// their capacity allows, and returns f. A nil f behaves like NewQR. This
-// is the allocation-free entry point for callers that own a long-lived QR
-// scratch value (the assessment inner loop factorizes thousands of
-// same-shaped designs through one QR).
-func NewQRInPlace(a *Matrix, f *QR) *QR {
-	if f == nil {
-		f = &QR{}
-	}
 	f.Factor(a)
 	return f
 }

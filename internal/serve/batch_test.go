@@ -263,6 +263,14 @@ func TestBatchEndToEnd(t *testing.T) {
 	if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
 		t.Fatalf("batch job finished %s: %s", st.Status, st.Error)
 	}
+	// A finished batch job keeps no compiled entries: only execution
+	// reads them.
+	s.mu.Lock()
+	pending := len(s.jobs[sub.ID].batch.pending)
+	s.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("finished batch job retains %d pending entries, want 0", pending)
+	}
 	doc := fetchBatchResult(t, ts, sub.ID)
 	if len(doc.Entries) != len(changes) {
 		t.Fatalf("result doc has %d entries, want %d", len(doc.Entries), len(changes))

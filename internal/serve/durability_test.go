@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,25 +236,29 @@ func TestReadyzReplaying(t *testing.T) {
 	var calls atomic.Int64
 	s, ts, jr2 := journalServer(t, dir, Config{Workers: 1, QueueDepth: 1}, &calls, true)
 	defer stopServer(t, s, ts, jr2)
+	// Open the worker gate on every exit path, before stopServer waits
+	// for the worker parked on it: deferred calls run last-in first-out.
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(s.testRelease) }) }
+	defer release()
 
 	// The third pending submit cannot enqueue until the gate opens, so
-	// replay is reliably in progress here.
+	// replay stays in progress until release. Its progress count is live:
+	// /readyz may answer before pass 1 has counted the completed record,
+	// so wait for the count rather than for the first "replaying".
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		code, body := getReadyz(t, ts)
-		if code == http.StatusServiceUnavailable && body["status"] == "replaying" {
-			if body["replayedResults"] != float64(1) {
-				t.Fatalf("replaying progress = %v, want 1", body["replayedResults"])
-			}
+		if code == http.StatusServiceUnavailable && body["status"] == "replaying" && body["replayedResults"] == float64(1) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("readyz never reported replaying: %d %v", code, body)
+			t.Fatalf("readyz never reported replaying with 1 replayed result: %d %v", code, body)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	close(s.testRelease)
+	release()
 	<-s.ReplayDone()
 	code, body := getReadyz(t, ts)
 	if code != http.StatusOK || body["status"] != "ready" || body["replayedResults"] != float64(1) {

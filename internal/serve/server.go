@@ -588,6 +588,11 @@ func (s *Server) runJob(j *job) {
 	j.retries = retries
 	j.spans = spans
 	j.failures = ar.failures
+	if j.batch != nil {
+		// Only execution reads the compiled entries; a resubmit after a
+		// failure and journal replay both rebuild them.
+		j.batch.pending = nil
+	}
 	// Journal the terminal state before it becomes client-visible: a
 	// crash after the state flips but before the append could otherwise
 	// lose a result a client already saw. Cancellations keep the digest
