@@ -11,10 +11,12 @@ ci: vet build test race chaos fuzz-seed
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet. staticcheck and govulncheck are optional
-# locally (CI installs them); the target skips whichever is missing
-# rather than failing on a lean toolchain.
+# Static analysis beyond vet. gofmt must have nothing to rewrite.
+# staticcheck and govulncheck are optional locally (CI installs them);
+# the target skips whichever is missing rather than failing on a lean
+# toolchain.
 lint: vet
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "lint: gofmt -w the files above"; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -7,11 +7,13 @@ package litmus
 // control set, KPI and window, and the before-window QR factorizations
 // only on the control panel's values and the change time. AssessBatch
 // groups entries by those signatures, performs each distinct piece of
-// work once, and shares the products read-only — with a per-change
-// fallback so every entry's result stays bit-identical to an
-// independent AssessChangeContext call (pinned by the equivalence test
-// in batch_test.go at workers 1/2/4/8, including under fault
-// injection).
+// work once, and shares the products read-only — with a fresh
+// computation wherever a share does not apply, so every entry's result
+// stays bit-identical to an independent AssessChangeContext call.
+// AssessChangeContext is the one-entry case of the same phases, without
+// the sharing: the equivalence test in batch_test.go pins sharing
+// against no sharing at workers 1/2/4/8, including under fault
+// injection, and the golden fixture pins both independently.
 
 import (
 	"context"
@@ -139,8 +141,8 @@ type groupRef struct {
 // Determinism contract: entry i's Result and Error are bit-identical to
 // AssessChangeContext(ctx, entries[i].Change, kpis, windowDays) on a
 // pipeline whose Provider is entry i's provider, for every worker count.
-// The shared products are precisely the values the per-change path would
-// compute, and adoption falls back to fresh computation on any mismatch,
+// The shared products are precisely the values an unshared assessment
+// computes, and adoption falls back to fresh computation on any mismatch,
 // so sharing can change cost but never bytes.
 func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis []KPI, windowDays int) (*BatchAssessment, error) {
 	if err := ctx.Err(); err != nil {
@@ -150,6 +152,16 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 	defer sc.End()
 	sc.SetAttr("entries", len(entries))
 	sc.SetAttr("kpis", len(kpis))
+	sc.Counter(obs.MetricBatchEntries).Add(int64(len(entries)))
+	return p.assess(ctx, sc, true, entries, kpis, windowDays)
+}
+
+// assess runs the four phases of an assessment over entries under sc.
+// A batch gives each entry its own batch-entry span and shares
+// before-window factors across its (entry × KPI) assessments; otherwise
+// the entries (AssessChangeContext passes one) record straight into sc
+// and every KPI prepares its own factors.
+func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entries []BatchEntry, kpis []KPI, windowDays int) (*BatchAssessment, error) {
 	if p.Network == nil {
 		return nil, fmt.Errorf("litmus: pipeline needs a network and a series provider")
 	}
@@ -171,26 +183,27 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 	if pred == nil {
 		pred = control.And(control.SameKind(), control.SameRegion())
 	}
-	sc.Counter(obs.MetricBatchEntries).Add(int64(len(entries)))
 
 	out := &BatchAssessment{
 		Results: make([]*ChangeAssessment, len(entries)),
 		Errors:  make([]error, len(entries)),
 	}
 	states := make([]*batchEntryState, len(entries))
-	defer func() {
-		for _, st := range states {
-			if st != nil {
-				st.esc.End()
+	if batch {
+		defer func() {
+			for _, st := range states {
+				if st != nil {
+					st.esc.End()
+				}
 			}
-		}
-	}()
+		}()
+	}
 
 	// Phase 1 — sequential per-entry setup: validation, control
 	// selection, panel assembly. Sequential because SeriesProvider
-	// implementations need not be safe for concurrent use (the same
-	// contract AssessChangeContext honors); selection and assembly are
-	// memoized so entries with repeated signatures pay once.
+	// implementations (e.g. the caching synthetic generator) need not be
+	// safe for concurrent use; selection and assembly are memoized so
+	// entries with repeated signatures pay once.
 	selCache := map[string]selEntry{}
 	panelCache := map[panelCacheKey]*panelEntry{}
 	for i := range entries {
@@ -199,9 +212,11 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 		if provider == nil {
 			provider = p.Provider
 		}
-		st := &batchEntryState{change: change, provider: provider}
+		st := &batchEntryState{change: change, provider: provider, esc: sc}
 		states[i] = st
-		st.esc = sc.Child(obs.SpanBatchEntry)
+		if batch {
+			st.esc = sc.Child(obs.SpanBatchEntry)
+		}
 		if change != nil {
 			st.esc.SetAttr("change", change.ID)
 		}
@@ -280,17 +295,17 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 		return nil, err
 	}
 
-	// Phase 2 — group (entry × KPI) assessments whose control panels are
-	// value-identical at the same change time, and prepare each
-	// multi-member group's factorizations once. Pointer identity (from
-	// the assembly cache) short-circuits; otherwise panels are matched by
-	// content hash plus full verification, so a hash collision costs a
-	// comparison, never a wrong share.
+	// Phase 2 — in a batch, group (entry × KPI) assessments whose control
+	// panels are value-identical at the same change time, and prepare
+	// each multi-member group's factorizations once. Pointer identity
+	// (from the assembly cache) short-circuits; otherwise panels are
+	// matched by content hash plus full verification, so a hash collision
+	// costs a comparison, never a wrong share.
 	var groups []*factorGroup
 	byPtr := map[*Panel]*factorGroup{}
 	byHash := map[uint64][]*factorGroup{}
 	for i, st := range states {
-		if st.err != nil {
+		if !batch || st.err != nil {
 			continue
 		}
 		for ki := range kpis {
@@ -300,8 +315,8 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 			pan := st.panels[ki]
 			// Only groups the shared fast path can serve are worth
 			// grouping: a uniform time grid and at least one fully
-			// observed study element. Others fall back per element,
-			// exactly as the per-change path would.
+			// observed study element. The others are assessed without
+			// external factors.
 			if !pan.studies.Index().Equal(pan.controls.Index()) || !core.SharedEligible(pan.studies, st.change.At) {
 				continue
 			}
@@ -334,7 +349,7 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 		if len(g.members) < 2 {
 			// A panel no other entry touches gains nothing from external
 			// preparation; its assessment prepares (and shares across its
-			// own elements) exactly as the per-change path does.
+			// own elements) exactly as a single change's does.
 			continue
 		}
 		g.factors = prepAssessor.PrepPanelFactors(ctx, g.rep, g.at)
@@ -386,9 +401,8 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 		return nil, err
 	}
 
-	// Phase 4 — per-entry gathering, in the per-change path's exact
-	// order: KPI-level errors, then element-level degradations per voted
-	// KPI, then the decision.
+	// Phase 4 — per-entry gathering, in a fixed order: KPI-level errors,
+	// then element-level degradations per voted KPI, then the decision.
 	for i, st := range states {
 		if st.err != nil {
 			out.Errors[i] = st.err
@@ -426,8 +440,8 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 	return out, nil
 }
 
-// assemblePanels runs the per-change path's panel assembly for one KPI
-// and packages the outcome for memoization.
+// assemblePanels runs one entry's panel assembly for one KPI and
+// packages the outcome for memoization.
 func assemblePanels(p *Pipeline, change *changelog.Change, controls []string, metric KPI, windowDays int) *panelEntry {
 	studies, controlsPanel, fails, err := p.panels(change, controls, metric, windowDays)
 	return &panelEntry{studies: studies, controls: controlsPanel, fails: fails, err: err}

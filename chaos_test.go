@@ -137,7 +137,7 @@ func TestChaosEveryInjectorThroughPipeline(t *testing.T) {
 // columns, dropped columns, truncated histories) plus the full stack,
 // applied to the assessor's group surface directly — including the
 // cross-element shared fast path, which must make the same
-// accept/skip/resample decisions as the per-element path.
+// accept/skip/resample decisions as an element's own factors.
 func TestChaosPanelInjectors(t *testing.T) {
 	net, change, provider := goldenWorld()
 	ids := net.Children(net.MustElement(change.Elements[0]).Parent)

@@ -139,7 +139,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	cl := client.New(baseURL, nil)
 	cl.PollInterval = 5 * time.Millisecond
 
-	const total = 24   // requests poured in before/through the crash
+	const total = 24    // requests poured in before/through the crash
 	const killAfter = 8 // completed results in hand when the kill fires
 
 	var mu sync.Mutex

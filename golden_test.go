@@ -15,6 +15,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,15 +160,48 @@ func TestAssessChangeInstrumentedEquivalence(t *testing.T) {
 				continue
 			}
 			scope.End()
-			if len(scope.Span().Children()) == 0 {
-				t.Errorf("workers=%d: instrumented run recorded no child spans", workers)
-			}
+			assertSingleChangeSpans(t, workers, scope.Span(), 2)
 			snap := scope.Registry().Snapshot()
 			if len(snap) == 0 {
 				t.Errorf("workers=%d: instrumented run recorded no metrics", workers)
 			}
+			// A single change is the one-entry batch, but not a batch: no
+			// batch counter may move.
+			if _, ok := snap[obs.MetricBatchEntries]; ok {
+				t.Errorf("workers=%d: single change recorded %s", workers, obs.MetricBatchEntries)
+			}
 		}
 	}
+}
+
+// assertSingleChangeSpans pins the span tree of one AssessChange under
+// root: exactly one assess-change child, holding exactly control-select,
+// panel-assembly and one assess-group per KPI — no batch-entry level.
+func assertSingleChangeSpans(t *testing.T, workers int, root *obs.Span, kpis int) {
+	t.Helper()
+	top := root.Children()
+	if len(top) != 1 || top[0].Name != obs.SpanAssessChange {
+		t.Fatalf("workers=%d: root children %v, want one %s", workers, spanNames(top), obs.SpanAssessChange)
+	}
+	want := []string{obs.SpanControlSelect, obs.SpanPanelAssembly}
+	for i := 0; i < kpis; i++ {
+		want = append(want, obs.SpanAssessGroup)
+	}
+	// The per-KPI groups run concurrently, so compare as sorted lists.
+	got := spanNames(top[0].Children())
+	sort.Strings(got)
+	sort.Strings(want)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("workers=%d: %s children %v, want %v", workers, obs.SpanAssessChange, got, want)
+	}
+}
+
+func spanNames(spans []*obs.Span) []string {
+	names := make([]string, len(spans))
+	for i, sp := range spans {
+		names[i] = sp.Name
+	}
+	return names
 }
 
 // TestAssessChangeFlightRecordedEquivalence extends the instrumented

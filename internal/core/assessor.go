@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/kpi"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
@@ -231,6 +230,21 @@ func (a *Assessor) AssessElement(elementID string, study timeseries.Series, cont
 // AssessElement — the Done channel is nil, so the per-iteration check is
 // skipped entirely and results stay bit-identical.
 func (a *Assessor) AssessElementContext(ctx context.Context, elementID string, study timeseries.Series, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (ElementResult, error) {
+	return a.assessElement(ctx, elementID, study, controls, changeAt, metric, nil)
+}
+
+// assessElement is the one element kernel: it fits the element on panel
+// factors pf — the group's, when its before window is fully observed —
+// or, when pf is nil, on factors prepared for the element's own fit rows
+// (elementFactors). Only the element-specific work remains in the
+// sampling loop: one triangular solve, two matrix–vector forecasts, R²,
+// and the leave-one-out adjustment. Iteration it reads slot it of the
+// factors and writes fit slot it, so the gathered forecasts are
+// bit-identical to a sequential run for every worker count and
+// schedule. A cancelable ctx is polled before each iteration so
+// canceled assessments drain fast; a background context skips the poll
+// (nil Done channel).
+func (a *Assessor) assessElement(ctx context.Context, elementID string, study timeseries.Series, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI, pf *panelFactors) (ElementResult, error) {
 	if err := ctx.Err(); err != nil {
 		return ElementResult{}, err
 	}
@@ -238,133 +252,102 @@ func (a *Assessor) AssessElementContext(ctx context.Context, elementID string, s
 	sc.SetAttr("element", elementID)
 	sc.SetAttr("kpi", metric.String())
 	defer sc.End()
-	if !study.Index.Equal(controls.Index()) {
-		return ElementResult{}, ErrIndexMismatch
-	}
-	n := controls.Len()
-	if n < a.cfg.MinControls {
-		return ElementResult{}, fmt.Errorf("%w: %d controls, need >= %d", ErrControlTooSmall, n, a.cfg.MinControls)
-	}
 	yBefore, yAfter := study.SplitAt(changeAt)
-	xBefore, xAfter := controls.SplitAt(changeAt)
-
-	// Rows usable for fitting: those where the study observation exists.
-	// (Missing control observations are median-imputed by DesignMatrix.)
-	fitRows := finiteRows(yBefore.Values)
-	if len(fitRows) < 3 || yAfter.Len() < 3 {
-		return ElementResult{}, fmt.Errorf("%w: need >= 3 observations on each side, got %d and %d", ErrWindowTooShort, len(fitRows), yAfter.Len())
+	if pf == nil {
+		var err error
+		if pf, err = a.elementFactors(ctx, sc, study, yBefore, yAfter, controls, changeAt); err != nil {
+			return ElementResult{}, err
+		}
+		defer pf.release()
 	}
-	k := a.sampleSize(n, len(fitRows))
-	if k < 1 {
-		return ElementResult{}, fmt.Errorf("%w: %d pre-change observations cannot support any regressor", ErrWindowTooShort, len(fitRows))
-	}
-
-	xbFull := xBefore.DesignMatrix()
-	xaFull := xAfter.DesignMatrix()
-	yb := yBefore.Values
-	ybFit := make([]float64, len(fitRows))
-	for i, r := range fitRows {
-		ybFit[i] = yb[r]
+	// The solver only reads the right-hand side, so a fully observed
+	// before window is its own fit observations — no copy needed.
+	ybFit := yBefore.Values
+	if pf.partial {
+		ybFit = make([]float64, len(pf.fitRows))
+		for i, r := range pf.fitRows {
+			ybFit[i] = yBefore.Values[r]
+		}
 	}
 
-	arena := a.runIterations(ctx, sc, xbFull, xaFull, fitRows, ybFit, k, yBefore.Len(), yAfter.Len())
-	defer arena.release()
-	if err := ctx.Err(); err != nil {
-		return ElementResult{}, err
-	}
-	sc.Counter(obs.MetricIterations).Add(int64(a.cfg.Iterations))
-	sc.Counter(obs.MetricControlsSampled).Add(int64(a.cfg.Iterations * k))
-	return a.finishElement(sc, elementID, metric, yBefore, yAfter, arena.fits)
-}
-
-// iterFit is one sampling iteration's output: the before/after forecasts
-// (backed by a pooled fitArena; see scratch.go) and the fit quality.
-type iterFit struct {
-	fb, fa []float64
-	r2     float64
-	ok     bool
-}
-
-// runIterations fans the sampling iterations out over the worker pool.
-// Iteration it uses the cached control sample derived from (Seed, it) —
-// see scratch.go — and writes into slot it, so the gathered forecasts are
-// bit-identical to a sequential run for every worker count and schedule.
-// The shared inputs (xbFull, xaFull, ybFit, fitRows) are only read; all
-// mutable state lives in per-worker scratch arenas. A cancelable ctx is
-// polled before each iteration so canceled assessments drain fast; a
-// background context skips the poll (nil Done channel). The caller
-// releases the returned arena once it has read the fits.
-func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaFull *linalg.Matrix, fitRows []int, ybFit []float64, k, lenB, lenA int) *fitArena {
 	iters := a.cfg.Iterations
-	samples := a.samplesFor(xbFull.Cols(), k)
-	arena := acquireFits(iters, lenB, lenA)
+	arena := acquireFits(iters, yBefore.Len(), yAfter.Len(), len(pf.fitRows), pf.k+1)
+	defer arena.release()
 	fits := arena.fits
-	allRowsFit := len(fitRows) == lenB
 	cancelable := ctx.Done() != nil
-	var factorized, leverageSkipped, resampled atomic.Int64
-	ws := newWorkerScratches(a.cfg.Workers, iters)
+	var leverageSkipped atomic.Int64
 	sampling := sc.Child(obs.SpanSampling)
-	forEachWorker(a.cfg.Workers, iters, func(w, it int) {
+	forEach(a.cfg.Workers, iters, func(it int) {
 		if cancelable && ctx.Err() != nil {
 			return
 		}
-		s := ws.get(w)
-		cols := samples[it]
-		var xb, xfit *linalg.Matrix
-		solved := false
-		for attempt := 0; ; attempt++ {
-			xb = xbFull.SelectColsWithIntercept(&s.xb, cols)
-			xfit = xb
-			if !allRowsFit {
-				xfit = xb.SelectRowsInto(&s.xfit, fitRows)
-			}
-			if xfit.Rows() < xfit.Cols() {
-				// Underdetermined draw: every redraw has the same shape, so
-				// resampling cannot help; skip it (the median aggregation
-				// tolerates missing iterations).
-				return
-			}
-			s.qr.Factor(xfit)
-			factorized.Add(1)
-			s.beta = growFloats(s.beta, xfit.Cols())
-			s.swork = growFloats(s.swork, xfit.Rows())
-			if solveWithFallbacks(&s.qr, xfit, s.beta, ybFit, s.swork) {
-				solved = true
-				break
-			}
-			if attempt >= maxResampleAttempts {
-				break
-			}
-			cols = a.resampleColumns(xbFull.Cols(), k, it, attempt+1)
-			resampled.Add(1)
-		}
-		if !solved {
+		st, fit := &pf.iters[it], &fits[it]
+		if !st.ok {
 			return
 		}
-		xa := xaFull.SelectColsWithIntercept(&s.xa, cols)
-		fb := xb.MulVecInto(fits[it].fb, s.beta)
-		xa.MulVecInto(fits[it].fa, s.beta)
-		fits[it].r2 = rSquaredAtRows(fb, fitRows, ybFit)
+		// The prep accepted this design via designUsable, so one stage of
+		// the degradation chain succeeds.
+		if !solveWithFallbacks(&st.qr, pf.fit(st), fit.beta, ybFit, fit.swork) {
+			return
+		}
+		fb := st.xb.MulVecInto(fit.fb, fit.beta)
+		st.xa.MulVecInto(fit.fa, fit.beta)
+		fit.r2 = rSquaredAtRows(fb, pf.fitRows, ybFit)
 		// In-sample residuals are optimistically small, which would make
 		// the before-window forecast differences artificially tight and
 		// manufacture significance. Replace the fitted values at fitted
 		// rows with leave-one-out forecasts, y − e/(1−h), putting both
 		// windows on the out-of-sample error scale.
-		s.hs = growFloats(s.hs, xfit.Rows())
-		s.zwork = growFloats(s.zwork, xfit.Cols())
-		if err := s.qr.LeveragesInto(s.hs, xfit, s.zwork); err == nil {
-			adjustLOO(fb, ybFit, fitRows, s.hs)
+		if st.hs != nil {
+			adjustLOO(fb, ybFit, pf.fitRows, st.hs)
 		} else {
 			leverageSkipped.Add(1)
 		}
-		fits[it].ok = true
+		fit.ok = true
 	})
 	sampling.End()
-	ws.release()
-	sc.Counter(obs.MetricBeforeFactorizations).Add(factorized.Load())
+	if err := ctx.Err(); err != nil {
+		return ElementResult{}, err
+	}
+	sc.Counter(obs.MetricIterations).Add(int64(iters))
 	sc.Counter(obs.MetricLeverageSkipped).Add(leverageSkipped.Load())
-	sc.Counter(obs.MetricIterationsResampled).Add(resampled.Load())
-	return arena
+	return a.finishElement(sc, elementID, metric, yBefore, yAfter, fits)
+}
+
+// elementFactors validates one element against the control panel and
+// prepares panel factors for its own fit rows: the before-window rows
+// where the study observation exists (missing control observations are
+// median-imputed by DesignMatrix). Nil fit rows — every row fits — make
+// the factors' fit design the sampled design itself, with no row copy.
+func (a *Assessor) elementFactors(ctx context.Context, sc *obs.Scope, study, yBefore, yAfter timeseries.Series, controls *timeseries.Panel, changeAt time.Time) (*panelFactors, error) {
+	if !study.Index.Equal(controls.Index()) {
+		return nil, ErrIndexMismatch
+	}
+	n := controls.Len()
+	if n < a.cfg.MinControls {
+		return nil, fmt.Errorf("%w: %d controls, need >= %d", ErrControlTooSmall, n, a.cfg.MinControls)
+	}
+	fitRows := finiteRows(yBefore.Values)
+	if len(fitRows) < 3 || yAfter.Len() < 3 {
+		return nil, fmt.Errorf("%w: need >= 3 observations on each side, got %d and %d", ErrWindowTooShort, len(fitRows), yAfter.Len())
+	}
+	if a.sampleSize(n, len(fitRows)) < 1 {
+		return nil, fmt.Errorf("%w: %d pre-change observations cannot support any regressor", ErrWindowTooShort, len(fitRows))
+	}
+	if len(fitRows) == yBefore.Len() {
+		fitRows = nil
+	}
+	return a.prepPanelFactors(ctx, sc, controls, changeAt, fitRows, &elementFactorPool), nil
+}
+
+// iterFit is one sampling iteration's output: the before/after forecasts
+// and the fit quality, with the iteration's solve vectors (all backed by
+// a pooled fitArena; see scratch.go).
+type iterFit struct {
+	fb, fa      []float64
+	beta, swork []float64 // solved coefficients; QR solve work vector (Qᵀb)
+	r2          float64
+	ok          bool
 }
 
 // adjustLOO replaces the fitted values at the fitted rows with
@@ -404,8 +387,7 @@ func rSquaredAtRows(fb []float64, rows []int, y []float64) float64 {
 
 // finishElement turns the gathered per-iteration fits into the element
 // verdict: aggregate forecasts, forecast differences, the rank-order test
-// with its autocorrelation correction, and the impact decision. It is
-// shared by AssessElement and the cross-element fast path of AssessGroup.
+// with its autocorrelation correction, and the impact decision.
 func (a *Assessor) finishElement(sc *obs.Scope, elementID string, metric kpi.KPI, yBefore, yAfter timeseries.Series, fits []iterFit) (ElementResult, error) {
 	iters := len(fits)
 	yb := yBefore.Values
@@ -527,13 +509,8 @@ func (a *Assessor) assessGroup(ctx context.Context, shared *PanelFactors, studie
 	sc.SetAttr("kpi", metric.String())
 	sc.SetAttr("elements", len(ids))
 	defer sc.End()
-	// Per-element spans parent under the group span; Scope is safe for
-	// concurrent sibling creation, so the fan-out below needs no
-	// serialization for tracing.
+	// Per-element spans parent under the group span.
 	elem := a.WithObserver(sc)
-	cancelable := ctx.Done() != nil
-	perElement := make([]ElementResult, len(ids))
-	errs := make([]error, len(ids))
 	gs := a.adoptPanelFactors(sc, shared, studies, controls, changeAt)
 	if gs == nil {
 		// Factors prepared here are this call's own; adopted ones belong
@@ -542,54 +519,40 @@ func (a *Assessor) assessGroup(ctx context.Context, shared *PanelFactors, studie
 			defer gs.release()
 		}
 	}
-	if gs != nil {
-		// Cross-element sharing: the per-iteration factorizations were
-		// computed once above (see group_shared.go); qualifying elements
-		// reuse them read-only and parallelize over iterations instead of
-		// elements. Elements with missing before-window data take the
-		// ordinary path — results are bit-identical either way.
-		shared := 0
-		for i, id := range ids {
-			if cancelable && ctx.Err() != nil {
-				errs[i] = ctx.Err()
-				continue
-			}
-			if gs.eligible[i] {
-				perElement[i], errs[i] = elem.assessElementShared(ctx, id, studies.MustSeries(id), gs, changeAt, metric)
-				shared++
-			} else {
-				perElement[i], errs[i] = elem.AssessElementContext(ctx, id, studies.MustSeries(id), controls, changeAt, metric)
-			}
-		}
-		sc.Counter(obs.MetricGroupSharedElements).Add(int64(shared))
-	} else {
-		// Elements are independent: fan them out over the worker pool and
-		// gather in ID order (per-iteration seeding makes each element's
-		// result independent of scheduling, so the group result is
-		// deterministic for every worker count).
-		forEach(a.cfg.Workers, len(ids), func(i int) {
-			if cancelable && ctx.Err() != nil {
-				errs[i] = ctx.Err()
-				return
-			}
-			perElement[i], errs[i] = elem.AssessElementContext(ctx, ids[i], studies.MustSeries(ids[i]), controls, changeAt, metric)
-		})
-	}
-	if err := ctx.Err(); err != nil {
-		return GroupResult{}, err
-	}
+	// Elements run in ID order, each parallel over its iterations.
+	// Cross-element sharing: the per-iteration factorizations were
+	// computed once above (see group_shared.go) and every element with a
+	// fully observed before window fits on them read-only; the others
+	// prepare factors on their own fit rows. Results are bit-identical
+	// either way.
 	results := make([]ElementResult, 0, len(ids))
 	var failures []Failure
 	var firstErr error
+	sharedElems := 0
 	for i, id := range ids {
-		if errs[i] != nil {
+		if ctx.Err() != nil {
+			break // a canceled group reports ctx.Err() below
+		}
+		var pf *panelFactors
+		if gs != nil && gs.eligible[i] {
+			pf = gs.panelFactors
+			sharedElems++
+		}
+		res, err := elem.assessElement(ctx, id, studies.MustSeries(id), controls, changeAt, metric, pf)
+		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("core: element %s: %w", id, errs[i])
+				firstErr = fmt.Errorf("core: element %s: %w", id, err)
 			}
-			failures = append(failures, failureOf(id, errs[i]))
+			failures = append(failures, failureOf(id, err))
 			continue
 		}
-		results = append(results, perElement[i])
+		results = append(results, res)
+	}
+	if gs != nil {
+		sc.Counter(obs.MetricGroupSharedElements).Add(int64(sharedElems))
+	}
+	if err := ctx.Err(); err != nil {
+		return GroupResult{}, err
 	}
 	sc.Counter(obs.MetricElementsAssessed).Add(int64(len(results)))
 	sc.Counter(obs.MetricElementsSkipped).Add(int64(len(ids) - len(results)))

@@ -1,18 +1,20 @@
 package core
 
-// Cross-element factorization sharing for AssessGroup. The control
-// columns iteration it draws depend only on (Seed, it, n, k) — never on
-// the study element — so every element of a group fits against the same
-// per-iteration design matrices. When an element's before window has no
-// missing data its fit rows cover the whole window, and the expensive
-// per-iteration products (the sampled designs, the QR factorization, the
-// hat-matrix diagonal) are element-independent too: AssessGroup computes
-// them once and every qualifying element reuses them read-only, reducing
-// the group's before-window factorizations from Iterations × Elements to
-// exactly Iterations. Elements with missing before-window data fall back
-// to the ordinary per-element AssessElement path; results are
-// bit-identical either way because the shared products are precisely the
-// values the per-element path would compute.
+// Panel factors and cross-element factorization sharing. Every element
+// fits on panel factors: the per-iteration products of one control
+// panel (the sampled designs, the QR factorization of the design on the
+// fit rows, the hat-matrix diagonal). The control columns iteration it
+// draws depend only on (Seed, it, n, k) — never on the study element —
+// so when an element's before window has no missing data its fit rows
+// cover the whole window and these products are element-independent
+// too: AssessGroup computes them once and every qualifying element
+// reuses them read-only, reducing the group's before-window
+// factorizations from Iterations × Elements to exactly Iterations.
+// Elements with missing before-window data prepare factors on their own
+// fit rows and run the same kernel (assessElement); results are
+// bit-identical either way because the accept/resample decision depends
+// on the design alone (resample.go) and the arithmetic is the same,
+// operation for operation.
 //
 // The same observation extends across changes: the per-iteration
 // products depend only on the control panel's values, the change time
@@ -31,42 +33,58 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/kpi"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/timeseries"
 )
 
-// iterShared is one sampling iteration's element-independent products.
-// All fields are read-only after prepPanelFactors returns; SolveInto and
-// LeveragesInto only read the factorization, so concurrent solves against
-// one iterShared are safe. The buffers are rebuilt in place when pooled
-// factors are reused.
+// iterShared is one sampling iteration's products on one set of fit
+// rows. All fields are read-only after prepPanelFactors returns;
+// SolveInto and LeveragesInto only read the factorization, so concurrent
+// solves against one iterShared are safe. The buffers are rebuilt in
+// place when pooled factors are reused.
 type iterShared struct {
 	xb, xa linalg.Matrix // sampled before/after designs (with intercept)
-	qr     linalg.QR     // factorization of xb
-	hs     []float64     // hat-matrix diagonal of xb, backed by lev; nil if rank deficient
-	lev    []float64     // storage behind hs
-	work   []float64     // leverage forward-solve work vector
-	ok     bool          // false for underdetermined draws (skipped)
+	xfit   linalg.Matrix // xb restricted to the fit rows; unused unless partial
+	qr     linalg.QR     // factorization of the fit design
+	hs     []float64     // hat-matrix diagonal of the fit design, backed by lev; nil if rank deficient
+	lev    []float64     // storage behind hs, one per fit row
+	work   []float64     // leverage forward-solve work vector, one per column
+	ok     bool          // false for underdetermined or unusable draws (skipped)
 }
 
-// panelFactors is the studies-independent portion of a group's shared
-// preparation: everything derived from (control panel, change time,
-// assessor config) alone. One panelFactors is reusable read-only by
-// every group — and every change — assessed against a value-identical
-// control panel at the same change time, until its owner releases it to
-// the pool.
+// panelFactors is everything an element fit needs that is derived from
+// (control panel, change time, fit rows, assessor config) alone. Factors
+// on the whole before window are reusable read-only by every group —
+// and every change — assessed against a value-identical control panel at
+// the same change time, until their owner releases them to the pool;
+// factors on a partial set of fit rows serve the one element whose
+// missing data defined them.
 type panelFactors struct {
 	n, k       int
 	index      timeseries.Index
 	splitAt    time.Time
 	fitRows    []int
+	partial    bool // the fit rows are a strict subset of the before window
 	iters      []iterShared
 	factorized int64 // QR factorizations the compute pass performed
+	// slabB holds every slot's buffers sized by the before window, slabA
+	// its after-window designs (see acquirePanelFactors).
+	slabB, slabA []float64
+	pool         *sync.Pool // the pool release returns them to
+}
+
+// fit returns iteration st's design on the fit rows: xfit when the fit
+// rows are partial, the sampled design itself otherwise.
+func (pf *panelFactors) fit(st *iterShared) *linalg.Matrix {
+	if pf.partial {
+		return &st.xfit
+	}
+	return &st.xb
 }
 
 // groupShared is the per-group preparation shared by every qualifying
@@ -110,8 +128,7 @@ func studyEligibility(studies *timeseries.Panel, changeAt time.Time) (eligible [
 // per-iteration products. It returns nil when the panel itself cannot be
 // assessed uniformly (index mismatch, too few controls, windows too
 // short, no admissible sample size) or when no element has a fully
-// observed before window — the caller then uses the per-element path
-// unchanged.
+// observed before window — every element then prepares its own factors.
 func (a *Assessor) prepGroupShared(ctx context.Context, sc *obs.Scope, studies, controls *timeseries.Panel, changeAt time.Time) *groupShared {
 	if !studies.Index().Equal(controls.Index()) {
 		return nil
@@ -120,35 +137,40 @@ func (a *Assessor) prepGroupShared(ctx context.Context, sc *obs.Scope, studies, 
 	if !any {
 		return nil
 	}
-	pf := a.prepPanelFactors(ctx, sc, controls, changeAt)
+	pf := a.prepPanelFactors(ctx, sc, controls, changeAt, nil, &groupFactorPool)
 	if pf == nil {
 		return nil
 	}
 	return &groupShared{panelFactors: pf, eligible: eligible}
 }
 
-// prepPanelFactors computes the studies-independent per-iteration
-// products for one control panel split at changeAt. It returns nil when
-// the panel cannot take the shared path (too few controls, windows too
-// short, no admissible sample size).
-func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls *timeseries.Panel, changeAt time.Time) *panelFactors {
+// prepPanelFactors computes the per-iteration products for one control
+// panel split at changeAt, fitted on the given before-window rows (nil
+// means the whole before window), in factors taken from pool. It
+// returns nil when the panel cannot be assessed on those rows (too few
+// controls, windows too short, no admissible sample size).
+func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls *timeseries.Panel, changeAt time.Time, fitRows []int, pool *sync.Pool) *panelFactors {
 	n := controls.Len()
 	if n < a.cfg.MinControls {
 		return nil
 	}
 	xBefore, xAfter := controls.SplitAt(changeAt)
 	lenB, lenA := xBefore.Index().N, xAfter.Index().N
-	if lenB < 3 || lenA < 3 {
+	nFit := lenB
+	if fitRows != nil {
+		nFit = len(fitRows)
+	}
+	if nFit < 3 || lenA < 3 {
 		return nil
 	}
-	k := a.sampleSize(n, lenB)
+	k := a.sampleSize(n, nFit)
 	if k < 1 {
 		return nil
 	}
 
 	prep := sc.Child(obs.SpanGroupPrep)
 	defer prep.End()
-	pf := acquirePanelFactors(a.cfg.Iterations, lenB)
+	pf := acquirePanelFactors(pool, a.cfg.Iterations, lenB, lenA, k, fitRows)
 	pf.n, pf.k, pf.index, pf.splitAt = n, k, controls.Index(), changeAt
 	xbFull := xBefore.DesignMatrix()
 	xaFull := xAfter.DesignMatrix()
@@ -162,18 +184,23 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 		st := &pf.iters[it]
 		cols := samples[it]
 		for attempt := 0; ; attempt++ {
-			xb := xbFull.SelectColsWithIntercept(&st.xb, cols)
-			if xb.Rows() < xb.Cols() {
-				// Underdetermined draw: resampling cannot change the shape;
-				// the per-element path skips it too.
+			xbFull.SelectColsWithIntercept(&st.xb, cols)
+			if pf.partial {
+				st.xb.SelectRowsInto(&st.xfit, pf.fitRows)
+			}
+			xfit := pf.fit(st)
+			if xfit.Rows() < xfit.Cols() {
+				// Underdetermined draw: every redraw has the same shape, so
+				// resampling cannot help; skip it (the median aggregation
+				// tolerates missing iterations).
 				return
 			}
-			st.qr.Factor(xb)
+			st.qr.Factor(xfit)
 			factorized.Add(1)
 			// The solver chain's failure conditions depend on the design
-			// alone, so the group decides accept/resample once, exactly as
-			// every element would alone (see resample.go).
-			if designUsable(&st.qr, xb) {
+			// alone, so the prep decides accept/resample once for every
+			// element fitting on these factors (see resample.go).
+			if designUsable(&st.qr, xfit) {
 				break
 			}
 			if attempt >= maxResampleAttempts {
@@ -183,9 +210,7 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 			resampled.Add(1)
 		}
 		xaFull.SelectColsWithIntercept(&st.xa, cols)
-		st.lev = growFloats(st.lev, st.xb.Rows())
-		st.work = growFloats(st.work, st.xb.Cols())
-		if err := st.qr.LeveragesInto(st.lev, &st.xb, st.work); err == nil {
+		if err := st.qr.LeveragesInto(st.lev, pf.fit(st), st.work); err == nil {
 			st.hs = st.lev
 		}
 		st.ok = true
@@ -249,7 +274,7 @@ func (f *PanelFactors) Factorizations() int64 {
 // AssessGroupContext. The caller owns the handle; see PanelFactors for
 // its lifetime.
 func (a *Assessor) PrepPanelFactors(ctx context.Context, controls *timeseries.Panel, changeAt time.Time) *PanelFactors {
-	pf := a.prepPanelFactors(ctx, a.obs, controls, changeAt)
+	pf := a.prepPanelFactors(ctx, a.obs, controls, changeAt, nil, &groupFactorPool)
 	if pf == nil {
 		return nil
 	}
@@ -288,68 +313,4 @@ func (a *Assessor) adoptPanelFactors(sc *obs.Scope, shared *PanelFactors, studie
 	}
 	sc.Counter(obs.MetricBatchFactorizationsReused).Add(pf.factorized)
 	return &groupShared{panelFactors: pf, eligible: eligible}
-}
-
-// assessElementShared is AssessElement for an element whose before window
-// is fully observed, fitting against the group's shared per-iteration
-// factorizations. Only the element-specific work remains in the loop: one
-// triangular solve, two matrix–vector forecasts, R², and the leave-one-
-// out adjustment. The arithmetic matches the per-element path operation
-// for operation, so the result is bit-identical.
-func (a *Assessor) assessElementShared(ctx context.Context, elementID string, study timeseries.Series, gs *groupShared, changeAt time.Time, metric kpi.KPI) (ElementResult, error) {
-	if err := ctx.Err(); err != nil {
-		return ElementResult{}, err
-	}
-	sc := a.obs.Child(obs.SpanAssessElement)
-	sc.SetAttr("element", elementID)
-	sc.SetAttr("kpi", metric.String())
-	defer sc.End()
-	yBefore, yAfter := study.SplitAt(changeAt)
-	// The before window is fully observed (prepGroupShared qualified it),
-	// so the fit observations are the window itself — no copy needed; the
-	// solver only reads the right-hand side.
-	ybFit := yBefore.Values
-
-	iters := a.cfg.Iterations
-	arena := acquireFits(iters, yBefore.Len(), yAfter.Len())
-	defer arena.release()
-	fits := arena.fits
-	cancelable := ctx.Done() != nil
-	var leverageSkipped atomic.Int64
-	ws := newWorkerScratches(a.cfg.Workers, iters)
-	sampling := sc.Child(obs.SpanSampling)
-	forEachWorker(a.cfg.Workers, iters, func(w, it int) {
-		if cancelable && ctx.Err() != nil {
-			return
-		}
-		st := &gs.iters[it]
-		if !st.ok {
-			return
-		}
-		s := ws.get(w)
-		s.beta = growFloats(s.beta, st.xb.Cols())
-		s.swork = growFloats(s.swork, st.xb.Rows())
-		// The same degradation chain as the per-element path; prep accepted
-		// this design via designUsable, so one of the stages succeeds.
-		if !solveWithFallbacks(&st.qr, &st.xb, s.beta, ybFit, s.swork) {
-			return
-		}
-		fb := st.xb.MulVecInto(fits[it].fb, s.beta)
-		st.xa.MulVecInto(fits[it].fa, s.beta)
-		fits[it].r2 = rSquaredAtRows(fb, gs.fitRows, ybFit)
-		if st.hs != nil {
-			adjustLOO(fb, ybFit, gs.fitRows, st.hs)
-		} else {
-			leverageSkipped.Add(1)
-		}
-		fits[it].ok = true
-	})
-	sampling.End()
-	ws.release()
-	if err := ctx.Err(); err != nil {
-		return ElementResult{}, err
-	}
-	sc.Counter(obs.MetricIterations).Add(int64(iters))
-	sc.Counter(obs.MetricLeverageSkipped).Add(leverageSkipped.Load())
-	return a.finishElement(sc, elementID, metric, yBefore, yAfter, fits)
 }

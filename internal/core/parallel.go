@@ -34,20 +34,9 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // result to a slot owned by index i; forEach returns only after every
 // call completed, so the caller reads the slots race-free.
 func forEach(workers, n int, fn func(i int)) {
-	forEachWorker(workers, n, func(_, i int) { fn(i) })
-}
-
-// forEachWorker is forEach with the worker index exposed: fn(w, i) is
-// called with 0 <= w < min(workers, n), and no two concurrent calls share
-// a w. Callers use w to index per-worker scratch arenas — buffers reused
-// across iterations without locking, the allocation discipline of the
-// sampling hot loop. The sequential path always reports worker 0. As with
-// forEach, outputs must be written to slots owned by i, never by w, so
-// gathering stays deterministic for any schedule.
-func forEachWorker(workers, n int, fn func(w, i int)) {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -58,16 +47,16 @@ func forEachWorker(workers, n int, fn func(w, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(w, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -235,8 +235,8 @@ func TestGroupSharedMatchesPerElement(t *testing.T) {
 }
 
 // TestGroupSharedFallbackOnMissingData checks the mixed case: elements
-// with missing before-window data fall back to the per-element path, and
-// both paths' results are bit-identical to standalone assessment.
+// with missing before-window data prepare factors on their own fit rows,
+// and every result is bit-identical to standalone assessment.
 func TestGroupSharedFallbackOnMissingData(t *testing.T) {
 	studies, controls, changeAt := groupWorld(23)
 	// Panel series share storage, so this punches holes into s2 in place.
@@ -254,8 +254,8 @@ func TestGroupSharedFallbackOnMissingData(t *testing.T) {
 	if got := reg.Counter(obs.MetricGroupSharedElements).Value(); got != int64(studies.Len()-1) {
 		t.Errorf("shared-path elements = %d, want %d (s2 must fall back)", got, studies.Len()-1)
 	}
-	// The fallback element still factorizes per iteration on top of the
-	// group's shared Iterations.
+	// The gappy element prepares its own factors on top of the group's
+	// shared Iterations.
 	iters := int64(a.Config().Iterations)
 	if got := reg.Counter(obs.MetricBeforeFactorizations).Value(); got != 2*iters {
 		t.Errorf("before-window factorizations = %d, want %d (shared) + %d (fallback element)", got, iters, iters)

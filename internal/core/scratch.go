@@ -7,15 +7,16 @@ package core
 // about half a MiB of buffers per group. Two mechanisms bring it to
 // (amortized) zero:
 //
-//   - three process-wide working-set pools, shared by every assessor
-//     (the serve tier builds a new assessor per job, so a pool on the
-//     assessor would never outlive a job). scratchPool holds one
-//     worker's design, QR and solver buffers for the sampling loop;
-//     fitPool one element's per-iteration forecast slots; factorPool
+//   - process-wide working-set pools, shared by every assessor (the
+//     serve tier builds a new assessor per job, so a pool on the
+//     assessor would never outlive a job). fitPool holds one element's
+//     per-iteration forecast slots and solve vectors; groupFactorPool
 //     one panel's per-iteration sampled designs, QR factors and
-//     leverages (group_shared.go). Each buffer has exactly one release
-//     point: a worker scratch when its fan-out ends, a fit arena after
-//     finishElement returns, group-local factors at the end of
+//     leverages for a group or a batch (group_shared.go);
+//     elementFactorPool the same for one element's own fit rows. Each
+//     buffer has exactly one release point: a fit arena after
+//     finishElement returns, an element's own factors when
+//     assessElement returns, group-local factors at the end of
 //     assessGroup, batch-shared factors through PanelFactors.Release.
 //     Slot state is reset on acquire and every float buffer is fully
 //     overwritten before it is read, so a recycled buffer never leaks
@@ -41,25 +42,15 @@ import (
 	"repro/internal/linalg"
 )
 
-// The process-wide working-set pools (see the file comment).
+// The process-wide working-set pools (see the file comment). An
+// element's own factors have a pool of their own: concurrent element
+// calls would otherwise leave sets shaped by their fit rows where the
+// next group's acquire picks them up and regrows them whole.
 var (
-	scratchPool = sync.Pool{New: func() any { return &elemScratch{} }}
-	fitPool     = sync.Pool{New: func() any { return &fitArena{} }}
-	factorPool  = sync.Pool{New: func() any { return &panelFactors{} }}
+	fitPool           = sync.Pool{New: func() any { return &fitArena{} }}
+	groupFactorPool   = sync.Pool{New: func() any { return &panelFactors{} }}
+	elementFactorPool = sync.Pool{New: func() any { return &panelFactors{} }}
 )
-
-// elemScratch is one worker's reusable buffers for the sampling loop.
-// All fields are value types or slices grown in place, so a pooled
-// scratch stabilizes at the workload's high-water shape and stops
-// allocating.
-type elemScratch struct {
-	xb, xa, xfit linalg.Matrix // sampled design matrices (with intercept)
-	qr           linalg.QR     // the single factorization per iteration
-	beta         []float64     // solved coefficients
-	swork        []float64     // QR solve work vector (Qᵀb)
-	hs           []float64     // hat-matrix diagonal
-	zwork        []float64     // leverage forward-solve work vector
-}
 
 // growFloats returns buf resized to n, reusing its storage when capacity
 // allows. Contents are unspecified; callers overwrite fully.
@@ -70,61 +61,42 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// workerScratches is the per-call set of lazily acquired worker arenas.
-type workerScratches []*elemScratch
-
-func newWorkerScratches(workers, n int) workerScratches {
-	if workers <= 1 || n <= 1 {
-		return make(workerScratches, 1)
-	}
-	if workers > n {
-		workers = n
-	}
-	return make(workerScratches, workers)
-}
-
-// get returns worker w's scratch, acquiring it from the pool on first use.
-func (ws workerScratches) get(w int) *elemScratch {
-	if ws[w] == nil {
-		ws[w] = scratchPool.Get().(*elemScratch)
-	}
-	return ws[w]
-}
-
-// release returns every acquired scratch to the pool.
-func (ws workerScratches) release() {
-	for _, s := range ws {
-		if s != nil {
-			scratchPool.Put(s)
-		}
-	}
+// carve cuts the next n floats off *buf, capped so an append cannot
+// spill into the neighbouring slice.
+func carve(buf *[]float64, n int) []float64 {
+	b := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return b
 }
 
 // fitArena is one element's per-iteration fit slots, with every
-// forecast vector carved out of one buffer: iteration it owns slot it
-// exclusively, so the worker fan-out writes race-free.
+// forecast and solve vector carved out of one buffer: iteration it owns
+// slot it exclusively, so the iteration fan-out writes race-free.
 type fitArena struct {
 	fits []iterFit
 	buf  []float64
 }
 
 // acquireFits returns a pooled arena of iters slots with before/after
-// forecasts of lenB/lenA points. Every slot starts not ok with zero R²,
-// whatever the arena held before; the forecast vectors are
-// unspecified until the iteration that owns them writes them in full.
-func acquireFits(iters, lenB, lenA int) *fitArena {
+// forecasts of lenB/lenA points and solve vectors for a design of nFit
+// rows and cols columns. Every slot starts not ok with zero R²,
+// whatever the arena held before; the vectors are unspecified until the
+// iteration that owns them writes them in full.
+func acquireFits(iters, lenB, lenA, nFit, cols int) *fitArena {
 	f := fitPool.Get().(*fitArena)
 	if cap(f.fits) < iters {
 		f.fits = make([]iterFit, iters)
 	}
 	f.fits = f.fits[:iters]
-	stride := lenB + lenA
+	stride := lenB + lenA + cols + nFit
 	f.buf = growFloats(f.buf, iters*stride)
 	for it := range f.fits {
-		off := it * stride
+		buf := f.buf[it*stride : (it+1)*stride]
 		f.fits[it] = iterFit{
-			fb: f.buf[off : off+lenB : off+lenB],
-			fa: f.buf[off+lenB : off+stride : off+stride],
+			fb:    carve(&buf, lenB),
+			fa:    carve(&buf, lenA),
+			beta:  carve(&buf, cols),
+			swork: carve(&buf, nFit),
 		}
 	}
 	return f
@@ -134,34 +106,55 @@ func acquireFits(iters, lenB, lenA int) *fitArena {
 // afterwards: finishElement copies every forecast it keeps.
 func (f *fitArena) release() { fitPool.Put(f) }
 
-// acquirePanelFactors returns pooled panel factors sized for iters
-// iterations over lenB before-window points. Every iteration slot starts
-// not ok with no leverages, whatever the factors held before;
-// prepPanelFactors sets the panel's identity and rebuilds each accepted
-// slot's designs, factorization and leverages in place.
-func acquirePanelFactors(iters, lenB int) *panelFactors {
-	pf := factorPool.Get().(*panelFactors)
+// acquirePanelFactors returns panel factors from pool sized for iters
+// iterations of a k-column sample over lenB/lenA before/after points,
+// fitted on fitRows (nil: every before-window row). Every slot's
+// designs, factorization and leverages are carved out of two buffers,
+// so a factor set costs a few allocations however many iterations it
+// holds and one the pool drops is cheap to rebuild. What is sized by the
+// before window and what is sized by the after window sit in separate
+// buffers, so a change time that moves the split regrows only the side
+// that grew. Every iteration slot starts not ok with no leverages,
+// whatever the factors held before; prepPanelFactors sets the panel's
+// identity and rebuilds each accepted slot in place.
+func acquirePanelFactors(pool *sync.Pool, iters, lenB, lenA, k int, fitRows []int) *panelFactors {
+	pf := pool.Get().(*panelFactors)
+	pf.pool = pool
 	pf.factorized = 0
-	if cap(pf.fitRows) < lenB {
-		pf.fitRows = make([]int, lenB)
-	}
-	pf.fitRows = pf.fitRows[:lenB]
-	for i := range pf.fitRows {
-		pf.fitRows[i] = i
+	pf.partial = fitRows != nil
+	pf.fitRows = append(pf.fitRows[:0], fitRows...)
+	if !pf.partial {
+		for i := 0; i < lenB; i++ {
+			pf.fitRows = append(pf.fitRows, i)
+		}
 	}
 	if cap(pf.iters) < iters {
 		pf.iters = make([]iterShared, iters)
 	}
 	pf.iters = pf.iters[:iters]
+	cols, nFit, xfitLen := k+1, len(pf.fitRows), 0
+	if pf.partial {
+		xfitLen = nFit * cols
+	}
+	strideB, strideA := (lenB+nFit)*cols+xfitLen+nFit+2*cols, lenA*cols
+	pf.slabB = growFloats(pf.slabB, iters*strideB)
+	pf.slabA = growFloats(pf.slabA, iters*strideA)
 	for it := range pf.iters {
-		pf.iters[it].ok, pf.iters[it].hs = false, nil
+		buf := pf.slabB[it*strideB : (it+1)*strideB]
+		st := &pf.iters[it]
+		st.xb = linalg.Over(carve(&buf, lenB*cols))
+		st.xa = linalg.Over(pf.slabA[it*strideA : (it+1)*strideA])
+		st.xfit = linalg.Over(carve(&buf, xfitLen))
+		st.qr = linalg.QROver(carve(&buf, nFit*cols), carve(&buf, cols))
+		st.lev, st.work = carve(&buf, nFit), carve(&buf, cols)
+		st.ok, st.hs = false, nil
 	}
 	return pf
 }
 
-// release returns the factors to the pool. The caller must be their
-// only owner: no assessment may read them afterwards.
-func (pf *panelFactors) release() { factorPool.Put(pf) }
+// release returns the factors to the pool they came from. The caller
+// must be their only owner: no assessment may read them afterwards.
+func (pf *panelFactors) release() { pf.pool.Put(pf) }
 
 // sampleKey identifies a control-panel shape: the samples for iteration
 // it depend only on (Seed, it, n, k), which is what makes them shareable.

@@ -7,6 +7,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/kpi"
@@ -37,6 +38,10 @@ func TestPoolMarginalBytesPerIteration(t *testing.T) {
 			}
 		}
 		run() // warm the sample cache and the pools at this shape
+		// A collection during the measured runs empties the pools, and
+		// re-allocating their buffers would be counted as per-iteration
+		// bytes: keep the collector off until the measurement is done.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,58 +27,73 @@ var poisonShapes = [][3]int{{72, 64, 16}, {8, 6, 2}}
 
 // poisonPools takes up to six entries out of every working-set pool,
 // poisons each in place in one of poisonShapes — NaN in every float
-// buffer, every slot marked ok, leverages present — and puts them back.
-// An acquire that skipped its slot reset, or a read of a buffer before
-// it is overwritten, then changes a result's bytes. Taking entries out
-// also poisons anything wrongly released while still in use.
+// buffer, every slot marked ok, leverages present, no owning pool — and
+// puts them back. An acquire that skipped its slot reset, or a read of a
+// buffer before it is overwritten, then changes a result's bytes.
+// Taking entries out also poisons anything wrongly released while still
+// in use.
 func poisonPools() {
 	const count = 6
-	var scratches []*elemScratch
 	var arenas []*fitArena
-	var factors []*panelFactors
 	for i := 0; i < count; i++ {
-		scratches = append(scratches, scratchPool.Get().(*elemScratch))
 		arenas = append(arenas, fitPool.Get().(*fitArena))
-		factors = append(factors, factorPool.Get().(*panelFactors))
 	}
-	for i := 0; i < count; i++ {
+	pools := []*sync.Pool{&groupFactorPool, &elementFactorPool}
+	factors := make([][]*panelFactors, len(pools))
+	for p, pool := range pools {
+		for i := 0; i < count; i++ {
+			factors[p] = append(factors[p], pool.Get().(*panelFactors))
+		}
+	}
+	for i, f := range arenas {
 		sh := poisonShapes[i%len(poisonShapes)]
 		iters, rows, cols := sh[0], sh[1], sh[2]
-
-		s := scratches[i]
-		poisonMatrix(&s.xb, rows, cols)
-		poisonMatrix(&s.xa, rows, cols)
-		poisonMatrix(&s.xfit, rows, cols)
-		s.qr.Factor(&s.xb)
-		s.beta, s.swork = nanFloats(s.beta, cols), nanFloats(s.swork, rows)
-		s.hs, s.zwork = nanFloats(s.hs, rows), nanFloats(s.zwork, cols)
-		scratchPool.Put(s)
-
-		f := arenas[i]
-		f.buf = nanFloats(f.buf, iters*2*rows)
+		stride := 3*rows + cols
+		f.buf = nanFloats(f.buf, iters*stride)
 		f.fits = make([]iterFit, iters)
 		for it := range f.fits {
-			off := it * 2 * rows
-			f.fits[it] = iterFit{fb: f.buf[off : off+rows], fa: f.buf[off+rows : off+2*rows], r2: math.NaN(), ok: true}
+			buf := f.buf[it*stride : (it+1)*stride]
+			f.fits[it] = iterFit{fb: carve(&buf, rows), fa: carve(&buf, rows), beta: carve(&buf, cols), swork: carve(&buf, rows), r2: math.NaN(), ok: true}
 		}
+	}
+	for _, fs := range factors {
+		for i, pf := range fs {
+			sh := poisonShapes[i%len(poisonShapes)]
+			poisonFactors(pf, sh[0], sh[1], sh[2])
+		}
+	}
+	// Put back only once everything is poisoned: the allocations above
+	// can start collections, and two of them drop what a pool holds.
+	for _, f := range arenas {
 		fitPool.Put(f)
+	}
+	for p, pool := range pools {
+		for _, pf := range factors[p] {
+			pool.Put(pf)
+		}
+	}
+}
 
-		pf := factors[i]
-		pf.n, pf.k, pf.factorized = -1, -1, -1
-		pf.fitRows = make([]int, rows) // all zero: a wrong fit-row map
-		if cap(pf.iters) < iters {
-			pf.iters = make([]iterShared, iters)
-		}
-		pf.iters = pf.iters[:iters]
-		for it := range pf.iters {
-			st := &pf.iters[it]
-			poisonMatrix(&st.xb, rows, cols)
-			poisonMatrix(&st.xa, rows, cols)
-			st.qr.Factor(&st.xb)
-			st.lev, st.work = nanFloats(st.lev, rows), nanFloats(st.work, cols)
-			st.hs, st.ok = st.lev, true
-		}
-		factorPool.Put(pf)
+// poisonFactors poisons one factor set in place at iters slots of a
+// rows × cols design.
+func poisonFactors(pf *panelFactors, iters, rows, cols int) {
+	pf.n, pf.k, pf.factorized = -1, -1, -1
+	pf.fitRows = make([]int, rows) // all zero: a wrong fit-row map
+	pf.partial = true
+	pf.pool = nil // a release without the acquire's owner would panic
+	pf.slabB, pf.slabA = nanFloats(pf.slabB, iters*2*rows*cols), nanFloats(pf.slabA, iters*rows*cols)
+	if cap(pf.iters) < iters {
+		pf.iters = make([]iterShared, iters)
+	}
+	pf.iters = pf.iters[:iters]
+	for it := range pf.iters {
+		st := &pf.iters[it]
+		poisonMatrix(&st.xb, rows, cols)
+		poisonMatrix(&st.xa, rows, cols)
+		poisonMatrix(&st.xfit, rows, cols)
+		st.qr.Factor(&st.xb)
+		st.lev, st.work = nanFloats(st.lev, rows), nanFloats(st.work, cols)
+		st.hs, st.ok = st.lev, true
 	}
 }
 
@@ -100,7 +116,7 @@ func nanFloats(buf []float64, n int) []float64 {
 
 // poolCase is one panel shape the pool tests assess: a group whose first
 // two studies are fully observed (the shared-factor path) and whose
-// third has before-window gaps (the per-element path).
+// third has before-window gaps (its own factors on its fit rows).
 type poolCase struct {
 	name              string
 	studies, controls *timeseries.Panel
@@ -127,13 +143,30 @@ func poolCases() []poolCase {
 	}
 }
 
-// groupText renders a group assessment (or its error) exactly: %v
-// prints every float in its shortest round-tripping form.
+// groupText renders a group assessment (or its error) exactly: every
+// field of every element (renderElement). Plain %v would print each
+// element through its promoted Verdict.String, which rounds and omits
+// the forecasts.
 func groupText(g GroupResult, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	return fmt.Sprintf("%v", g)
+	var b strings.Builder
+	fmt.Fprintf(&b, "group kpi %v overall %v votes %v failures %v\n", g.KPI, g.Overall, g.Votes, g.Failures)
+	for _, r := range g.PerElement {
+		renderElement(&b, r)
+	}
+	return b.String()
+}
+
+// elementText is groupText for one element assessment.
+func elementText(r ElementResult, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var b strings.Builder
+	renderElement(&b, r)
+	return b.String()
 }
 
 // assess runs the case through AssessGroup, or through
@@ -147,27 +180,28 @@ func (c poolCase) assess(a *Assessor, shared *PanelFactors) string {
 // directly: clean inputs never skip an iteration, so a stale ok flag
 // would otherwise only show on degenerate panels. Every slot of a
 // recycled arena or factor set must start not ok, with zero R² and no
-// leverages.
+// leverages, and factors acquired for the whole before window must fit
+// on every row and go back to the pool they came from.
 func TestPoolAcquireResetsSlotState(t *testing.T) {
 	poisonPools()
-	const iters, lenB, lenA = 50, 12, 9
+	const iters, lenB, lenA, k = 50, 12, 9, 3
 	var arenas []*fitArena
 	var factors []*panelFactors
 	for i := 0; i < 6; i++ {
-		f := acquireFits(iters, lenB, lenA)
+		f := acquireFits(iters, lenB, lenA, lenB, k+1)
 		arenas = append(arenas, f)
 		if len(f.fits) != iters {
 			t.Fatalf("arena has %d slots, want %d", len(f.fits), iters)
 		}
 		for it, fit := range f.fits {
-			if fit.ok || fit.r2 != 0 || len(fit.fb) != lenB || len(fit.fa) != lenA {
-				t.Fatalf("arena %d slot %d: ok %v r2 %v lengths %d/%d, want a reset slot of %d/%d", i, it, fit.ok, fit.r2, len(fit.fb), len(fit.fa), lenB, lenA)
+			if fit.ok || fit.r2 != 0 || len(fit.fb) != lenB || len(fit.fa) != lenA || len(fit.swork) != lenB || len(fit.beta) != k+1 {
+				t.Fatalf("arena %d slot %d: ok %v r2 %v lengths %d/%d/%d/%d, want a reset slot of %d/%d/%d/%d", i, it, fit.ok, fit.r2, len(fit.fb), len(fit.fa), len(fit.swork), len(fit.beta), lenB, lenA, lenB, k+1)
 			}
 		}
-		pf := acquirePanelFactors(iters, lenB)
+		pf := acquirePanelFactors(&groupFactorPool, iters, lenB, lenA, k, nil)
 		factors = append(factors, pf)
-		if len(pf.iters) != iters || pf.factorized != 0 {
-			t.Fatalf("factors %d: %d slots, %d factorizations, want %d and 0", i, len(pf.iters), pf.factorized, iters)
+		if len(pf.iters) != iters || pf.factorized != 0 || pf.partial || pf.pool != &groupFactorPool {
+			t.Fatalf("factors %d: %d slots, %d factorizations, partial %v, own pool %v, want %d, 0, false and true", i, len(pf.iters), pf.factorized, pf.partial, pf.pool == &groupFactorPool, iters)
 		}
 		for r, row := range pf.fitRows {
 			if r != row {
@@ -214,8 +248,8 @@ func TestPoolRecycledBuffersMatchColdRun(t *testing.T) {
 				}
 				poisonPools()
 				res, err := a.AssessElement(gappy, c.studies.MustSeries(gappy), c.controls, c.changeAt, kpi.VoiceRetainability)
-				if fmt.Sprint(res, err) != fmt.Sprint(want, wantErr) {
-					t.Fatalf("rep %d: AssessElement on poisoned pools differs from the cold run:\n got %v %v\nwant %v %v", rep, res, err, want, wantErr)
+				if got, want := elementText(res, err), elementText(want, wantErr); got != want {
+					t.Fatalf("rep %d: AssessElement on poisoned pools differs from the cold run:\n got %s\nwant %s", rep, got, want)
 				}
 			}
 		})

@@ -121,6 +121,11 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
+// Over returns an empty matrix backed by buf: Reshape, and every *Into
+// builder, reuses buf while the shape fits in len(buf) elements, so an
+// arena can carve many matrices out of one allocation.
+func Over(buf []float64) Matrix { return Matrix{data: buf[:0:len(buf)]} }
+
 // Reshape resizes m to rows×cols, reusing the backing storage when its
 // capacity allows and allocating otherwise. The contents are unspecified
 // after the call — every caller in the hot path overwrites the full

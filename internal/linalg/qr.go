@@ -27,6 +27,12 @@ type QR struct {
 	m, n int
 }
 
+// QROver returns an empty factorization backed by qr (the packed
+// factors) and rd (the diagonal of R): Factor reuses them while the
+// shape fits, so an arena can carve factorizations out of one
+// allocation.
+func QROver(qr, rd []float64) QR { return QR{qr: Over(qr), rd: rd[:0:len(rd)]} }
+
 // NewQR computes the Householder QR factorization of a. It panics if a has
 // fewer rows than columns (the regression always operates in the
 // overdetermined regime; see core.clampSampleSize).

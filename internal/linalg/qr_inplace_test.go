@@ -221,6 +221,38 @@ func TestReshapeReusesStorage(t *testing.T) {
 	mustPanic(t, "negative", func() { m.Reshape(-1, 2) })
 }
 
+// TestOverCarvesStorage pins the arena contract of Over and QROver: a
+// view reuses its slice of the buffer while the shape fits, never grows
+// into its neighbor's, and a factorization on carved storage equals a
+// fresh one bit for bit.
+func TestOverCarvesStorage(t *testing.T) {
+	buf := make([]float64, 12+4+24+4)
+	m := Over(buf[:12])
+	m.Reshape(4, 3)
+	if &m.data[0] != &buf[0] {
+		t.Error("Reshape within the view reallocated")
+	}
+	next := buf[12:16]
+	next[0] = 42
+	m.Reshape(4, 4) // past the view: must allocate, not spill
+	if &m.data[0] == &buf[0] || next[0] != 42 {
+		t.Error("Reshape past the view wrote into the neighboring storage")
+	}
+
+	x := randomTall(rand.New(rand.NewSource(3)), 8, 3)
+	qr := QROver(buf[16:40], buf[40:44])
+	qr.Factor(x)
+	if &qr.qr.data[0] != &buf[16] || &qr.rd[0] != &buf[40] {
+		t.Error("Factor on carved storage reallocated")
+	}
+	fresh := NewQR(x)
+	for i := range fresh.qr.data {
+		if fresh.qr.data[i] != qr.qr.data[i] {
+			t.Fatalf("packed factor %d differs: %v vs %v", i, qr.qr.data[i], fresh.qr.data[i])
+		}
+	}
+}
+
 func TestRSquaredFromFittedMatchesRSquared(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	x := randomTall(rng, 20, 3)

@@ -364,8 +364,11 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 // the same key. The full sha256 digest is kept: ids are opaque to
 // clients, and a truncated key colliding would silently serve one
 // request's cached assessment as another's.
-func (c *compiledRequest) hash() string {
-	sum := sha256.Sum256(c.canonicalJSON())
+func (c *compiledRequest) hash() string { return jobDigest(c.canonicalJSON()) }
+
+// jobDigest returns the job id of a request's canonical bytes.
+func jobDigest(canon []byte) string {
+	sum := sha256.Sum256(canon)
 	return "j" + hex.EncodeToString(sum[:])
 }
 

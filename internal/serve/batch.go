@@ -15,6 +15,11 @@ package serve
 // never changes per-entry digests, and duplicate entries within a batch
 // dedup onto one computation.
 //
+// A single POST /v1/assess is the bare case of the same submission: one
+// entry whose digest is the job id. Both handlers decode, compile and
+// render their own bodies, and share the submit state machine
+// (server.go), the executor (execute, below) and journal replay.
+//
 // Determinism: each entry reads the world slot's provider (world.go),
 // the same one a single submission of that change reads: only that
 // entry's ground-truth effect, overlaid on the shared base world and its
@@ -30,7 +35,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve/journal"
@@ -117,22 +121,35 @@ type batchDocEntry struct {
 	compileErr string
 }
 
-// pendingEntry is one unique, uncached entry awaiting computation.
+// pendingEntry is one unique entry: its digest and compiled request.
 type pendingEntry struct {
 	digest string
 	req    *compiledRequest
 }
 
-// batchCompile is a validated batch submission.
-type batchCompile struct {
-	entries []batchDocEntry             // submission order, 1:1 with Changes
-	unique  map[string]*compiledRequest // digest → compiled entry
-	order   []string                    // unique digests, first-seen order
+// submission is a validated submission. A batch (POST /v1/assess/batch)
+// lists its changelog; a bare submission (POST /v1/assess) has one
+// entry, whose digest is the job id and whose assessment document is
+// the job's result.
+type submission struct {
+	bare    bool
+	entries []batchDocEntry // submission order, 1:1 with the changes
+	unique  []pendingEntry  // distinct valid entries, first-seen order
 }
 
-// batchState is the execution state a batch job carries: the entry
-// list, the unique uncached entries to compute, and the results
-// resolved from the cache at submit time.
+// bareSubmission wraps a compiled POST /v1/assess request, whose
+// canonical digest is id.
+func bareSubmission(c *compiledRequest, id string) *submission {
+	return &submission{
+		bare:    true,
+		entries: []batchDocEntry{{digest: id, changeID: c.norm.Change.ID}},
+		unique:  []pendingEntry{{digest: id, req: c}},
+	}
+}
+
+// batchState is the execution state a job carries: the entry list, the
+// unique uncached entries to compute, and the results resolved from the
+// cache at submit time.
 type batchState struct {
 	entries  []batchDocEntry
 	pending  []pendingEntry
@@ -143,7 +160,7 @@ type batchState struct {
 // topology, KPIs, window, assessor, controls) fail the whole request;
 // per-entry change errors are recorded on the entry and never fail the
 // batch.
-func compileBatch(req *BatchAssessRequest) (*batchCompile, error) {
+func compileBatch(req *BatchAssessRequest) (*submission, error) {
 	if len(req.Changes) == 0 {
 		return nil, fmt.Errorf("changes is required")
 	}
@@ -166,7 +183,8 @@ func compileBatch(req *BatchAssessRequest) (*batchCompile, error) {
 	if _, err := compile(&probe); err != nil {
 		return nil, err
 	}
-	bc := &batchCompile{unique: map[string]*compiledRequest{}}
+	sub := &submission{}
+	seen := map[string]bool{}
 	for _, ch := range req.Changes {
 		entryReq := single
 		entryReq.Change = ch
@@ -176,23 +194,23 @@ func compileBatch(req *BatchAssessRequest) (*batchCompile, error) {
 			entry.compileErr = err.Error()
 		} else {
 			entry.digest = c.hash()
-			if _, ok := bc.unique[entry.digest]; !ok {
-				bc.unique[entry.digest] = c
-				bc.order = append(bc.order, entry.digest)
+			if !seen[entry.digest] {
+				seen[entry.digest] = true
+				sub.unique = append(sub.unique, pendingEntry{digest: entry.digest, req: c})
 			}
 		}
-		bc.entries = append(bc.entries, entry)
+		sub.entries = append(sub.entries, entry)
 	}
-	return bc, nil
+	return sub, nil
 }
 
 // hash returns the batch job id: a digest over the ordered per-entry
 // identities. Per-entry digests are order-independent (each entry
 // canonicalizes alone); the batch id covers order so a batch job's
 // result document always matches its submission's entry order.
-func (bc *batchCompile) hash() string {
+func (sub *submission) hash() string {
 	h := sha256.New()
-	for _, e := range bc.entries {
+	for _, e := range sub.entries {
 		if e.compileErr != "" {
 			h.Write([]byte("!" + e.compileErr))
 		} else {
@@ -205,9 +223,9 @@ func (bc *batchCompile) hash() string {
 
 // submitEntries renders the per-entry submit statuses. allCached marks
 // every valid entry cached (the batch job itself is already done).
-func (bc *batchCompile) submitEntries(resolved map[string]cachedResult, allCached bool) []BatchEntrySubmit {
-	out := make([]BatchEntrySubmit, 0, len(bc.entries))
-	for _, e := range bc.entries {
+func (sub *submission) submitEntries(resolved map[string]cachedResult, allCached bool) []BatchEntrySubmit {
+	out := make([]BatchEntrySubmit, 0, len(sub.entries))
+	for _, e := range sub.entries {
 		ent := BatchEntrySubmit{ID: e.digest, Error: e.compileErr}
 		if e.digest != "" {
 			if _, ok := resolved[e.digest]; ok || allCached {
@@ -236,131 +254,36 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	bc, err := compileBatch(&req)
+	sub, err := compileBatch(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
-	id := bc.hash()
-	now := time.Now()
-	traceID, ok := parseTraceparent(r.Header.Get(traceparentHeader))
+	id := sub.hash()
+	// The journal's submit payload is the request document itself:
+	// recompiling it on replay reproduces the batch id and the per-entry
+	// digests.
+	res, ok := s.submit(w, r, id, sub, func() []byte {
+		b, _ := json.Marshal(&req) // plain data; cannot fail
+		return b
+	})
 	if !ok {
-		traceID = newTraceID()
-	}
-
-	s.mu.Lock()
-	// Resolve entries against the cache under the lock: the per-entry
-	// cached flags describe this submission's moment, and a fresh batch
-	// job must carry the resolved bytes so eviction cannot outrun it.
-	resolved := map[string]cachedResult{}
-	var pending []pendingEntry
-	for _, d := range bc.order {
-		if cr, ok := s.entryCachedLocked(d); ok {
-			resolved[d] = cr
-		} else {
-			pending = append(pending, pendingEntry{digest: d, req: bc.unique[d]})
-		}
-	}
-	respBase := BatchSubmitResponse{ID: id, Unique: len(bc.order), CachedEntries: len(resolved)}
-
-	if j, ok := s.jobs[id]; ok {
-		switch j.state {
-		case stateDone:
-			s.cache.get(id) // refresh recency
-			resp := respBase
-			resp.Status, resp.Cached = stateDone, true
-			resp.CachedEntries = resp.Unique
-			resp.Entries = bc.submitEntries(resolved, true)
-			jobTrace := j.traceID
-			s.mu.Unlock()
-			s.reg.Counter(obs.MetricCacheHits).Add(1)
-			annotate(w, id, jobTrace)
-			setTraceparent(w, jobTrace)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		case stateQueued, stateRunning:
-			resp := respBase
-			resp.Status, resp.Cached = j.state, true
-			resp.Entries = bc.submitEntries(resolved, false)
-			jobTrace := j.traceID
-			s.mu.Unlock()
-			s.reg.Counter(obs.MetricCacheHits).Add(1)
-			annotate(w, id, jobTrace)
-			setTraceparent(w, jobTrace)
-			writeJSON(w, http.StatusAccepted, resp)
-			return
-		case stateFailed:
-			// Retry on resubmit, exactly like a single job: reset the
-			// record only once the enqueue succeeds. The retry carries
-			// this submission's batch state — the cache may have filled
-			// since the failed run.
-			if ok, _ := s.enqueueLocked(w, j, now); ok {
-				j.done = make(chan struct{})
-				j.started = time.Time{}
-				j.finished = time.Time{}
-				j.result = nil
-				j.degraded = false
-				j.traceID = traceID
-				j.attempts, j.retries = 0, 0
-				j.spans, j.failures = nil, nil
-				j.batch = &batchState{entries: bc.entries, pending: pending, resolved: resolved}
-				if j.finishedElem != nil {
-					s.finished.Remove(j.finishedElem)
-					j.finishedElem = nil
-				}
-				s.journalBatchSubmitLocked(id, &req)
-				s.mu.Unlock()
-				resp := respBase
-				resp.Status = stateQueued
-				resp.Entries = bc.submitEntries(resolved, false)
-				annotate(w, id, traceID)
-				setTraceparent(w, traceID)
-				writeJSON(w, http.StatusAccepted, resp)
-			}
-			return
-		}
-	}
-	if hit, ok := s.cache.get(id); ok {
-		// Batch record aged out but its document is still cached:
-		// resurrect a done job around it.
-		j := newJob(id, nil, now)
-		j.batch = &batchState{entries: bc.entries, resolved: resolved}
-		j.state = stateDone
-		j.cached = true
-		j.degraded = hit.degraded
-		j.finished = now
-		j.result = hit.result
-		j.traceID = traceID
-		close(j.done)
-		s.jobs[id] = j
-		s.recordFinishedLocked(j)
-		s.mu.Unlock()
-		s.reg.Counter(obs.MetricCacheHits).Add(1)
-		resp := respBase
-		resp.Status, resp.Cached = stateDone, true
-		resp.CachedEntries = resp.Unique
-		resp.Entries = bc.submitEntries(resolved, true)
-		annotate(w, id, traceID)
-		setTraceparent(w, traceID)
-		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	j := newJob(id, nil, now)
-	j.traceID = traceID
-	j.batch = &batchState{entries: bc.entries, pending: pending, resolved: resolved}
-	if ok, _ := s.enqueueLocked(w, j, now); ok {
-		s.jobs[id] = j
-		s.journalBatchSubmitLocked(id, &req)
-		s.mu.Unlock()
-		s.reg.Counter(obs.MetricCacheHits).Add(int64(len(resolved)))
-		s.reg.Counter(obs.MetricCacheMisses).Add(int64(len(pending)))
-		resp := respBase
-		resp.Status = stateQueued
-		resp.Entries = bc.submitEntries(resolved, false)
-		annotate(w, id, traceID)
-		setTraceparent(w, traceID)
-		writeJSON(w, http.StatusAccepted, resp)
+	// A done batch job has answered every entry.
+	done := res.status == stateDone
+	resp := BatchSubmitResponse{
+		ID:            id,
+		Status:        res.status,
+		Cached:        res.cached,
+		Entries:       sub.submitEntries(res.resolved, done),
+		Unique:        len(sub.unique),
+		CachedEntries: len(res.resolved),
 	}
+	if done {
+		resp.CachedEntries = resp.Unique
+	}
+	writeJSON(w, res.code, resp)
 }
 
 // batchOutcome is one computed entry's result.
@@ -370,12 +293,15 @@ type batchOutcome struct {
 	errText  string
 }
 
-// executeBatch runs one attempt of a batch job: the unique uncached
-// entries go through the engine's batch path in the world slot's world;
-// cached entries are spliced back in from their submit-time resolution.
-// The per-entry results land in the cache under the per-entry digests —
-// the same keys single submissions use.
-func (s *Server) executeBatch(ctx context.Context, scope *obs.Scope, j *job) (ar attemptResult, err error) {
+// execute runs one attempt of j: its pending entries go through the
+// engine in the world slot's world, each reading its own change's
+// provider. A bare job assesses its one change with AssessChangeContext:
+// the assessment document is the job's result and a failure is the
+// job's failure. A batch job runs AssessBatch; its computed entries land
+// in the cache under the per-entry digests — the same keys single
+// submissions use — and the entries resolved at submit time are spliced
+// back into its result document.
+func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar attemptResult, err error) {
 	bs := j.batch
 	outcomes := map[string]batchOutcome{}
 	if len(bs.pending) > 0 {
@@ -396,11 +322,33 @@ func (s *Server) executeBatch(ctx context.Context, scope *obs.Scope, j *job) (ar
 				err = change.Validate(w.net)
 			}
 			if err != nil {
-				outcomes[pe.digest] = batchOutcome{errText: fmt.Sprintf("change does not fit the requested topology: %v", err)}
+				err = fmt.Errorf("change does not fit the requested topology: %w", err)
+				if j.bare {
+					// World generation is seeded and deterministic: rebuilding
+					// the same request cannot succeed where this attempt failed.
+					return ar, &permanentError{err: err}
+				}
+				outcomes[pe.digest] = batchOutcome{errText: err.Error()}
 				continue
 			}
 			entries = append(entries, litmus.BatchEntry{Change: change, Provider: w.provider(change, base.kpis)})
 			digests = append(digests, pe.digest)
+		}
+		if j.bare {
+			p.Provider = entries[0].Provider
+			res, err := p.AssessChangeContext(ctx, entries[0].Change, base.kpis, base.window)
+			if err != nil {
+				return ar, err
+			}
+			ar.result, err = litmus.MarshalAssessment(res)
+			ar.degraded = res.Degraded
+			for _, f := range res.Failures {
+				ar.failures = append(ar.failures, litmus.AssessmentFailureDoc{
+					KPI: f.KPI.String(), Element: f.Element,
+					Reason: string(f.Reason), Detail: f.Detail,
+				})
+			}
+			return ar, err
 		}
 		if len(entries) > 0 {
 			res, err := p.AssessBatch(ctx, entries, base.kpis, base.window)

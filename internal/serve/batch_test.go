@@ -111,6 +111,16 @@ func fetchBatchResult(t *testing.T, ts *httptest.Server, id string) BatchResultD
 // change would get from POST /v1/assess, entry order changes neither
 // the digests nor the dedup, and duplicate entries collapse onto one
 // unique computation.
+// uniqueDigests lists a submission's distinct entry digests in
+// first-seen order.
+func uniqueDigests(sub *submission) []string {
+	var out []string
+	for _, pe := range sub.unique {
+		out = append(out, pe.digest)
+	}
+	return out
+}
+
 func TestBatchDigestCanonicalization(t *testing.T) {
 	g := goldenRequest(t)
 	chA := g.Change
@@ -145,8 +155,8 @@ func TestBatchDigestCanonicalization(t *testing.T) {
 	if bc.entries[0].digest != rev.entries[1].digest || bc.entries[1].digest != rev.entries[0].digest {
 		t.Error("reordering entries changed their digests")
 	}
-	fwd := append([]string(nil), bc.order...)
-	bwd := append([]string(nil), rev.order...)
+	fwd := uniqueDigests(bc)
+	bwd := uniqueDigests(rev)
 	sort.Strings(fwd)
 	sort.Strings(bwd)
 	if len(fwd) != 2 || fwd[0] != bwd[0] || fwd[1] != bwd[1] {
@@ -158,8 +168,8 @@ func TestBatchDigestCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dup.order) != 2 {
-		t.Errorf("duplicated changelog has %d unique digests, want 2", len(dup.order))
+	if len(dup.unique) != 2 {
+		t.Errorf("duplicated changelog has %d unique digests, want 2", len(dup.unique))
 	}
 	if dup.entries[0].digest != dup.entries[2].digest || dup.entries[0].digest != dup.entries[3].digest {
 		t.Error("duplicate entries got different digests")

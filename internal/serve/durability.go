@@ -58,28 +58,6 @@ func (s *Server) journalAppendLocked(rec journal.Record) {
 	}
 }
 
-// journalSubmitLocked records a single submission entering the queue.
-func (s *Server) journalSubmitLocked(id string, c *compiledRequest) {
-	if s.journal == nil {
-		return
-	}
-	s.journalAppendLocked(journal.Record{Kind: journal.KindSubmit, Digest: id, Payload: c.canonicalJSON()})
-}
-
-// journalBatchSubmitLocked records a batch submission entering the
-// queue. The payload is the request document itself: recompiling it on
-// replay reproduces the batch id and the per-entry digests.
-func (s *Server) journalBatchSubmitLocked(id string, req *BatchAssessRequest) {
-	if s.journal == nil {
-		return
-	}
-	b, err := json.Marshal(req)
-	if err != nil {
-		return // plain data; cannot fail
-	}
-	s.journalAppendLocked(journal.Record{Kind: journal.KindBatchSubmit, Digest: id, Payload: b})
-}
-
 // replayFinal is one digest's folded journal state.
 type replayFinal struct {
 	submit   []byte // newest submit payload, valid when pending
@@ -144,7 +122,7 @@ func (s *Server) replayJournal() {
 			s.mu.Unlock()
 			continue
 		}
-		j := newJob(d, nil, now)
+		j := newJob(d, false, now)
 		j.state = stateDone
 		j.cached = true
 		j.degraded = st.degraded
@@ -179,14 +157,14 @@ func (s *Server) replayJournal() {
 	}
 }
 
-// replayEnqueue recompiles one journaled submission and puts it back on
-// the queue, waiting for queue space; it gives up only when the server
-// starts draining or when live state (a racing submission, a replayed
-// result) has already claimed the digest.
+// replayEnqueue rebuilds the submission of one journaled submit record
+// — a single request's canonical JSON or a batch request document — and
+// puts it back on the queue, waiting for queue space; it gives up only
+// when the server starts draining or when live state (a racing
+// submission, a replayed result) has already claimed the digest.
 func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 	var id string
-	var compiled *compiledRequest
-	var bc *batchCompile
+	var sub *submission
 	if batch {
 		var req BatchAssessRequest
 		if err := json.Unmarshal(payload, &req); err != nil {
@@ -196,7 +174,7 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 		if err != nil {
 			return false
 		}
-		bc, id = c, c.hash()
+		sub, id = c, c.hash()
 	} else {
 		var req AssessRequest
 		if err := json.Unmarshal(payload, &req); err != nil {
@@ -206,7 +184,8 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 		if err != nil {
 			return false
 		}
-		compiled, id = c, c.hash()
+		id = c.hash()
+		sub = bareSubmission(c, id)
 	}
 
 	for {
@@ -224,7 +203,7 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 			return false
 		}
 		select {
-		case s.queue <- s.replayJobLocked(id, compiled, bc, now):
+		case s.queue <- s.replayJobLocked(id, sub, now):
 			s.mu.Unlock()
 			return true
 		default:
@@ -239,23 +218,12 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 // moment — replayed results count as hits, so a re-enqueued batch only
 // recomputes what the crash actually lost. Callers hold the server
 // mutex with queue space reserved.
-func (s *Server) replayJobLocked(id string, compiled *compiledRequest, bc *batchCompile, now time.Time) *job {
-	j := newJob(id, compiled, now)
+func (s *Server) replayJobLocked(id string, sub *submission, now time.Time) *job {
+	j := newJob(id, sub.bare, now)
 	j.traceID = newTraceID()
 	j.state = stateQueued
 	j.submitted = time.Now()
-	if bc != nil {
-		resolved := map[string]cachedResult{}
-		var pending []pendingEntry
-		for _, d := range bc.order {
-			if cr, ok := s.entryCachedLocked(d); ok {
-				resolved[d] = cr
-			} else {
-				pending = append(pending, pendingEntry{digest: d, req: bc.unique[d]})
-			}
-		}
-		j.batch = &batchState{entries: bc.entries, pending: pending, resolved: resolved}
-	}
+	j.batch = s.stateLocked(sub)
 	s.jobs[id] = j
 	return j
 }

@@ -277,7 +277,7 @@ func TestReadyzReplaying(t *testing.T) {
 // an earlier batch completed survive replay byte-identically, and the
 // interrupted batch is re-enqueued and completes on the next boot with
 // its cached entry intact. Real execution end to end: the per-entry
-// journaling under test lives inside executeBatch.
+// journaling under test lives inside execute.
 func TestShutdownDuringBatchJournal(t *testing.T) {
 	dir := t.TempDir()
 	sA, tsA, jrA := journalServer(t, dir, Config{Workers: 1}, nil, true)

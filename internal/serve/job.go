@@ -21,16 +21,18 @@ const (
 	stateFailed  = "failed"
 )
 
-// job is one submitted assessment: the compiled request plus its
-// lifecycle state.
+// job is one submitted assessment: its entries plus its lifecycle
+// state.
 type job struct {
-	id  string
-	req *compiledRequest
+	id string
 
-	// batch is non-nil for changelog jobs (POST /v1/assess/batch): the
-	// per-entry identities, the unique uncached entries to compute, and
-	// the results resolved from the cache at submit time. Batch jobs
-	// carry a nil req.
+	// bare marks a POST /v1/assess job: one entry whose digest is the
+	// job id, and whose assessment document is the job's result. Other
+	// jobs are changelog jobs (POST /v1/assess/batch).
+	bare bool
+	// batch holds the per-entry identities, the unique uncached entries
+	// to compute, and the results resolved from the cache at submit
+	// time. Nil only for results resurrected by journal replay.
 	batch *batchState
 
 	state     string
@@ -67,8 +69,8 @@ type job struct {
 	done chan struct{}
 }
 
-func newJob(id string, req *compiledRequest, now time.Time) *job {
-	return &job{id: id, req: req, state: stateQueued, submitted: now, done: make(chan struct{})}
+func newJob(id string, bare bool, now time.Time) *job {
+	return &job{id: id, bare: bare, state: stateQueued, submitted: now, done: make(chan struct{})}
 }
 
 // status renders the job's API view. Callers hold the server mutex.

@@ -33,11 +33,11 @@ func FuzzJournalReplay(f *testing.F) {
 		Record{Kind: KindComplete, Digest: "jccc", Canceled: true},
 		Record{Kind: KindBatchSubmit, Digest: "bddd", Payload: []byte(`{"changes":[]}`)},
 	)
-	f.Add(full)                          // clean segment
-	f.Add(full[:len(full)-3])            // torn tail
-	f.Add(full[:len(Magic)])             // empty segment
-	f.Add([]byte("LFR1whatever"))        // foreign magic (flight recorder)
-	f.Add([]byte{})                      // empty file
+	f.Add(full)                                        // clean segment
+	f.Add(full[:len(full)-3])                          // torn tail
+	f.Add(full[:len(Magic)])                           // empty segment
+	f.Add([]byte("LFR1whatever"))                      // foreign magic (flight recorder)
+	f.Add([]byte{})                                    // empty file
 	f.Add(append(bytes.Clone(full), 0xff, 0xff, 0xff)) // trailing garbage
 	flipped := bytes.Clone(full)
 	flipped[len(flipped)/2] ^= 0x20 // bit flip mid-segment

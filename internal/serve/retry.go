@@ -90,31 +90,9 @@ func (s *Server) executeJob(ctx context.Context, j *job) (ar attemptResult, err 
 		return ar, err
 	}
 
-	if j.batch != nil {
-		br, err := s.executeBatch(ctx, scope, j)
-		br.span = ar.span
-		return br, err
-	}
-
-	p, change, err := j.req.buildPipeline(scope)
-	if err != nil {
-		// World generation is seeded and deterministic: rebuilding the
-		// same request cannot succeed where this attempt failed.
-		return ar, &permanentError{err: err}
-	}
-	res, err := p.AssessChangeContext(ctx, change, j.req.kpis, j.req.window)
-	if err != nil {
-		return ar, err
-	}
-	ar.result, err = litmus.MarshalAssessment(res)
-	ar.degraded = res.Degraded
-	for _, f := range res.Failures {
-		ar.failures = append(ar.failures, litmus.AssessmentFailureDoc{
-			KPI: f.KPI.String(), Element: f.Element,
-			Reason: string(f.Reason), Detail: f.Detail,
-		})
-	}
-	return ar, err
+	res, err := s.execute(ctx, scope, j)
+	res.span = ar.span
+	return res, err
 }
 
 // retryable reports whether a failed attempt is worth repeating.

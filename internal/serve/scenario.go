@@ -7,8 +7,6 @@ package serve
 // byte-for-byte.
 
 import (
-	"fmt"
-
 	"repro/internal/changelog"
 	"repro/internal/control"
 	"repro/internal/netsim"
@@ -56,24 +54,4 @@ func (c *compiledRequest) pipeline(net *netsim.Network, scope *obs.Scope) (*litm
 		MaxControls:      c.maxCtrls,
 		Obs:              scope,
 	}, nil
-}
-
-// buildPipeline returns the request's pipeline on its world plus the
-// change record to assess. Unknown study elements (the one validation
-// that needs the topology) surface here, as a job error.
-func (c *compiledRequest) buildPipeline(scope *obs.Scope) (*litmus.Pipeline, *changelog.Change, error) {
-	change, err := c.buildChange()
-	if err != nil {
-		return nil, nil, err
-	}
-	w := worldFor(scope, c)
-	if err := change.Validate(w.net); err != nil {
-		return nil, nil, fmt.Errorf("change does not fit the requested topology: %w", err)
-	}
-	p, err := c.pipeline(w.net, scope)
-	if err != nil {
-		return nil, nil, err
-	}
-	p.Provider = w.provider(change, c.kpis)
-	return p, change, nil
 }

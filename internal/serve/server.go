@@ -126,9 +126,9 @@ type Server struct {
 	// Test hooks: when testStarted is non-nil, runJob announces the job
 	// id on it and then blocks on testRelease before executing — tests
 	// use this to hold workers and fill the queue deterministically.
-	// When testExecute is non-nil it replaces the assessment body of
-	// executeJob (panic recovery and retry classification still apply) —
-	// tests use it to inject panics and transient failures.
+	// When testExecute is non-nil it replaces execute, the assessment
+	// body of executeJob (panic recovery and retry classification still
+	// apply) — tests use it to inject panics and transient failures.
 	// Set between newServer and start only.
 	testStarted chan string
 	testRelease chan struct{}
@@ -281,7 +281,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
-	id := compiled.hash()
+	// The canonical form is rendered once: its digest is the job id and
+	// the bytes are the journal's submit payload.
+	canon := compiled.canonicalJSON()
+	id := jobDigest(canon)
+	res, ok := s.submit(w, r, id, bareSubmission(compiled, id), func() []byte { return canon })
+	if ok {
+		writeJSON(w, res.code, SubmitResponse{ID: id, Status: res.status, Cached: res.cached})
+	}
+}
+
+// submitResult is the submit state machine's answer, for the handler
+// that decoded the submission to render.
+type submitResult struct {
+	code   int    // 200 when the job is done, 202 otherwise
+	status string // the job's state after this submission
+	// cached reports a submission answered by a done job or the result
+	// cache, or deduplicated onto an identical job in flight.
+	cached bool
+	// resolved holds the entries answered from the cache at submit time
+	// (never a bare entry: the job-level checks answer that).
+	resolved map[string]cachedResult
+}
+
+// submit runs one submission — bare or batch — through the job table:
+// a done job answers it from the cache, an identical job in flight
+// absorbs it, a failed job is retried with it, a result cached after
+// its job record aged out resurrects the job, and anything else becomes
+// a new queued job. Entries resolve against the cache under the lock,
+// so the per-entry flags describe this moment and a new job carries the
+// resolved bytes, so eviction cannot outrun it. On backpressure or
+// drain it writes the error response itself and returns ok=false.
+// payload renders the journal's submit record, only when one is
+// appended.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, id string, sub *submission, payload func() []byte) (res submitResult, ok bool) {
 	now := time.Now()
 	// Trace identity: adopt the caller's traceparent, or mint one. Jobs
 	// that already exist keep the trace of the submission that caused
@@ -293,68 +326,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok {
-		switch j.state {
-		case stateDone:
-			// Same canonical request, result already computed: pure cache
-			// hit, the result bytes are identical by the determinism
-			// contract.
-			s.cache.get(id) // refresh recency
-			resp := SubmitResponse{ID: id, Status: stateDone, Cached: true}
-			jobTrace := j.traceID
-			s.mu.Unlock()
-			s.reg.Counter(obs.MetricCacheHits).Add(1)
-			annotate(w, id, jobTrace)
-			setTraceparent(w, jobTrace)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		case stateQueued, stateRunning:
-			// Identical request already in flight: deduplicate onto it
-			// instead of queueing duplicate work.
-			resp := SubmitResponse{ID: id, Status: j.state, Cached: true}
-			jobTrace := j.traceID
-			s.mu.Unlock()
-			s.reg.Counter(obs.MetricCacheHits).Add(1)
-			annotate(w, id, jobTrace)
-			setTraceparent(w, jobTrace)
-			writeJSON(w, http.StatusAccepted, resp)
-			return
-		case stateFailed:
-			// Failed jobs are retried on resubmit (the failure may have
-			// been a timeout or a drain-time cancellation). The record is
-			// reset for the new run only once the enqueue succeeds: a
-			// fresh done channel (the old one is closed), cleared
-			// lifecycle fields, and removal from the finished order so
-			// retention cannot evict the job while it is back in flight.
-			// On the 429 path the job is left failed and retryable.
-			if ok, resp := s.enqueueLocked(w, j, now); ok {
-				j.done = make(chan struct{})
-				j.started = time.Time{}
-				j.finished = time.Time{}
-				j.result = nil
-				j.degraded = false
-				// The retry is new work: it belongs to the resubmitter's
-				// trace, and the previous run's trace state is stale.
-				j.traceID = traceID
-				j.attempts, j.retries = 0, 0
-				j.spans, j.failures = nil, nil
-				if j.finishedElem != nil {
-					s.finished.Remove(j.finishedElem)
-					j.finishedElem = nil
-				}
-				s.journalSubmitLocked(id, j.req)
-				s.mu.Unlock()
-				annotate(w, id, traceID)
-				setTraceparent(w, traceID)
-				writeJSON(w, http.StatusAccepted, resp)
-			}
-			return
-		}
+	bs := s.stateLocked(sub)
+	res.resolved = bs.resolved
+	// bs becomes the job's, which runJob clears: count it under the lock.
+	pending := len(bs.pending)
+	j, known := s.jobs[id]
+	var hit cachedResult
+	inCache := false
+	if !known {
+		hit, inCache = s.cache.get(id)
 	}
-	if hit, ok := s.cache.get(id); ok {
+	switch {
+	case known && j.state != stateFailed:
+		// The same canonical submission is done — a pure cache hit, the
+		// result bytes are identical by the determinism contract — or in
+		// flight, and deduplicated onto it instead of queueing duplicate
+		// work.
+		if j.state == stateDone {
+			s.cache.get(id) // refresh recency
+		}
+		res.status, res.cached, traceID = j.state, true, j.traceID
+	case inCache:
 		// The job record aged out but the result is still cached:
 		// resurrect a done job around the cached bytes.
-		j := newJob(id, compiled, now)
+		j = newJob(id, sub.bare, now)
+		bs.pending = nil
+		j.batch = bs
 		j.state = stateDone
 		j.cached = true
 		j.degraded = hit.degraded
@@ -364,24 +361,84 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		close(j.done)
 		s.jobs[id] = j
 		s.recordFinishedLocked(j)
-		s.mu.Unlock()
-		s.reg.Counter(obs.MetricCacheHits).Add(1)
-		annotate(w, id, traceID)
-		setTraceparent(w, traceID)
-		writeJSON(w, http.StatusOK, SubmitResponse{ID: id, Status: stateDone, Cached: true})
-		return
-	}
-	j := newJob(id, compiled, now)
-	j.traceID = traceID
-	if ok, resp := s.enqueueLocked(w, j, now); ok {
+		res.status, res.cached = stateDone, true
+	default:
+		// A new job, or a retry of a failed one (the failure may have
+		// been a timeout or a drain-time cancellation). A failed record
+		// is reset for the new run only once the enqueue succeeds: a
+		// fresh done channel (the old one is closed), cleared lifecycle
+		// fields, and removal from the finished order so retention cannot
+		// evict the job while it is back in flight. On the 429 path the
+		// job is left failed and retryable. The retry is new work: it
+		// carries this submission's entries (the cache may have filled
+		// since the failed run) and belongs to the resubmitter's trace.
+		if !known {
+			j = newJob(id, sub.bare, now)
+		}
+		if !s.enqueueLocked(w, j, now) {
+			return res, false
+		}
+		if known {
+			j.done = make(chan struct{})
+			j.started, j.finished = time.Time{}, time.Time{}
+			j.result, j.degraded = nil, false
+			j.attempts, j.retries = 0, 0
+			j.spans, j.failures = nil, nil
+			if j.finishedElem != nil {
+				s.finished.Remove(j.finishedElem)
+				j.finishedElem = nil
+			}
+		}
+		j.traceID = traceID
+		j.batch = bs
 		s.jobs[id] = j
-		s.journalSubmitLocked(id, compiled)
-		s.mu.Unlock()
-		s.reg.Counter(obs.MetricCacheMisses).Add(1)
-		annotate(w, id, traceID)
-		setTraceparent(w, traceID)
-		writeJSON(w, http.StatusAccepted, resp)
+		if s.journal != nil {
+			kind := journal.KindBatchSubmit
+			if sub.bare {
+				kind = journal.KindSubmit
+			}
+			s.journalAppendLocked(journal.Record{Kind: kind, Digest: id, Payload: payload()})
+		}
+		res.status = stateQueued
 	}
+	s.mu.Unlock()
+
+	switch {
+	case res.cached:
+		s.reg.Counter(obs.MetricCacheHits).Add(1)
+	case !known:
+		// A new batch counts its entries answered at submit as hits and
+		// the rest as misses; a new bare job is one miss.
+		if !sub.bare {
+			s.reg.Counter(obs.MetricCacheHits).Add(int64(len(res.resolved)))
+		}
+		s.reg.Counter(obs.MetricCacheMisses).Add(int64(pending))
+	}
+	res.code = http.StatusAccepted
+	if res.status == stateDone {
+		res.code = http.StatusOK
+	}
+	annotate(w, id, traceID)
+	setTraceparent(w, traceID)
+	return res, true
+}
+
+// stateLocked resolves a submission's entries against finished jobs and
+// the result cache: the execution state of a job running it. A bare
+// entry is the job itself, answered by the job-level checks, so it
+// always pends. Callers hold the server mutex.
+func (s *Server) stateLocked(sub *submission) *batchState {
+	bs := &batchState{entries: sub.entries, resolved: map[string]cachedResult{}}
+	for _, pe := range sub.unique {
+		if !sub.bare {
+			if cr, ok := s.entryCachedLocked(pe.digest); ok {
+				bs.resolved[pe.digest] = cr
+				continue
+			}
+		}
+		bs.pending = append(bs.pending, pe)
+	}
+	return bs
 }
 
 // enqueueLocked pushes j onto the bounded queue, mutating the job only
@@ -389,13 +446,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // a failed job stays retryable instead of being wedged as "queued". It
 // is called with the server mutex held; on the backpressure and
 // draining paths it writes the error response itself (releasing the
-// mutex first) and returns ok=false. A worker may receive j as soon as
+// mutex first) and returns false. A worker may receive j as soon as
 // the send succeeds, but cannot touch it until the mutex is released.
-func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) (bool, SubmitResponse) {
+func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) bool {
 	if s.draining {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return false, SubmitResponse{}
+		return false
 	}
 	select {
 	case s.queue <- j:
@@ -403,7 +460,7 @@ func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) (bo
 		j.submitted = now
 		j.err = ""
 		s.reg.Gauge(obs.MetricQueueDepth).Set(float64(len(s.queue)))
-		return true, SubmitResponse{ID: j.id, Status: stateQueued}
+		return true
 	default:
 		s.mu.Unlock()
 		s.reg.Counter(obs.MetricQueueRejected).Add(1)
@@ -413,7 +470,7 @@ func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) (bo
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		writeError(w, http.StatusTooManyRequests, "submission queue full (%d jobs); retry after %ds", s.cfg.QueueDepth, retry)
-		return false, SubmitResponse{}
+		return false
 	}
 }
 
@@ -588,11 +645,9 @@ func (s *Server) runJob(j *job) {
 	j.retries = retries
 	j.spans = spans
 	j.failures = ar.failures
-	if j.batch != nil {
-		// Only execution reads the compiled entries; a resubmit after a
-		// failure and journal replay both rebuild them.
-		j.batch.pending = nil
-	}
+	// Only execution reads the compiled entries; a resubmit after a
+	// failure and journal replay both rebuild them.
+	j.batch.pending = nil
 	// Journal the terminal state before it becomes client-visible: a
 	// crash after the state flips but before the append could otherwise
 	// lose a result a client already saw. Cancellations keep the digest

@@ -199,7 +199,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		tr.Degradations = append(tr.Degradations, j.failures...)
 		spans = append(spans, j.spans...)
-		if j.batch != nil {
+		if !j.bare && j.batch != nil {
 			for _, e := range j.batch.entries {
 				_, cached := j.batch.resolved[e.digest]
 				tr.Entries = append(tr.Entries, BatchTraceEntry{

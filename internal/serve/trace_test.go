@@ -155,6 +155,16 @@ func TestTraceparentPropagation(t *testing.T) {
 			t.Errorf("span tree is missing pipeline stage %q", want)
 		}
 	}
+	// A single job is a bare one-entry submission, not a batch: no batch
+	// span and no entry list in its trace.
+	for _, unwanted := range []string{obs.SpanAssessBatch, obs.SpanBatchEntry} {
+		if names[unwanted] {
+			t.Errorf("single-job span tree holds a %q span", unwanted)
+		}
+	}
+	if len(tr.Entries) != 0 {
+		t.Errorf("single-job trace lists %d batch entries, want none", len(tr.Entries))
+	}
 
 	// A later identical submission joins the existing job's trace: the
 	// resubmitter's own traceparent does not rename the job.

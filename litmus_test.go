@@ -131,6 +131,10 @@ func TestPipelineValidation(t *testing.T) {
 	if _, err := p.AssessChange(bad, []KPI{kpi.VoiceRetainability}, 14); err == nil {
 		t.Error("unknown study element accepted")
 	}
+	// A nil change is an error, not a panic.
+	if _, err := p.AssessChange(nil, []KPI{kpi.VoiceRetainability}, 14); err == nil {
+		t.Error("nil change accepted")
+	}
 }
 
 func TestDecide(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/changelog"
-	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/kpi"
 	"repro/internal/netsim"
@@ -137,133 +136,24 @@ func (p *Pipeline) AssessChange(change *changelog.Change, kpis []KPI, windowDays
 // there between sampling iterations, so a canceled assessment stops its
 // workers promptly and returns ctx.Err(). A background context takes
 // the exact AssessChange path and produces bit-identical results.
+//
+// A single change is the one-entry case of AssessBatch: the same phases
+// run with the entry recording straight into the assess-change span
+// (control-select, panel-assembly and one assess-group per KPI beneath
+// it) and each KPI preparing its own factors, so no batch span or
+// counter appears.
 func (p *Pipeline) AssessChangeContext(ctx context.Context, change *changelog.Change, kpis []KPI, windowDays int) (*ChangeAssessment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sc := p.Obs.Child(obs.SpanAssessChange)
 	defer sc.End()
-	if p.Network == nil || p.Provider == nil {
-		return nil, fmt.Errorf("litmus: pipeline needs a network and a series provider")
-	}
-	if err := change.Validate(p.Network); err != nil {
-		return nil, err
-	}
-	sc.SetAttr("change", change.ID)
 	sc.SetAttr("kpis", len(kpis))
-	if len(kpis) == 0 {
-		return nil, fmt.Errorf("litmus: no KPIs to assess")
-	}
-	if windowDays < 2 {
-		return nil, fmt.Errorf("litmus: window of %d days too short", windowDays)
-	}
-	assessor := p.Assessor
-	if assessor == nil {
-		var err error
-		assessor, err = core.NewAssessor(core.Config{})
-		if err != nil {
-			return nil, err
-		}
-	}
-	pred := p.ControlPredicate
-	if pred == nil {
-		pred = control.And(control.SameKind(), control.SameRegion())
-	}
-
-	// Select the control group outside the change's causal impact scope.
-	// The selector records its own control-select span under ours.
-	scope := change.ImpactScope(p.Network)
-	sel := &control.Selector{
-		Net:       p.Network,
-		Predicate: pred,
-		Exclude:   scope,
-		MaxSize:   p.MaxControls,
-		Obs:       sc,
-	}
-	controls, err := sel.Select(change.Elements)
+	out, err := p.assess(ctx, sc, false, []BatchEntry{{Change: change}}, kpis, windowDays)
 	if err != nil {
-		return nil, fmt.Errorf("litmus: control selection: %w", err)
-	}
-
-	out := &ChangeAssessment{
-		Change:       change,
-		ControlGroup: controls,
-		PerKPI:       make(map[KPI]GroupResult, len(kpis)),
-	}
-	// Panels are assembled sequentially — SeriesProvider implementations
-	// (e.g. the caching synthetic generator) need not be safe for
-	// concurrent use. The assessment grid that follows is pure
-	// computation on immutable panels, so the element × KPI fan-out is
-	// race-free: AssessGroup spreads the elements of each KPI over the
-	// worker pool, and the KPIs themselves run concurrently here.
-	// Results and errors are gathered in KPI order, so the assessment —
-	// including which error surfaces — is independent of scheduling.
-	type kpiPanels struct {
-		studies, controls *Panel
-	}
-	assembly := sc.Child(obs.SpanPanelAssembly)
-	panels := make([]kpiPanels, len(kpis))
-	kpiErrs := make([]error, len(kpis))
-	var failures []AssessmentFailure
-	for i, metric := range kpis {
-		studies, controlsPanel, fails, err := p.panels(change, controls, metric, windowDays)
-		failures = append(failures, fails...)
-		if err != nil {
-			// The whole KPI is unassessable (no usable study or control
-			// data); record it and assess the remaining KPIs.
-			kpiErrs[i] = err
-			failures = append(failures, AssessmentFailure{KPI: metric, Reason: core.ReasonOf(err), Detail: err.Error()})
-			continue
-		}
-		panels[i] = kpiPanels{studies: studies, controls: controlsPanel}
-	}
-	assembly.End()
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Each KPI's AssessGroup opens its own assess-group span under the
-	// assess-change span; sibling spans may be created concurrently.
-	assessor = assessor.WithObserver(sc)
-	results := make([]GroupResult, len(kpis))
-	errs := make([]error, len(kpis))
-	core.ForEachIndex(assessor.Config().Workers, len(kpis), func(i int) {
-		if kpiErrs[i] != nil {
-			return
-		}
-		results[i], errs[i] = assessor.AssessGroupContext(ctx, panels[i].studies, panels[i].controls, change.At, kpis[i])
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var firstErr error
-	for i, metric := range kpis {
-		err := kpiErrs[i]
-		if err == nil && errs[i] != nil {
-			err = errs[i]
-			failures = append(failures, AssessmentFailure{KPI: metric, Reason: core.ReasonOf(err), Detail: err.Error()})
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("litmus: %v: %w", metric, err)
-			}
-			continue
-		}
-		// Element-level degradations within a KPI that still voted.
-		for _, f := range results[i].Failures {
-			failures = append(failures, AssessmentFailure{KPI: metric, Element: f.Element, Reason: f.Reason, Detail: f.Detail})
-		}
-		out.PerKPI[metric] = results[i]
-	}
-	if len(out.PerKPI) == 0 {
-		// Nothing assessed: no evidence to stand a decision on — that is
-		// an error, not a degraded result.
-		return nil, firstErr
-	}
-	out.Failures = failures
-	out.Degraded = len(failures) > 0
-	out.Decision = decide(out.PerKPI)
-	sc.Counter(obs.Labeled(obs.MetricDecisions, "decision", out.Decision.String())).Add(1)
-	return out, nil
+	return out.Results[0], out.Errors[0]
 }
 
 // panels assembles the study and control panels for one KPI, windowed to
