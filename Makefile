@@ -48,10 +48,13 @@ race-pools:
 	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core .
 
 # Focused race run over the observability layer: the concurrent
-# metrics-registry and scope tests plus the instrumented pipeline.
+# metrics-registry and scope tests plus the instrumented pipeline, then
+# the span-freezing and trace-endpoint tests (frozen trees read by
+# concurrent GETs while jobs finish) ten times each.
 race-obs:
 	$(GO) test -race ./internal/obs
 	$(GO) test -race -run 'TestAssessChangeInstrumentedEquivalence' .
+	$(GO) test -race -count=10 -run 'Freeze|Trace' ./internal/obs ./internal/serve
 
 # Chaos suite under the race detector: every fault injector through the
 # pipeline (result or typed Degraded reason, clean inputs bit-identical

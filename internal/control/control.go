@@ -244,24 +244,27 @@ func (s *Selector) Select(studyIDs []string) ([]string, error) {
 		id   string
 		dist float64
 	}
-	var cands []cand
-	for _, id := range s.Net.IDs() {
-		if excluded[id] {
-			continue
+	// Matches is pure, so the first study element that accepts a
+	// candidate decides; only matched candidates are priced.
+	ids := s.Net.Filter(func(c *netsim.Element) bool {
+		if excluded[c.ID] {
+			return false
 		}
-		c := s.Net.MustElement(id)
-		matched := false
-		var dsum float64
 		for _, se := range study {
 			if s.Predicate.Matches(se, c) {
-				matched = true
+				return true
 			}
-			dsum += netsim.DistanceKm(se.Location, c.Location)
 		}
-		if !matched {
-			continue
+		return false
+	})
+	cands := make([]cand, len(ids))
+	for i, id := range ids {
+		loc := s.Net.MustElement(id).Location
+		var dsum float64
+		for _, se := range study {
+			dsum += netsim.DistanceKm(se.Location, loc)
 		}
-		cands = append(cands, cand{id: id, dist: dsum / float64(len(study))})
+		cands[i] = cand{id: id, dist: dsum / float64(len(study))}
 	}
 	if len(cands) < minSize {
 		return nil, fmt.Errorf("control: only %d candidates match %s, need >= %d", len(cands), s.Predicate.Name(), minSize)

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -284,5 +285,30 @@ func TestSelectorExplicitExclude(t *testing.T) {
 	}
 	if len(got) != 10 {
 		t.Errorf("control group = %d, want 10", len(got))
+	}
+}
+
+// TestSelectorBytesPerSelect pins what one selection allocates on the
+// default network: the exclusion set, the matched candidates and the
+// result, but no copy of the network's 1970 IDs (~31 KiB).
+func TestSelectorBytesPerSelect(t *testing.T) {
+	net := testNet()
+	study := []string{"nb1-ne-1", "nb1-ne-2", "nb1-ne-3"}
+	sel := &Selector{Net: net, Predicate: And(SameKind(), SameParent())}
+	if _, err := sel.Select(study); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := sel.Select(study); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 8<<10 {
+		t.Errorf("Select allocates %d B, want < 8 KiB", per)
 	}
 }

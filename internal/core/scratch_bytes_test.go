@@ -30,6 +30,10 @@ func TestPoolMarginalBytesPerIteration(t *testing.T) {
 		studies.Add(controlID(20+i), w.series(10, 0.9+0.1*float64(i), shift))
 	}
 	changeAt := w.changeAt
+	// Measure on one P, as testing.AllocsPerRun does: sync.Pool caches
+	// per P, and a goroutine moved to another P mid-measurement would
+	// miss the factor set it warmed and count its rebuild.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	measure := func(iters int) float64 {
 		a := MustNewAssessor(Config{Workers: 1, Iterations: iters})
 		run := func() {

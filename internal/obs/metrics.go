@@ -21,6 +21,9 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	// stages memoizes the MetricStageSeconds histogram per span name,
+	// so Scope.End does not render the labeled series name each time.
+	stages map[string]*Histogram
 }
 
 // NewRegistry returns an empty metrics registry.
@@ -29,6 +32,7 @@ func NewRegistry() *Registry {
 		counters:   map[string]*Counter{},
 		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
+		stages:     map[string]*Histogram{},
 	}
 }
 
@@ -221,6 +225,22 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		h = newHistogram(bounds)
 		r.histograms[name] = h
 	}
+	return h
+}
+
+// stageHistogram returns the MetricStageSeconds{stage=<name>}
+// histogram, creating it through Histogram on first use.
+func (r *Registry) stageHistogram(name string) *Histogram {
+	r.mu.RLock()
+	h := r.stages[name]
+	r.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	h = r.Histogram(Labeled(MetricStageSeconds, "stage", name), StageBuckets)
+	r.mu.Lock()
+	r.stages[name] = h
+	r.mu.Unlock()
 	return h
 }
 

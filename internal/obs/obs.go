@@ -67,8 +67,7 @@ func (s *Scope) End() {
 	}
 	d := s.span.end()
 	if s.reg != nil {
-		s.reg.Histogram(Labeled(MetricStageSeconds, "stage", s.span.Name), StageBuckets).
-			Observe(d.Seconds())
+		s.reg.stageHistogram(s.span.Name).Observe(d.Seconds())
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -91,39 +90,10 @@ func (s *Span) Attrs() []Attr {
 	return out
 }
 
-// spanJSON is the export schema of one trace node.
-type spanJSON struct {
-	Name       string         `json:"name"`
-	Start      time.Time      `json:"start"`
-	DurationMs float64        `json:"durationMs"`
-	Attrs      map[string]any `json:"attrs,omitempty"`
-	Children   []spanJSON     `json:"children,omitempty"`
-}
-
-func (s *Span) toJSON() spanJSON {
-	out := spanJSON{
-		Name:       s.Name,
-		Start:      s.Start,
-		DurationMs: float64(s.Duration()) / float64(time.Millisecond),
-	}
-	if attrs := s.Attrs(); len(attrs) > 0 {
-		out.Attrs = make(map[string]any, len(attrs))
-		for _, a := range attrs {
-			out.Attrs[a.Key] = a.Value
-		}
-	}
-	for _, c := range s.Children() {
-		out.Children = append(out.Children, c.toJSON())
-	}
-	return out
-}
-
 // WriteJSON writes the span's subtree as an indented JSON trace
-// document.
+// document, rendered from a frozen copy (see Freeze).
 func (s *Span) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.toJSON())
+	return s.Freeze().WriteJSON(w)
 }
 
 // flameNode aggregates same-named sibling spans for the text summary.

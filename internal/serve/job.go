@@ -49,12 +49,13 @@ type job struct {
 	// on every response that names the job.
 	traceID string
 	// attempts/retries count the last run's executions and backoff
-	// retries; spans holds each attempt's trace root (newest last) and
-	// failures the isolated degradations of the attempt that concluded
-	// the job — the substance of GET /v1/jobs/{id}/trace.
+	// retries; spans holds a frozen copy of each attempt's span tree
+	// (oldest first), set only when the job reaches its terminal state,
+	// and failures the isolated degradations of the attempt that
+	// concluded the job — the substance of GET /v1/jobs/{id}/trace.
 	attempts int
 	retries  int
-	spans    []*obs.Span
+	spans    []*obs.FrozenSpan
 	failures []litmus.AssessmentFailureDoc
 
 	// finishedElem is this job's node in the server's finished order,

@@ -53,8 +53,8 @@ func (e *permanentError) Unwrap() error { return e.err }
 // attemptResult is one execution attempt's outcome: the canonical
 // result bytes, the degraded flag, the isolated degradations of a
 // partial assessment, and the attempt's trace root — the job record
-// retains the spans and failures so GET /v1/jobs/{id}/trace can replay
-// the execution after the fact.
+// retains the failures and a frozen copy of the span tree so GET
+// /v1/jobs/{id}/trace can replay the execution after the fact.
 type attemptResult struct {
 	result   []byte
 	degraded bool
@@ -76,9 +76,10 @@ func (s *Server) executeJob(ctx context.Context, j *job) (ar attemptResult, err 
 	}()
 
 	// Each attempt gets its own trace root recording stage latencies and
-	// engine counters into the shared registry. The span tree is kept on
-	// the job (for the trace endpoint) until retention forgets it. Test
-	// hooks execute under the same root, so hook attempts trace too.
+	// engine counters into the shared registry. A frozen copy of the
+	// span tree is kept on the job (for the trace endpoint) until
+	// retention forgets it. Test hooks execute under the same root, so
+	// hook attempts trace too.
 	scope := obs.New(obs.SpanServeJob, s.reg)
 	defer scope.End()
 	scope.SetAttr("job", j.id)

@@ -607,16 +607,18 @@ func (s *Server) runJob(j *job) {
 	// Attempt loop: panics are recovered per attempt, deterministic
 	// failures terminate immediately, transient failures earn bounded
 	// retries with exponential backoff (see retry.go). Every attempt's
-	// span tree is retained on the job for the trace endpoint.
+	// span tree is retained on the job for the trace endpoint, frozen
+	// as soon as the attempt returns: the job keeps the compact copy,
+	// not the live tree.
 	var ar attemptResult
 	var err error
 	var attempts, retries int
-	var spans []*obs.Span
+	var spans []*obs.FrozenSpan
 	for attempt := 0; ; attempt++ {
 		ar, err = s.executeJob(ctx, j)
 		attempts++
 		if ar.span != nil {
-			spans = append(spans, ar.span)
+			spans = append(spans, ar.span.Freeze())
 		}
 		if err == nil || !retryable(err) || attempt+1 >= s.cfg.MaxJobAttempts {
 			break

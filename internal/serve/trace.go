@@ -172,7 +172,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var tr JobTrace
-	var spans []*obs.Span
+	var spans []*obs.FrozenSpan
 	if ok {
 		tr = JobTrace{
 			ID:          j.id,
@@ -216,9 +216,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	// Span rendering happens outside the server mutex: spans guard
-	// themselves, and a still-running attempt renders its in-flight
-	// subtree.
+	// Span rendering happens outside the server mutex: frozen trees are
+	// immutable. A job that has not reached its terminal state has no
+	// span trees yet.
 	for i, sp := range spans {
 		var buf bytes.Buffer
 		if err := sp.WriteJSON(&buf); err != nil {

@@ -300,6 +300,100 @@ func TestTraceRetryHistory(t *testing.T) {
 	}
 }
 
+// TestTraceConcurrentReads: several goroutines read job traces while
+// the jobs run and finish. A job has span trees only once it is
+// terminal, and from then on every read returns the same bytes: the
+// retained trees are frozen.
+func TestTraceConcurrentReads(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var ids []string
+	for seed := int64(31); seed < 35; seed++ {
+		req := goldenRequest(t)
+		req.Assessor.Seed = seed
+		sub, _ := submit(t, ts, req)
+		ids = append(ids, sub.ID)
+	}
+
+	readTrace := func(id string) ([]byte, error) {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace")
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, id := range ids {
+					body, err := readTrace(id)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var tr JobTrace
+					if err := json.Unmarshal(body, &tr); err != nil {
+						t.Errorf("trace of %s does not parse: %v", id, err)
+						return
+					}
+					terminal := tr.Status == stateDone || tr.Status == stateFailed
+					if terminal != (len(tr.Spans) == 1) {
+						t.Errorf("job %s in state %s has %d span trees", id, tr.Status, len(tr.Spans))
+						return
+					}
+				}
+			}
+		}()
+	}
+	for _, id := range ids {
+		if st := waitDone(t, ts, id); st.Status != stateDone {
+			t.Errorf("job %s finished %s: %s", id, st.Status, st.Error)
+		}
+	}
+	for _, id := range ids {
+		first, err := readTrace(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := readTrace(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Errorf("trace of finished job %s changed between reads", id)
+		}
+		var tr JobTrace
+		if err := json.Unmarshal(first, &tr); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Spans) != 1 {
+			t.Fatalf("finished job %s has %d span trees, want 1", id, len(tr.Spans))
+		}
+		var root traceNode
+		if err := json.Unmarshal(tr.Spans[0].Span, &root); err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		collectSpanNames(root, names)
+		if root.Name != obs.SpanServeJob || !names[obs.SpanAssessChange] || !names[obs.SpanRankTest] {
+			t.Errorf("job %s span tree %q lacks the engine stages: %v", id, root.Name, names)
+		}
+	}
+}
+
 // TestStructuredLogging: a configured slog.Logger receives JSON access
 // and job-lifecycle records carrying the job and trace identities.
 func TestStructuredLogging(t *testing.T) {
