@@ -41,9 +41,9 @@ race:
 
 # Repeated race run over the engine's process-wide working-set pools
 # (internal/core/scratch.go), which every concurrent assessment shares:
-# the pool tests (poisoned recycled buffers, concurrent panel shapes, a
-# shared PanelFactors handle) and the worker-count equivalence suites
-# of the engine and the batch path, ten times each.
+# the pool tests (poisoned fit arenas and unit working sets, the group,
+# element and batch paths, concurrent panel shapes) and the worker-count
+# equivalence suites of the engine and the batch path, ten times each.
 race-pools:
 	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core .
 

@@ -6,14 +6,16 @@ package litmus
 // change's elements and propagation flag, panel assembly only on the
 // control set, KPI and window, and the before-window QR factorizations
 // only on the control panel's values and the change time. AssessBatch
-// groups entries by those signatures, performs each distinct piece of
-// work once, and shares the products read-only — with a fresh
-// computation wherever a share does not apply, so every entry's result
-// stays bit-identical to an independent AssessChangeContext call.
-// AssessChangeContext is the one-entry case of the same phases, without
-// the sharing: the equivalence test in batch_test.go pins sharing
-// against no sharing at workers 1/2/4/8, including under fault
-// injection, and the golden fixture pins both independently.
+// groups entries by those signatures and performs each distinct piece
+// of work once: (entry × KPI) assessments whose control panels are
+// value-identical at the same change time form one factor group, which
+// the engine assesses in one pass (core.AssessFactorGroup) — so every
+// entry's result stays bit-identical to an independent
+// AssessChangeContext call. AssessChangeContext is the one-entry case
+// of the same phases, without the sharing: the equivalence test in
+// batch_test.go pins sharing against no sharing at workers 1/2/4/8,
+// including under fault injection, and the golden fixtures pin both
+// independently.
 
 import (
 	"context"
@@ -56,9 +58,10 @@ type BatchAssessment struct {
 	// earlier entry's identical assembly instead of re-fetched from the
 	// provider.
 	PanelsShared int64
-	// FactorizationsReused counts before-window QR factorizations
-	// adopted from a shared panel preparation instead of recomputed —
-	// the cross-change analogue of the group-shared fast path.
+	// FactorizationsReused counts, for every factor group of two or more
+	// (entry × KPI) assessments, its members times the before-window QR
+	// factorizations of its shared design — the cross-change analogue
+	// of sharing one design across a group's elements.
 	FactorizationsReused int64
 }
 
@@ -80,13 +83,11 @@ type batchEntryState struct {
 	change   *changelog.Change
 	provider SeriesProvider
 	esc      *obs.Scope
-	assessor *Assessor
 	err      error // terminal per-entry error (validation, selection)
 	out      *ChangeAssessment
 	failures []AssessmentFailure
 	kpiErrs  []error
 	panels   []entryPanels
-	shared   []*core.PanelFactors
 	results  []GroupResult
 	errs     []error
 }
@@ -117,13 +118,12 @@ type selEntry struct {
 }
 
 // factorGroup is one set of (entry × KPI) assessments whose control
-// panels are value-identical at the same change time — the unit that
-// shares one PanelFactors preparation.
+// panels are value-identical at the same change time — one factor group
+// of the engine, assessed on its representative panel.
 type factorGroup struct {
 	rep     *Panel // representative control panel
 	at      time.Time
 	members []groupRef
-	factors *core.PanelFactors
 }
 
 type groupRef struct {
@@ -141,9 +141,8 @@ type groupRef struct {
 // Determinism contract: entry i's Result and Error are bit-identical to
 // AssessChangeContext(ctx, entries[i].Change, kpis, windowDays) on a
 // pipeline whose Provider is entry i's provider, for every worker count.
-// The shared products are precisely the values an unshared assessment
-// computes, and adoption falls back to fresh computation on any mismatch,
-// so sharing can change cost but never bytes.
+// A factor group's shared design is precisely the design each member
+// would build alone, so sharing can change cost but never bytes.
 func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis []KPI, windowDays int) (*BatchAssessment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -157,10 +156,10 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 }
 
 // assess runs the four phases of an assessment over entries under sc.
-// A batch gives each entry its own batch-entry span and shares
-// before-window factors across its (entry × KPI) assessments; otherwise
-// the entries (AssessChangeContext passes one) record straight into sc
-// and every KPI prepares its own factors.
+// A batch gives each entry's setup its own batch-entry span and groups
+// its (entry × KPI) assessments into factor groups by control panel;
+// otherwise the entries (AssessChangeContext passes one) record straight
+// into sc and every KPI is a factor group of its own.
 func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entries []BatchEntry, kpis []KPI, windowDays int) (*BatchAssessment, error) {
 	if p.Network == nil {
 		return nil, fmt.Errorf("litmus: pipeline needs a network and a series provider")
@@ -189,49 +188,31 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 		Errors:  make([]error, len(entries)),
 	}
 	states := make([]*batchEntryState, len(entries))
-	if batch {
-		defer func() {
-			for _, st := range states {
-				if st != nil {
-					st.esc.End()
-				}
-			}
-		}()
-	}
 
 	// Phase 1 — sequential per-entry setup: validation, control
 	// selection, panel assembly. Sequential because SeriesProvider
 	// implementations (e.g. the caching synthetic generator) need not be
 	// safe for concurrent use; selection and assembly are memoized so
-	// entries with repeated signatures pay once.
+	// entries with repeated signatures pay once. A batch-entry span
+	// covers exactly its entry's setup.
 	selCache := map[string]selEntry{}
 	panelCache := map[panelCacheKey]*panelEntry{}
-	for i := range entries {
-		change := entries[i].Change
-		provider := entries[i].Provider
-		if provider == nil {
-			provider = p.Provider
-		}
-		st := &batchEntryState{change: change, provider: provider, esc: sc}
-		states[i] = st
-		if batch {
-			st.esc = sc.Child(obs.SpanBatchEntry)
-		}
+	setup := func(i int, st *batchEntryState) {
+		change := st.change
 		if change != nil {
 			st.esc.SetAttr("change", change.ID)
 		}
-		st.assessor = assessor.WithObserver(st.esc)
-		if provider == nil {
+		if st.provider == nil {
 			st.err = fmt.Errorf("litmus: pipeline needs a network and a series provider")
-			continue
+			return
 		}
 		if change == nil {
 			st.err = fmt.Errorf("litmus: batch entry %d has no change", i)
-			continue
+			return
 		}
 		if err := change.Validate(p.Network); err != nil {
 			st.err = err
-			continue
+			return
 		}
 		sk := batchSelKey(change)
 		se, ok := selCache[sk]
@@ -248,7 +229,7 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 		}
 		if se.err != nil {
 			st.err = fmt.Errorf("litmus: control selection: %w", se.err)
-			continue
+			return
 		}
 		st.out = &ChangeAssessment{
 			Change:       change,
@@ -257,13 +238,12 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 		}
 		st.panels = make([]entryPanels, len(kpis))
 		st.kpiErrs = make([]error, len(kpis))
-		st.shared = make([]*core.PanelFactors, len(kpis))
 		// Assemblies are memoized only for entries reading the pipeline's
 		// provider: a per-entry provider can serve different values for
 		// the same element, so its panels are never shared by signature —
-		// value-identical panels still share factorizations in phase 2.
+		// value-identical panels still share a factor group in phase 2.
 		pp := *p
-		pp.Provider = provider
+		pp.Provider = st.provider
 		cacheable := entries[i].Provider == nil
 		assembly := st.esc.Child(obs.SpanPanelAssembly)
 		for ki, metric := range kpis {
@@ -291,33 +271,50 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 		}
 		assembly.End()
 	}
+	for i := range entries {
+		st := &batchEntryState{change: entries[i].Change, provider: entries[i].Provider, esc: sc}
+		if st.provider == nil {
+			st.provider = p.Provider
+		}
+		states[i] = st
+		if batch {
+			st.esc = sc.Child(obs.SpanBatchEntry)
+		}
+		setup(i, st)
+		if batch {
+			st.esc.End()
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Phase 2 — in a batch, group (entry × KPI) assessments whose control
-	// panels are value-identical at the same change time, and prepare
-	// each multi-member group's factorizations once. Pointer identity
-	// (from the assembly cache) short-circuits; otherwise panels are
-	// matched by content hash plus full verification, so a hash collision
-	// costs a comparison, never a wrong share.
+	// Phase 2 — form the factor groups. In a batch, (entry × KPI)
+	// assessments whose control panels are value-identical at the same
+	// change time share one group. Pointer identity (from the assembly
+	// cache) short-circuits; otherwise panels are matched by content hash
+	// plus full verification, so a hash collision costs a comparison,
+	// never a wrong share. Only assessments with a uniform time grid and
+	// at least one fully observed study element are grouped — the others
+	// could not share a design — and every other assessment, like every
+	// KPI of a single change, is a one-member group.
 	var groups []*factorGroup
 	byPtr := map[*Panel]*factorGroup{}
 	byHash := map[uint64][]*factorGroup{}
 	for i, st := range states {
-		if !batch || st.err != nil {
+		if st.err != nil {
 			continue
 		}
+		st.results = make([]GroupResult, len(kpis))
+		st.errs = make([]error, len(kpis))
 		for ki := range kpis {
 			if st.kpiErrs[ki] != nil {
 				continue
 			}
 			pan := st.panels[ki]
-			// Only groups the shared fast path can serve are worth
-			// grouping: a uniform time grid and at least one fully
-			// observed study element. The others are assessed without
-			// external factors.
-			if !pan.studies.Index().Equal(pan.controls.Index()) || !core.SharedEligible(pan.studies, st.change.At) {
+			ref := groupRef{entry: i, kpi: ki}
+			if !batch || !pan.studies.Index().Equal(pan.controls.Index()) || !core.SharedEligible(pan.studies, st.change.At) {
+				groups = append(groups, &factorGroup{rep: pan.controls, at: st.change.At, members: []groupRef{ref}})
 				continue
 			}
 			g := byPtr[pan.controls]
@@ -341,61 +338,34 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 					byPtr[pan.controls] = g
 				}
 			}
-			g.members = append(g.members, groupRef{entry: i, kpi: ki})
+			g.members = append(g.members, ref)
 		}
-	}
-	prepAssessor := assessor.WithObserver(sc)
-	for _, g := range groups {
-		if len(g.members) < 2 {
-			// A panel no other entry touches gains nothing from external
-			// preparation; its assessment prepares (and shares across its
-			// own elements) exactly as a single change's does.
-			continue
-		}
-		g.factors = prepAssessor.PrepPanelFactors(ctx, g.rep, g.at)
-		if g.factors == nil {
-			continue
-		}
-		out.FactorizationsReused += int64(len(g.members)) * g.factors.Factorizations()
-		for _, m := range g.members {
-			states[m.entry].shared[m.kpi] = g.factors
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 
-	// Phase 3 — the assessment grid: pure computation on immutable
-	// panels, fanned out over every live (entry × KPI) pair. Per-iteration
-	// seeding makes each group result independent of scheduling, so the
-	// batch is deterministic for every worker count. Members only read
-	// their group's shared factors; once the fan-out has returned the
-	// batch releases them to the engine's pool, and the emptied handles
-	// would make any later adopter compute afresh.
-	type workItem struct {
-		st *batchEntryState
-		ki int
-	}
-	var items []workItem
-	for _, st := range states {
-		if st.err != nil {
-			continue
-		}
-		st.results = make([]GroupResult, len(kpis))
-		st.errs = make([]error, len(kpis))
-		for ki := range kpis {
-			if st.kpiErrs[ki] == nil {
-				items = append(items, workItem{st, ki})
+	// Phase 3 — assess the factor groups one after another, each in one
+	// pass of the engine: its sampling iterations fan out over the
+	// workers, then its elements. Per-iteration seeding makes every
+	// result independent of scheduling, so the batch is deterministic
+	// for every worker count. A group's assess-group span sits under sc.
+	ga := assessor.WithObserver(sc)
+	for _, g := range groups {
+		members := make([]core.GroupMember, len(g.members))
+		for j, m := range g.members {
+			st := states[m.entry]
+			members[j] = core.GroupMember{Studies: st.panels[m.kpi].studies, KPI: kpis[m.kpi]}
+			if batch {
+				members[j].Change = st.change.ID
 			}
 		}
-	}
-	core.ForEachIndex(assessor.Config().Workers, len(items), func(n int) {
-		it := items[n]
-		pan := it.st.panels[it.ki]
-		it.st.results[it.ki], it.st.errs[it.ki] = it.st.assessor.AssessGroupPrepared(ctx, it.st.shared[it.ki], pan.studies, pan.controls, it.st.change.At, kpis[it.ki])
-	})
-	for _, g := range groups {
-		g.factors.Release()
+		results, errs, factorized := ga.AssessFactorGroup(ctx, g.rep, g.at, members)
+		for j, m := range g.members {
+			states[m.entry].results[m.kpi], states[m.entry].errs[m.kpi] = results[j], errs[j]
+		}
+		if len(g.members) > 1 && factorized > 0 {
+			reused := int64(len(g.members)) * factorized
+			out.FactorizationsReused += reused
+			sc.Counter(obs.MetricBatchFactorizationsReused).Add(reused)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

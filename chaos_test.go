@@ -136,8 +136,8 @@ func TestChaosEveryInjectorThroughPipeline(t *testing.T) {
 // TestChaosPanelInjectors: the panel-level injectors (duplicated
 // columns, dropped columns, truncated histories) plus the full stack,
 // applied to the assessor's group surface directly — including the
-// cross-element shared fast path, which must make the same
-// accept/skip/resample decisions as an element's own factors.
+// group's shared design, on which every element must make the same
+// accept/skip/resample decisions as on a design of its own.
 func TestChaosPanelInjectors(t *testing.T) {
 	net, change, provider := goldenWorld()
 	ids := net.Children(net.MustElement(change.Elements[0]).Parent)

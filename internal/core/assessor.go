@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/kpi"
@@ -46,12 +45,13 @@ type Config struct {
 	// (default TestFlignerPolicello, the paper's robust rank-order test;
 	// TestMannWhitney and TestWelch exist for ablation).
 	Test TestKind
-	// Workers bounds the goroutines used to fan out the sampling
-	// iterations of AssessElement and the per-element assessments of
-	// AssessGroup (default runtime.GOMAXPROCS(0); 1 forces sequential
-	// execution). Outputs are bit-identical for every worker count: each
-	// iteration draws from a private RNG derived from (Seed, iteration),
-	// and results are gathered in iteration order.
+	// Workers bounds the goroutines of each factor group's two fan-outs
+	// (factor_group.go): over its sampling iterations, then over its
+	// elements' aggregation and rank tests (default
+	// runtime.GOMAXPROCS(0); 1 forces sequential execution). Outputs are
+	// bit-identical for every worker count: each iteration draws from a
+	// private RNG derived from (Seed, iteration), and results are
+	// gathered in iteration order.
 	Workers int
 }
 
@@ -228,126 +228,26 @@ func (a *Assessor) AssessElement(elementID string, study timeseries.Series, cont
 // canceled assessment stops its workers promptly and returns ctx.Err().
 // A background (non-cancelable) context takes the exact code path of
 // AssessElement — the Done channel is nil, so the per-iteration check is
-// skipped entirely and results stay bit-identical.
+// skipped entirely and results stay bit-identical. The element runs as a
+// one-element factor group (factor_group.go), so an instrumented call
+// records an assess-group span over its sampling iterations and the
+// element's assess-element span.
 func (a *Assessor) AssessElementContext(ctx context.Context, elementID string, study timeseries.Series, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (ElementResult, error) {
-	return a.assessElement(ctx, elementID, study, controls, changeAt, metric, nil)
-}
-
-// assessElement is the one element kernel: it fits the element on panel
-// factors pf — the group's, when its before window is fully observed —
-// or, when pf is nil, on factors prepared for the element's own fit rows
-// (elementFactors). Only the element-specific work remains in the
-// sampling loop: one triangular solve, two matrix–vector forecasts, R²,
-// and the leave-one-out adjustment. Iteration it reads slot it of the
-// factors and writes fit slot it, so the gathered forecasts are
-// bit-identical to a sequential run for every worker count and
-// schedule. A cancelable ctx is polled before each iteration so
-// canceled assessments drain fast; a background context skips the poll
-// (nil Done channel).
-func (a *Assessor) assessElement(ctx context.Context, elementID string, study timeseries.Series, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI, pf *panelFactors) (ElementResult, error) {
-	if err := ctx.Err(); err != nil {
+	studies := timeseries.NewPanel(study.Index)
+	studies.Add(elementID, study)
+	elems, results, _, err := a.assessGroup(ctx, controls, changeAt, []GroupMember{{Studies: studies, KPI: metric}})
+	if err != nil {
 		return ElementResult{}, err
 	}
-	sc := a.obs.Child(obs.SpanAssessElement)
-	sc.SetAttr("element", elementID)
-	sc.SetAttr("kpi", metric.String())
-	defer sc.End()
-	yBefore, yAfter := study.SplitAt(changeAt)
-	if pf == nil {
-		var err error
-		if pf, err = a.elementFactors(ctx, sc, study, yBefore, yAfter, controls, changeAt); err != nil {
-			return ElementResult{}, err
-		}
-		defer pf.release()
-	}
-	// The solver only reads the right-hand side, so a fully observed
-	// before window is its own fit observations — no copy needed.
-	ybFit := yBefore.Values
-	if pf.partial {
-		ybFit = make([]float64, len(pf.fitRows))
-		for i, r := range pf.fitRows {
-			ybFit[i] = yBefore.Values[r]
-		}
-	}
-
-	iters := a.cfg.Iterations
-	arena := acquireFits(iters, yBefore.Len(), yAfter.Len(), len(pf.fitRows), pf.k+1)
-	defer arena.release()
-	fits := arena.fits
-	cancelable := ctx.Done() != nil
-	var leverageSkipped atomic.Int64
-	sampling := sc.Child(obs.SpanSampling)
-	forEach(a.cfg.Workers, iters, func(it int) {
-		if cancelable && ctx.Err() != nil {
-			return
-		}
-		st, fit := &pf.iters[it], &fits[it]
-		if !st.ok {
-			return
-		}
-		// The prep accepted this design via designUsable, so one stage of
-		// the degradation chain succeeds.
-		if !solveWithFallbacks(&st.qr, pf.fit(st), fit.beta, ybFit, fit.swork) {
-			return
-		}
-		fb := st.xb.MulVecInto(fit.fb, fit.beta)
-		st.xa.MulVecInto(fit.fa, fit.beta)
-		fit.r2 = rSquaredAtRows(fb, pf.fitRows, ybFit)
-		// In-sample residuals are optimistically small, which would make
-		// the before-window forecast differences artificially tight and
-		// manufacture significance. Replace the fitted values at fitted
-		// rows with leave-one-out forecasts, y − e/(1−h), putting both
-		// windows on the out-of-sample error scale.
-		if st.hs != nil {
-			adjustLOO(fb, ybFit, pf.fitRows, st.hs)
-		} else {
-			leverageSkipped.Add(1)
-		}
-		fit.ok = true
-	})
-	sampling.End()
-	if err := ctx.Err(); err != nil {
-		return ElementResult{}, err
-	}
-	sc.Counter(obs.MetricIterations).Add(int64(iters))
-	sc.Counter(obs.MetricLeverageSkipped).Add(leverageSkipped.Load())
-	return a.finishElement(sc, elementID, metric, yBefore, yAfter, fits)
-}
-
-// elementFactors validates one element against the control panel and
-// prepares panel factors for its own fit rows: the before-window rows
-// where the study observation exists (missing control observations are
-// median-imputed by DesignMatrix). Nil fit rows — every row fits — make
-// the factors' fit design the sampled design itself, with no row copy.
-func (a *Assessor) elementFactors(ctx context.Context, sc *obs.Scope, study, yBefore, yAfter timeseries.Series, controls *timeseries.Panel, changeAt time.Time) (*panelFactors, error) {
-	if !study.Index.Equal(controls.Index()) {
-		return nil, ErrIndexMismatch
-	}
-	n := controls.Len()
-	if n < a.cfg.MinControls {
-		return nil, fmt.Errorf("%w: %d controls, need >= %d", ErrControlTooSmall, n, a.cfg.MinControls)
-	}
-	fitRows := finiteRows(yBefore.Values)
-	if len(fitRows) < 3 || yAfter.Len() < 3 {
-		return nil, fmt.Errorf("%w: need >= 3 observations on each side, got %d and %d", ErrWindowTooShort, len(fitRows), yAfter.Len())
-	}
-	if a.sampleSize(n, len(fitRows)) < 1 {
-		return nil, fmt.Errorf("%w: %d pre-change observations cannot support any regressor", ErrWindowTooShort, len(fitRows))
-	}
-	if len(fitRows) == yBefore.Len() {
-		fitRows = nil
-	}
-	return a.prepPanelFactors(ctx, sc, controls, changeAt, fitRows, &elementFactorPool), nil
+	return results[0], elems[0].err
 }
 
 // iterFit is one sampling iteration's output: the before/after forecasts
-// and the fit quality, with the iteration's solve vectors (all backed by
-// a pooled fitArena; see scratch.go).
+// (backed by a pooled fitArena; see scratch.go) and the fit quality.
 type iterFit struct {
-	fb, fa      []float64
-	beta, swork []float64 // solved coefficients; QR solve work vector (Qᵀb)
-	r2          float64
-	ok          bool
+	fb, fa []float64
+	r2     float64
+	ok     bool
 }
 
 // adjustLOO replaces the fitted values at the fitted rows with
@@ -478,89 +378,12 @@ func (a *Assessor) AssessGroup(studies *timeseries.Panel, controls *timeseries.P
 }
 
 // AssessGroupContext is AssessGroup honoring ctx: cancellation is
-// checked before each element and between each element's sampling
-// iterations, and a canceled assessment returns ctx.Err(). A background
-// context is the nil-cost path of AssessGroup.
+// checked between sampling iterations, and a canceled assessment
+// returns ctx.Err(). A background context is the nil-cost path of
+// AssessGroup.
 func (a *Assessor) AssessGroupContext(ctx context.Context, studies *timeseries.Panel, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (GroupResult, error) {
-	return a.assessGroup(ctx, nil, studies, controls, changeAt, metric)
-}
-
-// AssessGroupPrepared is AssessGroupContext reusing precomputed panel
-// factors from PrepPanelFactors — the cross-change extension of the
-// group's cross-element factorization sharing. When shared applies to
-// this assessment (value-identical control panel, same change time) the
-// per-iteration QR factorizations are adopted read-only instead of
-// recomputed; otherwise — shared is nil, the panel mismatches, or no
-// study element is eligible — the call degrades to exactly
-// AssessGroupContext. Results are bit-identical either way.
-func (a *Assessor) AssessGroupPrepared(ctx context.Context, shared *PanelFactors, studies *timeseries.Panel, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (GroupResult, error) {
-	return a.assessGroup(ctx, shared, studies, controls, changeAt, metric)
-}
-
-func (a *Assessor) assessGroup(ctx context.Context, shared *PanelFactors, studies *timeseries.Panel, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (GroupResult, error) {
-	if err := ctx.Err(); err != nil {
-		return GroupResult{}, err
-	}
-	ids := studies.IDs()
-	if len(ids) == 0 {
-		return GroupResult{}, fmt.Errorf("core: empty study group")
-	}
-	sc := a.obs.Child(obs.SpanAssessGroup)
-	sc.SetAttr("kpi", metric.String())
-	sc.SetAttr("elements", len(ids))
-	defer sc.End()
-	// Per-element spans parent under the group span.
-	elem := a.WithObserver(sc)
-	gs := a.adoptPanelFactors(sc, shared, studies, controls, changeAt)
-	if gs == nil {
-		// Factors prepared here are this call's own; adopted ones belong
-		// to the handle's holder and are never released here.
-		if gs = a.prepGroupShared(ctx, sc, studies, controls, changeAt); gs != nil {
-			defer gs.release()
-		}
-	}
-	// Elements run in ID order, each parallel over its iterations.
-	// Cross-element sharing: the per-iteration factorizations were
-	// computed once above (see group_shared.go) and every element with a
-	// fully observed before window fits on them read-only; the others
-	// prepare factors on their own fit rows. Results are bit-identical
-	// either way.
-	results := make([]ElementResult, 0, len(ids))
-	var failures []Failure
-	var firstErr error
-	sharedElems := 0
-	for i, id := range ids {
-		if ctx.Err() != nil {
-			break // a canceled group reports ctx.Err() below
-		}
-		var pf *panelFactors
-		if gs != nil && gs.eligible[i] {
-			pf = gs.panelFactors
-			sharedElems++
-		}
-		res, err := elem.assessElement(ctx, id, studies.MustSeries(id), controls, changeAt, metric, pf)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: element %s: %w", id, err)
-			}
-			failures = append(failures, failureOf(id, err))
-			continue
-		}
-		results = append(results, res)
-	}
-	if gs != nil {
-		sc.Counter(obs.MetricGroupSharedElements).Add(int64(sharedElems))
-	}
-	if err := ctx.Err(); err != nil {
-		return GroupResult{}, err
-	}
-	sc.Counter(obs.MetricElementsAssessed).Add(int64(len(results)))
-	sc.Counter(obs.MetricElementsSkipped).Add(int64(len(ids) - len(results)))
-	if len(results) == 0 {
-		return GroupResult{}, firstErr
-	}
-	overall, votes := vote(results)
-	return GroupResult{KPI: metric, PerElement: results, Overall: overall, Votes: votes, Failures: failures}, nil
+	res, errs, _ := a.AssessFactorGroup(ctx, controls, changeAt, []GroupMember{{Studies: studies, KPI: metric}})
+	return res[0], errs[0]
 }
 
 // runTest applies the configured two-sample test.

@@ -88,13 +88,19 @@ func TestAssessGroupContextCancelMidGroup(t *testing.T) {
 	controls := w.controls(8, 0.7, 1.3)
 	studies := w.controls(4, 0.9, 1.1)
 
-	// Enough polls to get through the shared prep and into the elements,
-	// far fewer than the whole group needs.
-	ctx := newCountdownCtx(60)
-	a := MustNewAssessor(Config{Iterations: 50, Workers: 1})
+	// The group polls once on entry and once per sampling iteration:
+	// enough polls to get into the iterations, far fewer than the whole
+	// group needs.
+	const iters = 50
+	ctx := newCountdownCtx(30)
+	reg := obs.NewRegistry()
+	a := MustNewAssessor(Config{Iterations: iters, Workers: 1}).WithObserver(obs.New("cancel", reg))
 	_, err := a.AssessGroupContext(ctx, studies, controls, w.changeAt, kpi.DataAccessibility)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled group assessment returned %v, want context.Canceled", err)
+	}
+	if factorized := reg.Counter(obs.MetricBeforeFactorizations).Value(); factorized <= 0 || factorized >= iters {
+		t.Fatalf("factorizations after cancel = %d, want in (0, %d): the units did not stop", factorized, iters)
 	}
 }
 

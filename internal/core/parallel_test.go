@@ -21,10 +21,14 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 8, 100} {
 		for _, n := range []int{0, 1, 2, 7, 64} {
 			hits := make([]int, n)
-			forEach(workers, n, func(i int) { hits[i]++ })
+			by := make([]int, n)
+			forEach(workers, n, func(w, i int) { hits[i]++; by[i] = w })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
+				}
+				if by[i] < 0 || by[i] >= max(workers, 1) {
+					t.Fatalf("workers=%d n=%d: index %d ran on worker %d", workers, n, i, by[i])
 				}
 			}
 		}

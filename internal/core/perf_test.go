@@ -254,7 +254,7 @@ func TestGroupSharedFallbackOnMissingData(t *testing.T) {
 	if got := reg.Counter(obs.MetricGroupSharedElements).Value(); got != int64(studies.Len()-1) {
 		t.Errorf("shared-path elements = %d, want %d (s2 must fall back)", got, studies.Len()-1)
 	}
-	// The gappy element prepares its own factors on top of the group's
+	// The gappy element factors its own design on top of the group's
 	// shared Iterations.
 	iters := int64(a.Config().Iterations)
 	if got := reg.Counter(obs.MetricBeforeFactorizations).Value(); got != 2*iters {

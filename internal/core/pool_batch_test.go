@@ -1,10 +1,11 @@
 package core_test
 
-// The batch half of the recycled-buffer test. AssessBatch prepares
-// panel factors once per shared control panel, lends them to every
-// member and releases them after its fan-out, so poisoned pools must
-// not change one byte of its results. An external test package, because
-// the batch path lives in the root package, which imports core.
+// The batch half of the recycled-buffer test. AssessBatch assesses
+// each factor group — several entries sharing one control panel, or a
+// single (entry × KPI) assessment — in one pass over pooled fit arenas
+// and unit working sets, so poisoned pools must not change one byte of
+// its results. An external test package, because the batch path lives
+// in the root package, which imports core.
 
 import (
 	"bytes"
@@ -32,8 +33,9 @@ func TestPoolRecycledBuffersBatch(t *testing.T) {
 	studyB := net.Children(rncs[1])[:3]
 	start := time.Date(2012, 3, 1, 0, 0, 0, 0, time.UTC)
 	at := start.Add(14 * 24 * time.Hour)
-	// Three entries share one control panel (prepared factors), one moves
-	// the change time and one another RNC's towers (group-local factors).
+	// Three entries share one control panel (one factor group), one
+	// moves the change time and one another RNC's towers (one-member
+	// groups).
 	changes := []*changelog.Change{
 		{ID: "P1", Type: changelog.ConfigChange, Elements: studyA, At: at, TrueQuality: -1.5},
 		{ID: "P2", Type: changelog.SoftwareUpgrade, Elements: studyA, At: at, TrueQuality: 0.8},
@@ -68,7 +70,7 @@ func TestPoolRecycledBuffersBatch(t *testing.T) {
 				t.Fatalf("workers %d: AssessChangelog: %v", workers, err)
 			}
 			if res.FactorizationsReused == 0 {
-				t.Fatalf("workers %d: no entry adopted shared factors", workers)
+				t.Fatalf("workers %d: no factor group shared a design across entries", workers)
 			}
 			docs := make([][]byte, len(changes))
 			for i, r := range res.Results {

@@ -14,8 +14,8 @@ package core
 // schedule, and element — so faulted runs stay bit-identical across
 // worker counts. Bit-compatibility: every stage of the chain fails on a
 // condition of the design matrix alone (never the right-hand side), so
-// the per-element and group-shared paths make identical
-// accept/skip/resample decisions for the same draw, and clean inputs
+// every element fitted on a design makes the accept/skip/resample
+// decision it would make alone for the same draw, and clean inputs
 // never reach the new stages at all.
 
 import (
@@ -69,9 +69,9 @@ func solveWithFallbacks(qr *linalg.QR, x *linalg.Matrix, beta, y, work []float64
 // FullRank, ridge success is the Cholesky factorization of XᵀX+λd̄I,
 // pruned success is the rank of the surviving columns. None depends on
 // the right-hand side, so probing with a zero vector is exact. The
-// group-shared path uses this to make the per-iteration resample
-// decision once for the whole group, identically to what every element
-// would decide alone.
+// factor-group kernel uses this to make the per-iteration resample
+// decision once per design, identically to what every element fitted
+// on it would decide alone.
 func designUsable(qr *linalg.QR, x *linalg.Matrix) bool {
 	if qr.FullRank() {
 		return true

@@ -2,27 +2,28 @@ package core
 
 // Reusable memory of the regression hot path. Every computed assessment
 // runs Iterations × (design build + QR factorize + solve + leverages)
-// per element and keeps every iteration's forecasts for the median;
-// done naively that is dozens of heap allocations per iteration and
-// about half a MiB of buffers per group. Two mechanisms bring it to
-// (amortized) zero:
+// per factor group and keeps every element's per-iteration forecasts
+// for the median; done naively that is dozens of heap allocations per
+// iteration. Two mechanisms bring it to (amortized) zero:
 //
 //   - process-wide working-set pools, shared by every assessor (the
 //     serve tier builds a new assessor per job, so a pool on the
 //     assessor would never outlive a job). fitPool holds one element's
-//     per-iteration forecast slots and solve vectors; groupFactorPool
-//     one panel's per-iteration sampled designs, QR factors and
-//     leverages for a group or a batch (group_shared.go);
-//     elementFactorPool the same for one element's own fit rows. Each
-//     buffer has exactly one release point: a fit arena after
-//     finishElement returns, an element's own factors when
-//     assessElement returns, group-local factors at the end of
-//     assessGroup, batch-shared factors through PanelFactors.Release.
-//     Slot state is reset on acquire and every float buffer is fully
+//     per-iteration forecast slots, acquired when the group kernel
+//     validates the element and released when finishElement has copied
+//     what it keeps; unitPool holds one work unit's working set — one
+//     iteration's sampled designs, factorization, leverages and solve
+//     vectors — which each worker of a group's iteration fan-out takes
+//     for the whole fan-out and returns at its end.
+//     Slot state is reset on acquire (fit slots) or before each design
+//     build (the unit's leverages), and every float buffer is fully
 //     overwritten before it is read, so a recycled buffer never leaks
-//     into a result. The pools hold at most the concurrently assessed
-//     groups × the largest panel shape; the garbage collector drains
-//     what goes unused.
+//     into a result. The pools hold one group's elements' arenas plus
+//     one unit working set per worker, at the largest panel shape; the
+//     garbage collector drains what goes unused. Taking a working set
+//     per worker rather than per unit keeps the race detector, whose
+//     sync.Pool drops a quarter of its Puts, from rebuilding one every
+//     few iterations.
 //   - a deterministic sample cache: the control columns iteration it
 //     draws depend only on (Seed, it, n, k) — never on the element — so
 //     the per-iteration column sets are computed once per panel shape and
@@ -42,14 +43,10 @@ import (
 	"repro/internal/linalg"
 )
 
-// The process-wide working-set pools (see the file comment). An
-// element's own factors have a pool of their own: concurrent element
-// calls would otherwise leave sets shaped by their fit rows where the
-// next group's acquire picks them up and regrows them whole.
+// The process-wide working-set pools (see the file comment).
 var (
-	fitPool           = sync.Pool{New: func() any { return &fitArena{} }}
-	groupFactorPool   = sync.Pool{New: func() any { return &panelFactors{} }}
-	elementFactorPool = sync.Pool{New: func() any { return &panelFactors{} }}
+	fitPool  = sync.Pool{New: func() any { return &fitArena{} }}
+	unitPool = sync.Pool{New: func() any { return &unitScratch{} }}
 )
 
 // growFloats returns buf resized to n, reusing its storage when capacity
@@ -70,34 +67,28 @@ func carve(buf *[]float64, n int) []float64 {
 }
 
 // fitArena is one element's per-iteration fit slots, with every
-// forecast and solve vector carved out of one buffer: iteration it owns
-// slot it exclusively, so the iteration fan-out writes race-free.
+// forecast carved out of one buffer: iteration it owns slot it
+// exclusively, so the iteration fan-out writes race-free.
 type fitArena struct {
 	fits []iterFit
 	buf  []float64
 }
 
 // acquireFits returns a pooled arena of iters slots with before/after
-// forecasts of lenB/lenA points and solve vectors for a design of nFit
-// rows and cols columns. Every slot starts not ok with zero R²,
-// whatever the arena held before; the vectors are unspecified until the
-// iteration that owns them writes them in full.
-func acquireFits(iters, lenB, lenA, nFit, cols int) *fitArena {
+// forecasts of lenB/lenA points. Every slot starts not ok with zero R²,
+// whatever the arena held before; the forecasts are unspecified until
+// the iteration that owns them writes them in full.
+func acquireFits(iters, lenB, lenA int) *fitArena {
 	f := fitPool.Get().(*fitArena)
 	if cap(f.fits) < iters {
 		f.fits = make([]iterFit, iters)
 	}
 	f.fits = f.fits[:iters]
-	stride := lenB + lenA + cols + nFit
+	stride := lenB + lenA
 	f.buf = growFloats(f.buf, iters*stride)
 	for it := range f.fits {
 		buf := f.buf[it*stride : (it+1)*stride]
-		f.fits[it] = iterFit{
-			fb:    carve(&buf, lenB),
-			fa:    carve(&buf, lenA),
-			beta:  carve(&buf, cols),
-			swork: carve(&buf, nFit),
-		}
+		f.fits[it] = iterFit{fb: carve(&buf, lenB), fa: carve(&buf, lenA)}
 	}
 	return f
 }
@@ -106,55 +97,31 @@ func acquireFits(iters, lenB, lenA, nFit, cols int) *fitArena {
 // afterwards: finishElement copies every forecast it keeps.
 func (f *fitArena) release() { fitPool.Put(f) }
 
-// acquirePanelFactors returns panel factors from pool sized for iters
-// iterations of a k-column sample over lenB/lenA before/after points,
-// fitted on fitRows (nil: every before-window row). Every slot's
-// designs, factorization and leverages are carved out of two buffers,
-// so a factor set costs a few allocations however many iterations it
-// holds and one the pool drops is cheap to rebuild. What is sized by the
-// before window and what is sized by the after window sit in separate
-// buffers, so a change time that moves the split regrows only the side
-// that grew. Every iteration slot starts not ok with no leverages,
-// whatever the factors held before; prepPanelFactors sets the panel's
-// identity and rebuilds each accepted slot in place.
-func acquirePanelFactors(pool *sync.Pool, iters, lenB, lenA, k int, fitRows []int) *panelFactors {
-	pf := pool.Get().(*panelFactors)
-	pf.pool = pool
-	pf.factorized = 0
-	pf.partial = fitRows != nil
-	pf.fitRows = append(pf.fitRows[:0], fitRows...)
-	if !pf.partial {
-		for i := 0; i < lenB; i++ {
-			pf.fitRows = append(pf.fitRows, i)
-		}
-	}
-	if cap(pf.iters) < iters {
-		pf.iters = make([]iterShared, iters)
-	}
-	pf.iters = pf.iters[:iters]
-	cols, nFit, xfitLen := k+1, len(pf.fitRows), 0
-	if pf.partial {
-		xfitLen = nFit * cols
-	}
-	strideB, strideA := (lenB+nFit)*cols+xfitLen+nFit+2*cols, lenA*cols
-	pf.slabB = growFloats(pf.slabB, iters*strideB)
-	pf.slabA = growFloats(pf.slabA, iters*strideA)
-	for it := range pf.iters {
-		buf := pf.slabB[it*strideB : (it+1)*strideB]
-		st := &pf.iters[it]
-		st.xb = linalg.Over(carve(&buf, lenB*cols))
-		st.xa = linalg.Over(pf.slabA[it*strideA : (it+1)*strideA])
-		st.xfit = linalg.Over(carve(&buf, xfitLen))
-		st.qr = linalg.QROver(carve(&buf, nFit*cols), carve(&buf, cols))
-		st.lev, st.work = carve(&buf, nFit), carve(&buf, cols)
-		st.ok, st.hs = false, nil
-	}
-	return pf
+// unitScratch is one work unit's working set: the sampled before/after
+// designs of one iteration, the design restricted to a gappy element's
+// fit rows, the factorization of the fit design and its leverages, and
+// the coefficients and work vector of one element's solve. A unit
+// rebuilds it in place (SelectColsWithIntercept, SelectRowsInto,
+// QR.Factor, LeveragesInto, SolveInto) for every design it factors and
+// every element it solves, so a warm scratch allocates nothing.
+type unitScratch struct {
+	xb, xa, xfit linalg.Matrix
+	qr           linalg.QR
+	hs           []float64 // leverages of the current design, backed by lev; nil if rank deficient
+	lev          []float64
+	beta         []float64 // the current element's coefficients
+	work         []float64 // leverage and QR solve work vector, one per fit row
 }
 
-// release returns the factors to the pool they came from. The caller
-// must be their only owner: no assessment may read them afterwards.
-func (pf *panelFactors) release() { pf.pool.Put(pf) }
+// fit returns the matrix design d is fitted on: xfit when d's fit rows
+// are a strict subset of the before window, the sampled design itself
+// otherwise.
+func (s *unitScratch) fit(d *design) *linalg.Matrix {
+	if d.partial {
+		return &s.xfit
+	}
+	return &s.xb
+}
 
 // sampleKey identifies a control-panel shape: the samples for iteration
 // it depend only on (Seed, it, n, k), which is what makes them shareable.

@@ -16,7 +16,7 @@ import (
 
 // TestPoolMarginalBytesPerIteration pins the pools' purpose in bytes:
 // the heap a warm AssessGroup allocates per extra sampling iteration is
-// ~0, because panel factors and forecast arenas are recycled. Without
+// ~0, because unit working sets and forecast arenas are recycled. Without
 // the pools it is ~20 KiB (two sampled designs, QR storage and
 // leverages per iteration, plus every element's forecasts) — bytes
 // that TestAssessElementAllocs, which counts objects, does not see.

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/seedmix"
 	"repro/internal/timeseries"
 )
 
@@ -159,7 +160,7 @@ func clampRate(r float64) float64 {
 }
 
 // Derive returns a copy of the set whose seed is derived from (seed, n)
-// with the engine's splitmix64 finalizer — the per-case derivation the
+// with the engine's SplitMix64 finalizer (internal/seedmix) — the per-case derivation the
 // evaluation harness uses so consecutive cases draw independent fault
 // streams while the whole sweep stays a pure function of the base seed.
 // Deriving from a nil set returns nil.
@@ -167,7 +168,7 @@ func (s *Set) Derive(n uint64) *Set {
 	if s == nil {
 		return nil
 	}
-	z := splitmix64(splitmix64(uint64(s.seed)) ^ splitmix64(n))
+	z := seedmix.SplitMix64(seedmix.SplitMix64(uint64(s.seed)) ^ seedmix.SplitMix64(n))
 	return &Set{seed: int64(z &^ (1 << 63)), rates: s.rates}
 }
 
@@ -242,31 +243,10 @@ func (s *Set) String() string {
 	return strings.Join(parts, ",")
 }
 
-// fnv64a is the FNV-64a hash of the id, folding element identity into
-// the per-(kind, element) stream key.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// splitmix64 is the same finalizer the engine derives iteration streams
-// with (core/parallel.go); duplicated here so the harness stays
-// dependency-free of the engine it breaks.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // rng returns the private generator for (kind, id) — the determinism
 // contract of the package.
 func (s *Set) rng(kind Kind, id string) *rand.Rand {
-	z := splitmix64(splitmix64(uint64(s.seed)) ^ splitmix64(fnv64a(string(kind))) ^ splitmix64(fnv64a(id)))
+	z := seedmix.SplitMix64(seedmix.SplitMix64(uint64(s.seed)) ^ seedmix.SplitMix64(seedmix.FNV64a(string(kind))) ^ seedmix.SplitMix64(seedmix.FNV64a(id)))
 	return rand.New(rand.NewSource(int64(z &^ (1 << 63))))
 }
 

@@ -27,6 +27,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/seedmix"
 )
 
 // Partition is one directional src→dst partition rule. "*" on either
@@ -228,30 +230,10 @@ type ConnFault struct {
 // Blackholed reports whether the connection never gets a response byte.
 func (f ConnFault) Blackholed() bool { return f.Partitioned || f.Stall }
 
-// fnv64a folds a link label into the per-connection stream key (same
-// constants as internal/faults).
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// splitmix64 is the engine's finalizer (core/parallel.go), duplicated so
-// the proxy stays dependency-free of the engine it disrupts.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // connRNG returns the private generator for the link's n-th connection —
 // the determinism contract of the package.
 func connRNG(seed int64, src, dst string, ordinal uint64) *rand.Rand {
-	z := splitmix64(splitmix64(uint64(seed)) ^ splitmix64(fnv64a(src)) ^ splitmix64(fnv64a(dst)) ^ splitmix64(ordinal))
+	z := seedmix.SplitMix64(seedmix.SplitMix64(uint64(seed)) ^ seedmix.SplitMix64(seedmix.FNV64a(src)) ^ seedmix.SplitMix64(seedmix.FNV64a(dst)) ^ seedmix.SplitMix64(ordinal))
 	return rand.New(rand.NewSource(int64(z &^ (1 << 63))))
 }
 

@@ -12,18 +12,20 @@ const (
 	// SpanPanelAssembly covers study/control panel construction from the
 	// series provider.
 	SpanPanelAssembly = "panel-assembly"
-	// SpanAssessGroup covers one per-KPI group assessment (voting across
-	// study elements).
+	// SpanAssessGroup covers one factor group: one control panel at one
+	// change time and the study groups fitted on it — one KPI of a
+	// change, or the (change × KPI) assessments of a batch that share a
+	// control panel. Its children are one SpanSampling and one
+	// SpanAssessElement per element.
 	SpanAssessGroup = "assess-group"
-	// SpanAssessElement covers one element's robust spatial regression.
+	// SpanAssessElement covers finishing one element of a factor group:
+	// forecast aggregation and the rank test. Its fits run inside the
+	// group's SpanSampling.
 	SpanAssessElement = "assess-element"
-	// SpanSampling covers an element's whole sampling-iteration batch
-	// (the Iterations × least-squares fan-out).
+	// SpanSampling covers a factor group's iteration fan-out: per
+	// iteration, the sampled designs and their QR factorizations, and
+	// every element's solve and forecasts.
 	SpanSampling = "sampling-iterations"
-	// SpanGroupPrep covers AssessGroup's shared per-iteration preparation:
-	// the control design matrices, sampled column sets, and the QR
-	// factorizations every element of the group reuses.
-	SpanGroupPrep = "group-iteration-prep"
 	// SpanAggregate covers forecast aggregation and the forecast
 	// differences.
 	SpanAggregate = "aggregate-forecasts"
@@ -54,17 +56,17 @@ const (
 	// fallback failed to absorb) — the iteration-level resilience budget.
 	MetricIterationsResampled = "litmus_iterations_resampled_total"
 	// MetricBeforeFactorizations counts QR factorizations of before-window
-	// design matrices — the unit the factor-once kernel minimizes. On the
-	// cross-element sharing path of AssessGroup this advances by exactly
-	// Iterations per group, not Iterations × Elements.
+	// design matrices — the unit the factor-once kernel minimizes. A
+	// factor group of fully observed elements advances it by exactly
+	// Iterations, not Iterations × Elements.
 	MetricBeforeFactorizations = "litmus_before_factorizations_total"
 	// MetricLeverageSkipped counts sampling iterations whose leave-one-out
 	// leverage adjustment was skipped because the factorization was
 	// numerically rank deficient — previously an invisible silent branch.
 	MetricLeverageSkipped = "litmus_leverage_skipped_total"
-	// MetricGroupSharedElements counts study elements assessed through
-	// AssessGroup's shared-factorization fast path (as opposed to the
-	// per-element fallback for panels with missing data).
+	// MetricGroupSharedElements counts study elements fitted on their
+	// factor group's shared design (as opposed to an element with missing
+	// before-window data, which gets a design on its own fit rows).
 	MetricGroupSharedElements = "litmus_group_shared_elements_total"
 	// MetricElementsAssessed counts study elements assessed successfully.
 	MetricElementsAssessed = "litmus_elements_assessed_total"
@@ -98,10 +100,11 @@ const (
 	// because another entry of the same batch had already assembled the
 	// identical (control-set, KPI, window) panel.
 	MetricBatchPanelsShared = "litmus_batch_panels_shared_total"
-	// MetricBatchFactorizationsReused counts before-window QR
-	// factorizations a batch entry reused from another entry's identical
-	// control panel instead of recomputing — the cross-change extension
-	// of MetricBeforeFactorizations' cross-element sharing.
+	// MetricBatchFactorizationsReused counts, for every batch factor group
+	// of two or more (entry × KPI) assessments, its members times the
+	// before-window QR factorizations of its shared design — the
+	// cross-change extension of MetricBeforeFactorizations'
+	// cross-element sharing.
 	MetricBatchFactorizationsReused = "litmus_batch_factorizations_reused_total"
 
 	// MetricHTTPRequests counts assessment-service HTTP requests, labeled
@@ -181,11 +184,14 @@ const (
 // Batch-assessment span names.
 const (
 	// SpanAssessBatch covers one Pipeline.AssessChangelog call (the whole
-	// changelog batch); per-entry spans nest beneath it.
+	// changelog batch); one SpanBatchEntry per entry and one
+	// SpanAssessGroup per factor group nest beneath it.
 	SpanAssessBatch = "assess-batch"
-	// SpanBatchEntry covers one changelog entry inside a batch
-	// assessment — the batch-path analogue of SpanAssessChange, carrying
-	// the same control-select / panel-assembly / assess-group children.
+	// SpanBatchEntry covers one changelog entry's setup inside a batch
+	// assessment: validation, control selection and panel assembly, with
+	// the same control-select and panel-assembly children as
+	// SpanAssessChange. Its assessments run in the batch's assess-group
+	// spans.
 	SpanBatchEntry = "batch-entry"
 )
 
@@ -202,7 +208,7 @@ var helpText = map[string]string{
 	MetricIterationsResampled:  "Sampling iterations redrawn after an unusable control design.",
 	MetricBeforeFactorizations: "QR factorizations of before-window design matrices.",
 	MetricLeverageSkipped:      "Sampling iterations whose leverage adjustment was skipped (rank-deficient factorization).",
-	MetricGroupSharedElements:  "Study elements assessed through the shared-factorization fast path.",
+	MetricGroupSharedElements:  "Study elements fitted on their factor group's shared design.",
 	MetricElementsAssessed:     "Study elements assessed successfully.",
 	MetricElementsSkipped:      "Study elements skipped because individual assessment failed.",
 	MetricPValue:               "Distribution of assessment p-values.",

@@ -24,15 +24,16 @@ func syntheticTrace() *Span {
 		return s
 	}
 	group := func(offset, dur time.Duration, kpi string) *Span {
-		g := mk(SpanAssessGroup, offset, dur,
-			mk(SpanGroupPrep, offset+time.Millisecond, 8*time.Millisecond),
-			mk(SpanAssessElement, offset+10*time.Millisecond, 20*time.Millisecond,
-				mk(SpanSampling, offset+11*time.Millisecond, 14*time.Millisecond),
-				mk(SpanAggregate, offset+26*time.Millisecond, 2*time.Millisecond),
-				mk(SpanRankTest, offset+28*time.Millisecond, time.Millisecond),
-			),
+		el := mk(SpanAssessElement, offset+16*time.Millisecond, 4*time.Millisecond,
+			mk(SpanAggregate, offset+16*time.Millisecond, 2*time.Millisecond),
+			mk(SpanRankTest, offset+18*time.Millisecond, time.Millisecond),
 		)
-		g.attrs = []Attr{{Key: "kpi", Value: kpi}, {Key: "elements", Value: 3}}
+		el.attrs = []Attr{{Key: "element", Value: "nb1-ne-1"}, {Key: "kpi", Value: kpi}}
+		g := mk(SpanAssessGroup, offset, dur,
+			mk(SpanSampling, offset+time.Millisecond, 14*time.Millisecond),
+			el,
+		)
+		g.attrs = []Attr{{Key: "kpi", Value: kpi}, {Key: "members", Value: 1}, {Key: "elements", Value: 1}}
 		return g
 	}
 	root := mk(SpanAssessChange, 0, 100*time.Millisecond,

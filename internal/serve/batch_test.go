@@ -443,8 +443,9 @@ func scrubTraceJSON(v any) any {
 // TestBatchTraceGolden pins the trace of a 3-entry batch job against a
 // committed fixture: the per-entry identity list and the attempt span
 // tree with one assess-batch span fanning out into per-entry
-// batch-entry spans — not a single opaque span. Run with
-// -update-batch-trace to rewrite the fixture.
+// batch-entry spans, which cover only their entry's setup, and one
+// assess-group span per factor group — not a single opaque span. Run
+// with -update-batch-trace to rewrite the fixture.
 func TestBatchTraceGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	g := goldenRequest(t)
@@ -479,7 +480,7 @@ func TestBatchTraceGolden(t *testing.T) {
 	}
 	names := map[string]bool{}
 	collectSpanNames(root, names)
-	for _, want := range []string{obs.SpanServeJob, obs.SpanAssessBatch, obs.SpanBatchEntry, obs.SpanGroupPrep} {
+	for _, want := range []string{obs.SpanServeJob, obs.SpanAssessBatch, obs.SpanBatchEntry, obs.SpanSampling} {
 		if !names[want] {
 			t.Errorf("batch trace is missing span %q", want)
 		}
@@ -489,6 +490,11 @@ func TestBatchTraceGolden(t *testing.T) {
 		c := 0
 		if n.Name == obs.SpanBatchEntry {
 			c++
+			inner := map[string]bool{}
+			collectSpanNames(n, inner)
+			if inner[obs.SpanAssessGroup] {
+				t.Errorf("a batch-entry span holds an %s span: shared work reported as one entry's", obs.SpanAssessGroup)
+			}
 		}
 		for _, ch := range n.Children {
 			c += entrySpans(ch)

@@ -202,8 +202,14 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 			s.mu.Unlock()
 			return false
 		}
+		// The job is registered only once the send succeeds: a job
+		// registered on a full queue would stay "queued" forever, and the
+		// next pass would give up on it as already live. A worker cannot
+		// touch it before the mutex is released, as in enqueueLocked.
+		j := s.replayJobLocked(id, sub, now)
 		select {
-		case s.queue <- s.replayJobLocked(id, sub, now):
+		case s.queue <- j:
+			s.jobs[id] = j
 			s.mu.Unlock()
 			return true
 		default:
@@ -213,17 +219,16 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 	}
 }
 
-// replayJobLocked builds the job record for one re-enqueued submission
-// and registers it. Batch entries resolve against the cache at this
-// moment — replayed results count as hits, so a re-enqueued batch only
-// recomputes what the crash actually lost. Callers hold the server
-// mutex with queue space reserved.
+// replayJobLocked builds the job record for one re-enqueued submission;
+// the caller registers it once the job is on the queue. Batch entries
+// resolve against the cache at this moment — replayed results count as
+// hits, so a re-enqueued batch only recomputes what the crash actually
+// lost. Callers hold the server mutex.
 func (s *Server) replayJobLocked(id string, sub *submission, now time.Time) *job {
 	j := newJob(id, sub.bare, now)
 	j.traceID = newTraceID()
 	j.state = stateQueued
 	j.submitted = time.Now()
 	j.batch = s.stateLocked(sub)
-	s.jobs[id] = j
 	return j
 }

@@ -220,15 +220,7 @@ func TestReadyzReplaying(t *testing.T) {
 	if err := jr.Append(journal.Record{Kind: journal.KindComplete, Digest: doneID, Payload: []byte(`{"replayed":true}`)}); err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range []int64{4001, 4002, 4003} {
-		c, err := compile(requestWithSeed(t, seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := jr.Append(journal.Record{Kind: journal.KindSubmit, Digest: c.hash(), Payload: c.canonicalJSON()}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	pending := journalSubmits(t, jr, 4001, 4002, 4003)
 	if err := jr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +261,88 @@ func TestReadyzReplaying(t *testing.T) {
 	raw, code := fetchResult(t, ts, doneID)
 	if code != http.StatusOK || string(raw) != `{"replayed":true}` {
 		t.Fatalf("replayed result: status %d body %s", code, raw)
+	}
+	// The stalled third submit enqueued once the gate opened: every
+	// pending job ran exactly once.
+	assertAllDone(t, ts, pending)
+	if got := calls.Load(); got != int64(len(pending)) {
+		t.Errorf("executor ran %d times, want %d (once per pending submit)", got, len(pending))
+	}
+}
+
+// journalSubmits appends one pending submit record per seed to jr and
+// returns the job ids.
+func journalSubmits(t *testing.T, jr *journal.Journal, seeds ...int64) []string {
+	t.Helper()
+	var ids []string
+	for _, seed := range seeds {
+		c, err := compile(requestWithSeed(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jr.Append(journal.Record{Kind: journal.KindSubmit, Digest: c.hash(), Payload: c.canonicalJSON()}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, c.hash())
+	}
+	return ids
+}
+
+// assertAllDone polls every job until all are done, failing on a
+// terminal failure or when any is still unfinished after ten seconds.
+func assertAllDone(t *testing.T, ts *httptest.Server, ids []string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, id := range ids {
+		for {
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st JobStatus
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Status == stateDone {
+				break
+			}
+			if st.Status == stateFailed || time.Now().After(deadline) {
+				t.Fatalf("job %s: status %q, want %q", id, st.Status, stateDone)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestReplayBacklogRunsEveryJob: boot replay re-enqueues five pending
+// submits through a one-slot queue and a single worker gated for
+// 50 ms, so most sends find the queue full and wait. A replayed job is
+// registered only once its send succeeds; registering it on a failed
+// send would leave it "queued" forever, with replay giving up on it as
+// already live. Every pending submit must run exactly once and finish.
+func TestReplayBacklogRunsEveryJob(t *testing.T) {
+	dir := t.TempDir()
+	jr := openJournal(t, dir)
+	pending := journalSubmits(t, jr, 4101, 4102, 4103, 4104, 4105)
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var calls atomic.Int64
+	s, ts, jr2 := journalServer(t, dir, Config{Workers: 1, QueueDepth: 1}, &calls, true)
+	defer stopServer(t, s, ts, jr2)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(s.testRelease) }) }
+	defer release()
+
+	time.Sleep(50 * time.Millisecond)
+	release()
+	<-s.ReplayDone()
+	assertAllDone(t, ts, pending)
+	if got := calls.Load(); got != int64(len(pending)) {
+		t.Errorf("executor ran %d times, want %d (once per pending submit)", got, len(pending))
 	}
 }
 

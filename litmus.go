@@ -47,10 +47,10 @@ type (
 	// Config parameterizes the Litmus assessor; the zero value uses the
 	// paper's defaults (α = 0.05, sample fraction 2/3, 50 iterations)
 	// and a worker pool sized to runtime.GOMAXPROCS(0). Config.Workers
-	// bounds the concurrency of the sampling iterations, the per-element
-	// assessments, and the pipeline's KPI fan-out; every worker count
-	// produces bit-identical results, because each sampling iteration
-	// draws from a private RNG derived from (Seed, iteration).
+	// bounds the concurrency of each factor group's sampling iterations
+	// and of its per-element aggregation and rank tests; every worker
+	// count produces bit-identical results, because each sampling
+	// iteration draws from a private RNG derived from (Seed, iteration).
 	Config = core.Config
 	// Assessor runs the robust spatial regression assessment.
 	Assessor = core.Assessor

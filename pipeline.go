@@ -140,7 +140,7 @@ func (p *Pipeline) AssessChange(change *changelog.Change, kpis []KPI, windowDays
 // A single change is the one-entry case of AssessBatch: the same phases
 // run with the entry recording straight into the assess-change span
 // (control-select, panel-assembly and one assess-group per KPI beneath
-// it) and each KPI preparing its own factors, so no batch span or
+// it) and each KPI a factor group of its own, so no batch span or
 // counter appears.
 func (p *Pipeline) AssessChangeContext(ctx context.Context, change *changelog.Change, kpis []KPI, windowDays int) (*ChangeAssessment, error) {
 	if err := ctx.Err(); err != nil {
