@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // TopologyConfig parameterizes the generative topology. The defaults
@@ -73,7 +74,7 @@ func Build(cfg TopologyConfig) *Network {
 		panic(fmt.Sprintf("netsim: non-positive topology sizes %+v", cfg))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := NewNetwork()
+	n := newNetwork(len(cfg.Regions) * regionSize(cfg))
 	for _, region := range cfg.Regions {
 		buildRegion(n, rng, cfg, region)
 	}
@@ -81,6 +82,13 @@ func Build(cfg TopologyConfig) *Network {
 		panic("netsim: generated invalid topology: " + err.Error())
 	}
 	return n
+}
+
+// regionSize returns the number of elements buildRegion adds per region.
+func regionSize(cfg TopologyConfig) int {
+	cells := max(cfg.CellsPerTower, 0)
+	radio := (cfg.ControllersPerRegion + (cfg.ControllersPerRegion+1)/2) * (1 + cfg.TowersPerController*(1+cells))
+	return max(cfg.MSCsPerRegion, 1) + 3 + radio + max(cfg.ENodeBsPerRegion, 0)*(1+cells)
 }
 
 // regionCode returns the unique short code embedded in generated element
@@ -124,6 +132,8 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 	}
 
 	short := regionCode(region)
+	// tag is the "-<region>-" infix of every generated ID.
+	tag := "-" + short + "-"
 
 	// Core elements.
 	mscCount := cfg.MSCsPerRegion
@@ -133,7 +143,7 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 	var msc *Element
 	for m := 1; m <= mscCount; m++ {
 		e := &Element{
-			ID: fmt.Sprintf("msc-%s-%d", short, m), Kind: MSC, Tech: UMTS, Region: region,
+			ID: "msc" + tag + strconv.Itoa(m), Kind: MSC, Tech: UMTS, Region: region,
 			Location: place(), ZipCode: ZipForCell(region, 0), FoliageExposure: foliage(),
 			Config: Config{SoftwareVersion: pick(coreVersions), Vendor: pick(vendors), EquipmentModel: pick(models)},
 		}
@@ -143,29 +153,30 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 		}
 	}
 	sgsn := &Element{
-		ID: fmt.Sprintf("sgsn-%s-1", short), Kind: SGSN, Tech: UMTS, Region: region,
+		ID: "sgsn" + tag + "1", Kind: SGSN, Tech: UMTS, Region: region,
 		Location: place(), ZipCode: ZipForCell(region, 1), FoliageExposure: foliage(),
 		Config: Config{SoftwareVersion: pick(coreVersions), Vendor: pick(vendors), EquipmentModel: pick(models)},
 	}
 	n.Add(sgsn)
 	mme := &Element{
-		ID: fmt.Sprintf("mme-%s-1", short), Kind: MME, Tech: LTE, Region: region,
+		ID: "mme" + tag + "1", Kind: MME, Tech: LTE, Region: region,
 		Location: place(), ZipCode: ZipForCell(region, 2), FoliageExposure: foliage(),
 		Config: Config{SoftwareVersion: pick(coreVersions), Vendor: pick(vendors), EquipmentModel: pick(models)},
 	}
 	n.Add(mme)
 	sgw := &Element{
-		ID: fmt.Sprintf("sgw-%s-1", short), Kind: SGW, Tech: LTE, Region: region,
+		ID: "sgw" + tag + "1", Kind: SGW, Tech: LTE, Region: region,
 		Location: place(), ZipCode: ZipForCell(region, 3), FoliageExposure: foliage(),
 		Config: Config{SoftwareVersion: pick(coreVersions), Vendor: pick(vendors), EquipmentModel: pick(models)},
 	}
 	n.Add(sgw)
 
 	// UMTS RNCs with NodeBs, GSM BSCs with BTSs.
-	addRadioTree := func(ctrlKind, towerKind Kind, tech Technology, prefix string, count int) {
+	addRadioTree := func(ctrlKind, towerKind Kind, tech Technology, ctrlPrefix, towerPrefix string, count int) {
 		for c := 0; c < count; c++ {
+			ctrlNum := strconv.Itoa(c + 1)
 			ctrl := &Element{
-				ID: fmt.Sprintf("%s-%s-%d", prefix, short, c+1), Kind: ctrlKind, Tech: tech, Region: region,
+				ID: ctrlPrefix + tag + ctrlNum, Kind: ctrlKind, Tech: tech, Region: region,
 				Parent: msc.ID, Location: place(), ZipCode: ZipForCell(region, 10+c),
 				Terrain: terrains[rng.Intn(len(terrains))], FoliageExposure: foliage(),
 				Config: Config{SoftwareVersion: pick(controllerVersions), Vendor: pick(vendors), EquipmentModel: pick(models)},
@@ -178,7 +189,7 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 					zipCell = 100 + rng.Intn(20)
 				}
 				tower := &Element{
-					ID:   fmt.Sprintf("%s%d-%s-%d", map[Kind]string{BTS: "bts", NodeB: "nb"}[towerKind], c+1, short, tw+1),
+					ID:   towerPrefix + ctrlNum + tag + strconv.Itoa(tw+1),
 					Kind: towerKind, Tech: tech, Region: region, Parent: ctrl.ID,
 					Location: loc, ZipCode: ZipForCell(region, zipCell),
 					Terrain:         terrains[rng.Intn(len(terrains))],
@@ -196,7 +207,7 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 				n.Add(tower)
 				for cell := 0; cell < cfg.CellsPerTower; cell++ {
 					n.Add(&Element{
-						ID:   fmt.Sprintf("%s.c%d", tower.ID, cell+1),
+						ID:   tower.ID + ".c" + strconv.Itoa(cell+1),
 						Kind: Cell, Tech: tech, Region: region, Parent: tower.ID,
 						Location: tower.Location, ZipCode: tower.ZipCode,
 						Terrain: tower.Terrain, Traffic: tower.Traffic,
@@ -207,14 +218,14 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 			}
 		}
 	}
-	addRadioTree(RNC, NodeB, UMTS, "rnc", cfg.ControllersPerRegion)
-	addRadioTree(BSC, BTS, GSM, "bsc", (cfg.ControllersPerRegion+1)/2)
+	addRadioTree(RNC, NodeB, UMTS, "rnc", "nb", cfg.ControllersPerRegion)
+	addRadioTree(BSC, BTS, GSM, "bsc", "bts", (cfg.ControllersPerRegion+1)/2)
 
 	// LTE eNodeBs (controller+tower in one, paper §2.1) under the MME.
 	for e := 0; e < cfg.ENodeBsPerRegion; e++ {
 		zipCell := 200 + e/8 // groups of eight share a zip: same-zip control groups
 		enb := &Element{
-			ID: fmt.Sprintf("enb-%s-%d", short, e+1), Kind: ENodeB, Tech: LTE, Region: region,
+			ID: "enb" + tag + strconv.Itoa(e+1), Kind: ENodeB, Tech: LTE, Region: region,
 			Parent: mme.ID, Location: place(), ZipCode: ZipForCell(region, zipCell),
 			Terrain:         terrains[rng.Intn(len(terrains))],
 			Traffic:         profiles[rng.Intn(len(profiles))],
@@ -228,7 +239,7 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 		n.Add(enb)
 		for cell := 0; cell < cfg.CellsPerTower; cell++ {
 			n.Add(&Element{
-				ID:   fmt.Sprintf("%s.c%d", enb.ID, cell+1),
+				ID:   enb.ID + ".c" + strconv.Itoa(cell+1),
 				Kind: Cell, Tech: LTE, Region: region, Parent: enb.ID,
 				Location: enb.Location, ZipCode: enb.ZipCode,
 				Terrain: enb.Terrain, Traffic: enb.Traffic,

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // GeoPoint is a geographic coordinate in decimal degrees.
@@ -66,7 +67,24 @@ func ZipForCell(r Region, cell int) string {
 	if !ok {
 		panic(fmt.Sprintf("netsim: unknown region %q", r))
 	}
-	return fmt.Sprintf("%s%03d", prefix, cell%1000)
+	// The prefix, then cell%1000 as fmt's %03d writes it: zero-padded to
+	// three characters, a minus sign included.
+	v := cell % 1000
+	b := make([]byte, 0, 8)
+	b = append(b, prefix...)
+	switch {
+	case v < 0:
+		b = append(b, '-')
+		v = -v
+		if v < 10 {
+			b = append(b, '0')
+		}
+	case v < 10:
+		b = append(b, "00"...)
+	case v < 100:
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(v), 10))
 }
 
 // regionFoliage is the baseline foliage exposure per region: deciduous

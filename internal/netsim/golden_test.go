@@ -1,0 +1,138 @@
+package netsim
+
+// Golden pin of generated networks. For each topology config the
+// fixture holds the element count and the SHA-256 of a canonical dump
+// of everything the network answers: every element field in insertion
+// order, the adjacency queries of every element, the predicate queries
+// of every tower, per-kind and per-region scans, one radius query, an
+// unknown ID and Validate. Slices print with %#v, so a nil and an empty
+// answer differ. The fixture was rendered by the map-backed network that
+// preceded the slice-backed one, so it pins the build's draw order, its
+// IDs and zips, and every query's order independently of the code under
+// test. Regenerate after an intentional contract change with:
+//
+//	go test ./internal/netsim -run TestNetworkGolden -update
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden_networks.txt")
+
+type goldenConfig struct {
+	name string
+	cfg  TopologyConfig
+}
+
+// goldenConfigs are the default topology at seeds 1–8 and two
+// non-default shapes: extra MSCs with single-cell towers, and cell-less
+// towers without eNodeBs over two regions.
+func goldenConfigs() []goldenConfig {
+	var out []goldenConfig
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := DefaultTopologyConfig()
+		cfg.Seed = seed
+		out = append(out, goldenConfig{fmt.Sprintf("default-seed-%d", seed), cfg})
+	}
+	multiMSC := DefaultTopologyConfig()
+	multiMSC.MSCsPerRegion = 3
+	multiMSC.ControllersPerRegion = 3
+	multiMSC.TowersPerController = 7
+	multiMSC.CellsPerTower = 1
+	multiMSC.ENodeBsPerRegion = 5
+	multiMSC.Seed = 11
+	noCells := DefaultTopologyConfig()
+	noCells.Regions = []Region{Northeast, Southwest}
+	noCells.CellsPerTower = 0
+	noCells.ENodeBsPerRegion = 0
+	noCells.Seed = 12
+	return append(out,
+		goldenConfig{"msc3-ctrl3-tower7-cell1-enb5", multiMSC},
+		goldenConfig{"no-cells-no-enb-2-regions", noCells})
+}
+
+// dumpNetwork writes the canonical dump of n to w.
+func dumpNetwork(w io.Writer, n *Network) {
+	ids := n.IDs()
+	fmt.Fprintf(w, "len %d\n", n.Len())
+	for _, id := range ids {
+		fmt.Fprintf(w, "element %#v\n", *n.MustElement(id))
+	}
+	for _, id := range ids {
+		fmt.Fprintf(w, "children %s %#v\n", id, n.Children(id))
+		fmt.Fprintf(w, "descendants %s %#v\n", id, n.Descendants(id))
+		fmt.Fprintf(w, "ancestors %s %#v\n", id, n.Ancestors(id))
+	}
+	for _, id := range ids {
+		if !n.MustElement(id).Kind.IsTower() {
+			continue
+		}
+		fmt.Fprintf(w, "siblings %s %#v\n", id, n.Siblings(id))
+		fmt.Fprintf(w, "samezip %s %#v\n", id, n.SameZip(id))
+		fmt.Fprintf(w, "coupling %s %#v\n", id, n.CouplingWeights(id, 0.5))
+	}
+	for k := MSC; k <= Cell; k++ {
+		fmt.Fprintf(w, "kind %s %#v\n", k, n.OfKind(k))
+	}
+	for _, r := range Regions() {
+		fmt.Fprintf(w, "region %s %d\n", r, len(n.InRegion(r)))
+	}
+	fmt.Fprintf(w, "within nb1-ne-1 30 %#v\n", n.WithinKm("nb1-ne-1", 30))
+	fmt.Fprintf(w, "children unknown %#v\n", n.Children("no-such-element"))
+	fmt.Fprintf(w, "validate %v\n", n.Validate())
+}
+
+func renderGoldenNetworks() []byte {
+	var doc bytes.Buffer
+	for _, gc := range goldenConfigs() {
+		n := Build(gc.cfg)
+		h := sha256.New()
+		bw := bufio.NewWriter(h)
+		dumpNetwork(bw, n)
+		if err := bw.Flush(); err != nil {
+			panic(err) // a hash never fails to write
+		}
+		fmt.Fprintf(&doc, "%s %d %x\n", gc.name, n.Len(), h.Sum(nil))
+	}
+	return doc.Bytes()
+}
+
+// TestRegionSizeCountsBuild pins the count Build presizes its network
+// with against the elements it adds.
+func TestRegionSizeCountsBuild(t *testing.T) {
+	for _, gc := range goldenConfigs() {
+		if got, want := Build(gc.cfg).Len(), len(gc.cfg.Regions)*regionSize(gc.cfg); got != want {
+			t.Errorf("%s: Build added %d elements, regionSize counts %d", gc.name, got, want)
+		}
+	}
+}
+
+func TestNetworkGolden(t *testing.T) {
+	got := renderGoldenNetworks()
+	golden := filepath.Join("testdata", "golden_networks.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the fixture)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("generated networks differ from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}

@@ -8,17 +8,28 @@ import (
 // Network is a collection of elements with parent/child adjacency — the
 // topological structure the paper infers from daily configuration
 // snapshots (§2.2) and uses for control-group selection (§3.3).
+//
+// Elements sit in insertion order, which every scan follows; index maps
+// an ID to its position, and first, last and next link each position to
+// its first and last child and to its next sibling (-1 for none), in
+// insertion order.
 type Network struct {
-	elements map[string]*Element
-	order    []string            // insertion order, for deterministic iteration
-	children map[string][]string // parent ID → child IDs
+	elems             []*Element
+	index             map[string]int32
+	first, last, next []int32
 }
 
 // NewNetwork returns an empty network.
-func NewNetwork() *Network {
+func NewNetwork() *Network { return newNetwork(0) }
+
+// newNetwork returns an empty network sized for size elements.
+func newNetwork(size int) *Network {
 	return &Network{
-		elements: make(map[string]*Element),
-		children: make(map[string][]string),
+		elems: make([]*Element, 0, size),
+		index: make(map[string]int32, size),
+		first: make([]int32, 0, size),
+		last:  make([]int32, 0, size),
+		next:  make([]int32, 0, size),
 	}
 }
 
@@ -29,27 +40,50 @@ func (n *Network) Add(e *Element) {
 	if e.ID == "" {
 		panic("netsim: element with empty ID")
 	}
-	if _, dup := n.elements[e.ID]; dup {
+	if n.lookup(e.ID) >= 0 {
 		panic(fmt.Sprintf("netsim: duplicate element ID %q", e.ID))
 	}
+	parent := int32(-1)
 	if e.Parent != "" {
-		if _, ok := n.elements[e.Parent]; !ok {
+		if parent = n.lookup(e.Parent); parent < 0 {
 			panic(fmt.Sprintf("netsim: element %q references unknown parent %q", e.ID, e.Parent))
 		}
 	}
-	n.elements[e.ID] = e
-	n.order = append(n.order, e.ID)
-	if e.Parent != "" {
-		n.children[e.Parent] = append(n.children[e.Parent], e.ID)
+	pos := int32(len(n.elems))
+	n.index[e.ID] = pos
+	n.elems = append(n.elems, e)
+	n.first = append(n.first, -1)
+	n.last = append(n.last, -1)
+	n.next = append(n.next, -1)
+	if parent >= 0 {
+		if tail := n.last[parent]; tail >= 0 {
+			n.next[tail] = pos
+		} else {
+			n.first[parent] = pos
+		}
+		n.last[parent] = pos
 	}
 }
 
+// lookup returns the position of id, or -1 if absent.
+func (n *Network) lookup(id string) int32 {
+	if pos, ok := n.index[id]; ok {
+		return pos
+	}
+	return -1
+}
+
 // Element returns the element with the given ID, or nil if absent.
-func (n *Network) Element(id string) *Element { return n.elements[id] }
+func (n *Network) Element(id string) *Element {
+	if pos := n.lookup(id); pos >= 0 {
+		return n.elems[pos]
+	}
+	return nil
+}
 
 // MustElement returns the element with the given ID, panicking if absent.
 func (n *Network) MustElement(id string) *Element {
-	e := n.elements[id]
+	e := n.Element(id)
 	if e == nil {
 		panic(fmt.Sprintf("netsim: unknown element %q", id))
 	}
@@ -57,21 +91,38 @@ func (n *Network) MustElement(id string) *Element {
 }
 
 // Len returns the number of elements.
-func (n *Network) Len() int { return len(n.order) }
+func (n *Network) Len() int { return len(n.elems) }
 
 // IDs returns all element IDs in insertion order. The slice is a copy.
 func (n *Network) IDs() []string {
-	out := make([]string, len(n.order))
-	copy(out, n.order)
+	out := make([]string, len(n.elems))
+	for i, e := range n.elems {
+		out[i] = e.ID
+	}
 	return out
+}
+
+// firstChild returns the position of pos's first child, or -1 when pos
+// is absent (-1) or childless.
+func (n *Network) firstChild(pos int32) int32 {
+	if pos < 0 {
+		return -1
+	}
+	return n.first[pos]
 }
 
 // Children returns the IDs of the direct children of id, in insertion
 // order. The slice is a copy.
 func (n *Network) Children(id string) []string {
-	kids := n.children[id]
-	out := make([]string, len(kids))
-	copy(out, kids)
+	pos := n.lookup(id)
+	kids := 0
+	for c := n.firstChild(pos); c >= 0; c = n.next[c] {
+		kids++
+	}
+	out := make([]string, 0, kids)
+	for c := n.firstChild(pos); c >= 0; c = n.next[c] {
+		out = append(out, n.elems[c].ID)
+	}
 	return out
 }
 
@@ -79,13 +130,23 @@ func (n *Network) Children(id string) []string {
 // order — the "causal impact scope" of a change at an upstream element
 // (paper §2.2).
 func (n *Network) Descendants(id string) []string {
-	var out []string
-	queue := n.Children(id)
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		out = append(out, cur)
-		queue = append(queue, n.children[cur]...)
+	root := n.lookup(id)
+	if root < 0 {
+		return nil
+	}
+	// A child is added after its parent, so the links are acyclic.
+	queue := []int32{root}
+	for i := 0; i < len(queue); i++ {
+		for c := n.first[queue[i]]; c >= 0; c = n.next[c] {
+			queue = append(queue, c)
+		}
+	}
+	if len(queue) == 1 {
+		return nil
+	}
+	out := make([]string, len(queue)-1)
+	for i, pos := range queue[1:] {
+		out[i] = n.elems[pos].ID
 	}
 	return out
 }
@@ -93,10 +154,10 @@ func (n *Network) Descendants(id string) []string {
 // Ancestors returns the chain of parents of id from nearest to root.
 func (n *Network) Ancestors(id string) []string {
 	var out []string
-	e := n.elements[id]
+	e := n.Element(id)
 	for e != nil && e.Parent != "" {
 		out = append(out, e.Parent)
-		e = n.elements[e.Parent]
+		e = n.Element(e.Parent)
 	}
 	return out
 }
@@ -104,33 +165,21 @@ func (n *Network) Ancestors(id string) []string {
 // OfKind returns the IDs of all elements of the given kind, in insertion
 // order.
 func (n *Network) OfKind(k Kind) []string {
-	var out []string
-	for _, id := range n.order {
-		if n.elements[id].Kind == k {
-			out = append(out, id)
-		}
-	}
-	return out
+	return n.Filter(func(e *Element) bool { return e.Kind == k })
 }
 
 // InRegion returns the IDs of all elements in the given region, in
 // insertion order.
 func (n *Network) InRegion(r Region) []string {
-	var out []string
-	for _, id := range n.order {
-		if n.elements[id].Region == r {
-			out = append(out, id)
-		}
-	}
-	return out
+	return n.Filter(func(e *Element) bool { return e.Region == r })
 }
 
 // Filter returns the IDs of elements satisfying pred, in insertion order.
 func (n *Network) Filter(pred func(*Element) bool) []string {
 	var out []string
-	for _, id := range n.order {
-		if pred(n.elements[id]) {
-			out = append(out, id)
+	for _, e := range n.elems {
+		if pred(e) {
+			out = append(out, e.ID)
 		}
 	}
 	return out
@@ -146,13 +195,13 @@ func (n *Network) WithinKm(id string, radius float64) []string {
 		d  float64
 	}
 	var cands []cand
-	for _, other := range n.order {
-		if other == id {
+	for _, e := range n.elems {
+		if e.ID == id {
 			continue
 		}
-		d := DistanceKm(center.Location, n.elements[other].Location)
+		d := DistanceKm(center.Location, e.Location)
 		if d <= radius {
-			cands = append(cands, cand{other, d})
+			cands = append(cands, cand{e.ID, d})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -177,8 +226,8 @@ func (n *Network) Siblings(id string) []string {
 		return nil
 	}
 	var out []string
-	for _, kid := range n.children[e.Parent] {
-		if kid != id {
+	for c := n.firstChild(n.lookup(e.Parent)); c >= 0; c = n.next[c] {
+		if kid := n.elems[c].ID; kid != id {
 			out = append(out, kid)
 		}
 	}
@@ -217,7 +266,7 @@ func (n *Network) CouplingWeights(id string, strength float64) map[string]float6
 	dists := make([]float64, len(sibs))
 	var mean float64
 	for i, sid := range sibs {
-		dists[i] = DistanceKm(center.Location, n.elements[sid].Location)
+		dists[i] = DistanceKm(center.Location, n.Element(sid).Location)
 		mean += dists[i]
 	}
 	mean /= float64(len(sibs))
@@ -238,10 +287,9 @@ func (n *Network) CouplingWeights(id string, strength float64) map[string]float6
 func (n *Network) SameZip(id string) []string {
 	e := n.MustElement(id)
 	var out []string
-	for _, other := range n.order {
-		oe := n.elements[other]
-		if other != id && oe.ZipCode == e.ZipCode && oe.Kind == e.Kind {
-			out = append(out, other)
+	for _, oe := range n.elems {
+		if oe.ID != id && oe.ZipCode == e.ZipCode && oe.Kind == e.Kind {
+			out = append(out, oe.ID)
 		}
 	}
 	return out
@@ -251,42 +299,55 @@ func (n *Network) SameZip(id string) []string {
 // towers parent to controllers, controllers to core elements. It returns
 // a descriptive error on the first violation.
 func (n *Network) Validate() error {
-	for _, id := range n.order {
-		e := n.elements[id]
+	for i, e := range n.elems {
 		if e.Parent == "" {
 			continue
 		}
-		p := n.elements[e.Parent]
+		p := n.Element(e.Parent)
 		if p == nil {
-			return fmt.Errorf("netsim: element %q has unknown parent %q", id, e.Parent)
+			return fmt.Errorf("netsim: element %q has unknown parent %q", e.ID, e.Parent)
 		}
 		switch {
 		case e.Kind == NodeB || e.Kind == BTS:
 			if !p.Kind.IsController() {
-				return fmt.Errorf("netsim: tower %q parented to non-controller %q (%s)", id, p.ID, p.Kind)
+				return fmt.Errorf("netsim: tower %q parented to non-controller %q (%s)", e.ID, p.ID, p.Kind)
 			}
 		case e.Kind == Cell:
 			if !p.Kind.IsTower() {
-				return fmt.Errorf("netsim: cell %q parented to non-tower %q (%s)", id, p.ID, p.Kind)
+				return fmt.Errorf("netsim: cell %q parented to non-tower %q (%s)", e.ID, p.ID, p.Kind)
 			}
 		case e.Kind == RNC || e.Kind == BSC || e.Kind == ENodeB:
 			if !p.Kind.IsCore() {
-				return fmt.Errorf("netsim: controller %q parented to non-core %q (%s)", id, p.ID, p.Kind)
+				return fmt.Errorf("netsim: controller %q parented to non-core %q (%s)", e.ID, p.ID, p.Kind)
 			}
 		}
-		// Cycle check via ancestor walk with a bound.
-		seen := map[string]bool{id: true}
-		for cur := e.Parent; cur != ""; {
-			if seen[cur] {
-				return fmt.Errorf("netsim: parent cycle involving %q", cur)
-			}
-			seen[cur] = true
-			next := n.elements[cur]
-			if next == nil {
-				break
-			}
-			cur = next.Parent
+		if c := n.cycleEntry(int32(i)); c >= 0 {
+			return fmt.Errorf("netsim: parent cycle involving %q", n.elems[c].ID)
 		}
 	}
 	return nil
+}
+
+// cycleEntry returns the first position the ancestor walk from pos
+// reaches twice, or -1 when the walk ends at a root or an unknown parent.
+// It is Floyd's cycle finding, so no walk allocates a visited set.
+func (n *Network) cycleEntry(pos int32) int32 {
+	up := func(p int32) int32 { return n.lookup(n.elems[p].Parent) }
+	slow, fast := pos, pos
+	for {
+		if fast = up(fast); fast < 0 {
+			return -1
+		}
+		if fast = up(fast); fast < 0 {
+			return -1
+		}
+		if slow = up(slow); slow == fast {
+			break
+		}
+	}
+	// The walk from pos and the one from the meeting point reach the
+	// cycle's entry together.
+	for slow = pos; slow != fast; slow, fast = up(slow), up(fast) {
+	}
+	return slow
 }

@@ -23,9 +23,8 @@ type SnapshotEntry struct {
 // Snapshot captures the network's current state at the given timestamp.
 func (n *Network) Snapshot(at time.Time) *ConfigSnapshot {
 	s := &ConfigSnapshot{Taken: at, Entries: make(map[string]SnapshotEntry, n.Len())}
-	for _, id := range n.order {
-		e := n.elements[id]
-		s.Entries[id] = SnapshotEntry{Parent: e.Parent, Config: e.Config}
+	for _, e := range n.elems {
+		s.Entries[e.ID] = SnapshotEntry{Parent: e.Parent, Config: e.Config}
 	}
 	return s
 }
