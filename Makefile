@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race race-pools race-obs chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json bench-smoke serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
+.PHONY: ci vet lint build test race race-pools race-obs alloc-bounds chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json bench-smoke serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
 
 ci: vet build test race chaos fuzz-seed
 
@@ -55,6 +55,15 @@ race-obs:
 	$(GO) test -race ./internal/obs
 	$(GO) test -race -run 'TestAssessChangeInstrumentedEquivalence' .
 	$(GO) test -race -count=10 -run 'Freeze|Trace' ./internal/obs ./internal/serve
+
+# Every allocation-bound test, twenty runs each: the span, selection,
+# per-iteration and per-element budgets of the engine, and the network
+# build and series synthesis budgets of the world path. The bounds are
+# calibrated on one toolchain and a marginal one flakes rarely, so
+# twenty runs show it before it fails on main.
+alloc-bounds:
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestAssessElementAllocs|TestBuildBytesPerElement|TestSeriesForBytes)$$' \
+		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen
 
 # Chaos suite under the race detector: every fault injector through the
 # pipeline (result or typed Degraded reason, clean inputs bit-identical

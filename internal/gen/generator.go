@@ -236,24 +236,33 @@ func (g *Generator) Counters(id string) []kpi.Counters {
 	if cs, ok := g.counters[id]; ok {
 		return cs
 	}
-	cs := g.synthesize(id)
+	cs := make([]kpi.Counters, g.cfg.Index.N)
+	g.draw(id, func(i int, c kpi.Counters) { cs[i] = c })
 	g.counters[id] = cs
 	return cs
 }
 
-// synthesize draws element id's counters. It is deterministic in (seed,
-// element ID), so a cached and an uncached draw are bit-identical.
-func (g *Generator) synthesize(id string) []kpi.Counters {
+// draw synthesizes element id's counters bucket by bucket and hands
+// bucket i's to emit, in order. It is deterministic in (seed, element
+// ID), so a cached and an uncached draw are bit-identical.
+func (g *Generator) draw(id string, emit func(i int, c kpi.Counters)) {
 	e := g.net.MustElement(id)
 	rates := g.ratesFor(e)
 	regional := g.regionalStress(e.Region)
 	sens := g.sensitivity(id)
+	// An effect's share depends on the element alone. A few effects'
+	// shares fit on the stack.
+	var buf [4]float64
+	shares := buf[:0]
+	for _, ef := range g.cfg.Effects {
+		shares = append(shares, ef.shareFor(e))
+	}
 	// The series stream starts after the rates, regional and sensitivity
 	// streams have drawn theirs (see stream).
 	rng := g.stream("series", id)
 	n := g.cfg.Index.N
+	end := g.cfg.Index.End()
 	stepHours := g.cfg.Index.Step.Hours()
-	out := make([]kpi.Counters, n)
 	var elemNoise float64
 	if g.cfg.ElementNoiseAR > 0 {
 		// Stationary start for the AR noise path.
@@ -265,12 +274,12 @@ func (g *Generator) synthesize(id string) []kpi.Counters {
 		// Load: external factors × injected load effects × mild noise.
 		loadMult := g.cfg.Factors.LoadMultiplier(e, t)
 		quality := 0.0
-		for _, ef := range g.cfg.Effects {
-			share := ef.shareFor(e)
+		for j, ef := range g.cfg.Effects {
+			share := shares[j]
 			if share == 0 {
 				continue
 			}
-			w := ef.weightAt(t, g.cfg.Index.End())
+			w := ef.weightAt(t, end)
 			if w == 0 {
 				continue
 			}
@@ -316,9 +325,8 @@ func (g *Generator) synthesize(id string) []kpi.Counters {
 		stress -= g.cfg.AnnualQualityTrend * years
 		stress -= quality
 
-		out[i] = g.sampleCounters(rng, rates, stepHours, loadMult, stress)
+		emit(i, g.sampleCounters(rng, rates, stepHours, loadMult, stress))
 	}
-	return out
 }
 
 // sampleCounters draws one bucket of counters from the latent state.
@@ -422,15 +430,19 @@ func (g *Generator) Series(id string, k kpi.KPI) timeseries.Series {
 }
 
 // SeriesFor returns element id's series for each KPI of ks, in order,
-// bit-identical to Series. Unlike Series it does not cache the element's
-// counters: it serves callers that keep the series themselves and would
-// otherwise retain both.
+// bit-identical to Series. It writes each bucket's KPIs straight into
+// the series and neither keeps nor caches the element's counters: it
+// serves callers that keep the series themselves.
 func (g *Generator) SeriesFor(id string, ks []kpi.KPI) []timeseries.Series {
-	cs := g.synthesize(id)
 	out := make([]timeseries.Series, len(ks))
-	for i, k := range ks {
-		out[i] = g.seriesOf(cs, k)
+	for i := range out {
+		out[i] = timeseries.NewZeroSeries(g.cfg.Index)
 	}
+	g.draw(id, func(b int, c kpi.Counters) {
+		for i, k := range ks {
+			out[i].Values[b] = c.Compute(k)
+		}
+	})
 	return out
 }
 

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -260,32 +261,92 @@ func TestCountersCached(t *testing.T) {
 	}
 }
 
+// TestSeriesForMatchesSeriesWithoutCaching pins SeriesFor, which writes
+// each bucket's KPIs straight into its series, bit for bit against
+// Series, which reads them off the cached counters, for every KPI. The
+// configs together reach every branch of the bucket loop: a ramped
+// effect with a load multiplier, an effect scaled by sensitivity, a
+// coupled neighbour (share ≠ 1) beside an effect that misses the element,
+// a Match-selected effect, AR and white element noise, and exact
+// expectations without sampling noise.
 func TestSeriesForMatchesSeriesWithoutCaching(t *testing.T) {
 	net := testNetwork()
-	cfg := DefaultConfig(dailyIndex(30))
-	id := net.OfKind(netsim.NodeB)[0]
-	ks := []kpi.KPI{kpi.VoiceRetainability, kpi.DataAccessibility}
-	g := New(net, cfg)
-	got := g.SeriesFor(id, ks)
-	if _, cached := g.counters[id]; cached {
-		t.Error("SeriesFor cached the element's counters")
+	nbs := net.OfKind(netsim.NodeB)
+	id, sib, other := nbs[0], nbs[1], nbs[20]
+	ix := dailyIndex(30)
+	start, ramp := epoch.Add(10*24*time.Hour), 5*24*time.Hour
+	ramped := EffectOn("ramp-load", []string{id}, start, time.Time{}, -1.2)
+	ramped.Ramp, ramped.LoadMult = ramp, 1.8
+	scaled := EffectOn("sens", []string{id}, start, epoch.Add(25*24*time.Hour), 0.9)
+	scaled.ScaleWithSensitivity = true
+	coupled := EffectOn("coupled", []string{sib}, start, time.Time{}, -2)
+	coupled.Ramp, coupled.LoadMult = ramp, 1.5
+	coupled.Coupling = map[string]float64{id: 0.4}
+	missed := EffectOn("missed", []string{other}, start, time.Time{}, -3)
+	matched := Effect{
+		Label: "match", Start: start, Quality: 0.5, LoadMult: 0.7,
+		Match: func(e *netsim.Element) bool { return e.ID == id },
 	}
-	ref := New(net, cfg)
-	for i, k := range ks {
-		want := ref.Series(id, k)
-		for j := range want.Values {
-			if math.Float64bits(got[i].Values[j]) != math.Float64bits(want.Values[j]) {
-				t.Fatalf("%v at %d: SeriesFor %v, Series %v", k, j, got[i].Values[j], want.Values[j])
+	storm := extfactor.Stack{extfactor.RegionWeatherEvent{
+		Kind: extfactor.Thunderstorm, Region: netsim.Northeast,
+		Start: epoch.Add(5 * 24 * time.Hour), End: epoch.Add(12 * 24 * time.Hour), Severity: 1.5,
+	}}
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"ramped effect with load multiplier", func(c *Config) {
+			c.Effects = []Effect{ramped}
+			c.ElementNoiseAR = 0.6
+		}},
+		{"scaled with sensitivity", func(c *Config) {
+			c.Effects = []Effect{scaled}
+			c.ElementNoiseAR = 0.3
+			c.Factors = storm
+		}},
+		{"coupled neighbour", func(c *Config) {
+			c.Effects = []Effect{missed, coupled}
+			c.ElementNoiseAR = 0.6
+		}},
+		{"matched effect, white noise", func(c *Config) {
+			c.Effects = []Effect{matched, ramped}
+			c.ElementNoiseAR = 0
+		}},
+		{"no sampling noise", func(c *Config) {
+			c.Effects = []Effect{ramped, coupled, scaled}
+			c.DisableSamplingNoise = true
+			c.Factors = storm
+		}},
+	}
+	ks := kpi.All()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(ix)
+			tc.edit(&cfg)
+			g := New(net, cfg)
+			got := g.SeriesFor(id, ks)
+			if _, cached := g.counters[id]; cached {
+				t.Error("SeriesFor cached the element's counters")
 			}
-		}
+			ref := New(net, cfg)
+			for i, k := range ks {
+				want := ref.Series(id, k)
+				for j := range want.Values {
+					if math.Float64bits(got[i].Values[j]) != math.Float64bits(want.Values[j]) {
+						t.Fatalf("%v at %d: SeriesFor %v, Series %v", k, j, got[i].Values[j], want.Values[j])
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestSeriesForReusesOneSource pins the per-generator rand.Rand: each
 // stream reseeds it instead of allocating a ~4.9 KiB source. On a warm
 // region SeriesFor draws three streams (rates, sensitivity, series) and
-// keeps 2 + len(ks) allocations (the counters, the result slice, one
-// value slice per KPI); a source per stream would add three more.
+// keeps 1 + len(ks) allocations (the result slice and one value slice
+// per KPI); a source per stream would add three more.
 func TestSeriesForReusesOneSource(t *testing.T) {
 	net := testNetwork()
 	g := New(net, DefaultConfig(dailyIndex(30)))
@@ -294,9 +355,35 @@ func TestSeriesForReusesOneSource(t *testing.T) {
 	g.SeriesFor(id, ks) // warm the element's regional stress path
 	allocs := testing.AllocsPerRun(20, func() { g.SeriesFor(id, ks) })
 	const streams = 3
-	outputs := float64(2 + len(ks))
+	outputs := float64(1 + len(ks))
 	if allocs >= outputs+streams {
 		t.Errorf("SeriesFor allocates %v blocks for %v outputs: one source per stream or more, want fewer", allocs, outputs)
+	}
+}
+
+// TestSeriesForBytes pins what SeriesFor allocates on the serve tier's
+// grid (112 six-hour buckets): the KPIs' value slices and a little
+// bookkeeping, but no per-bucket counters (112 × 80 B). With the
+// counters slice, two KPIs read 11,392 B.
+func TestSeriesForBytes(t *testing.T) {
+	net := testNetwork()
+	const n = 112
+	g := New(net, DefaultConfig(timeseries.NewIndex(epoch, 6*time.Hour, n)))
+	id := net.OfKind(netsim.NodeB)[0]
+	ks := []kpi.KPI{kpi.VoiceRetainability, kpi.DataAccessibility}
+	g.SeriesFor(id, ks) // warm the element's regional stress path
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		g.SeriesFor(id, ks)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("SeriesFor: %d B for %d KPIs at N = %d", per, len(ks), n)
+	if limit := uint64(len(ks)*n*8 + 512); per > limit {
+		t.Errorf("SeriesFor allocates %d B, want at most %d", per, limit)
 	}
 }
 

@@ -116,36 +116,44 @@ func newWorld(key worldKey, c *compiledRequest) *world {
 // generator consumes no randomness for elements outside an effect's
 // scope, so every series is bit-identical to a world generated with this
 // effect alone. kpis are the request's KPIs, the only metrics callers
-// ask for; the memo fills them together on an element's first touch. The provider is for one
-// sequential panel assembly; the memo behind it is shared.
+// ask for; both memos fill them together on an element's first touch.
+// The provider is for one sequential panel assembly, so its own memo of
+// the change's elements needs no lock; the base memo behind it is shared.
 func (w *world) provider(change *changelog.Change, kpis []kpi.KPI) litmus.SeriesProvider {
 	effect := change.Effect(w.net) // covers exactly change.ImpactScope
 	cfg := w.gcfg
 	cfg.Effects = []gen.Effect{effect}
 	eg := gen.New(w.net, cfg)
+	own := map[seriesKey]litmus.Series{}
 	return litmus.ProviderFunc(func(id string, metric kpi.KPI) (litmus.Series, bool) {
 		if w.net.Element(id) == nil {
 			return litmus.Series{}, false
 		}
 		if effect.Elements[id] {
-			return eg.Series(id, metric), true
+			return memoSeries(own, eg, id, metric, kpis), true
 		}
 		return w.baseSeries(id, metric, kpis), true
 	})
 }
 
-// baseSeries returns the effect-free series of (id, metric). On a miss it
-// synthesizes the element's series for every KPI of kpis from one draw of
-// its counters and keeps only the series: retaining the counters too
-// measured +13 % peak RSS against +3–7 % for the series alone.
+// baseSeries returns the effect-free series of (id, metric) from the
+// world's memo. The memo keeps only the series, not the generator's
+// counters: retaining the counters too measured +13 % peak RSS against
+// +3–7 % for the series alone.
 func (w *world) baseSeries(id string, metric kpi.KPI, kpis []kpi.KPI) litmus.Series {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if s, ok := w.series[seriesKey{id, metric}]; ok {
+	return memoSeries(w.series, w.base, id, metric, kpis)
+}
+
+// memoSeries returns (id, metric) from memo. On a miss it synthesizes the
+// element's series for every KPI of kpis from one draw of g.
+func memoSeries(memo map[seriesKey]litmus.Series, g *gen.Generator, id string, metric kpi.KPI, kpis []kpi.KPI) litmus.Series {
+	if s, ok := memo[seriesKey{id, metric}]; ok {
 		return s
 	}
-	for i, s := range w.base.SeriesFor(id, kpis) {
-		w.series[seriesKey{id, kpis[i]}] = s
+	for i, s := range g.SeriesFor(id, kpis) {
+		memo[seriesKey{id, kpis[i]}] = s
 	}
-	return w.series[seriesKey{id, metric}]
+	return memo[seriesKey{id, metric}]
 }
