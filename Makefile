@@ -1,22 +1,26 @@
-# Build/verify targets for Litmus. `make ci` is what the GitHub Actions
-# workflow runs: vet, build, the full suite under the race detector
-# (exercising the assessment worker pool), and the fuzz seed corpora.
+# Build/verify targets for Litmus. `make ci` runs what the GitHub
+# Actions workflow's verify and chaos jobs run: vet, gofmt, build, the
+# suite plain and under the race detector (exercising the assessment
+# worker pool), the repeated pool, observability and allocation-bound
+# runs, the chaos suite, and the fuzz seed corpora.
 
 GO ?= go
 
-.PHONY: ci vet lint build test race race-pools race-obs alloc-bounds chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json bench-smoke serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
+.PHONY: ci vet fmt lint build test race race-pools race-obs alloc-bounds chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json bench-smoke serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
 
-ci: vet build test race chaos fuzz-seed
+ci: vet fmt build test race race-pools race-obs alloc-bounds chaos fuzz-seed
 
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet. gofmt must have nothing to rewrite.
-# staticcheck and govulncheck are optional locally (CI installs them);
-# the target skips whichever is missing rather than failing on a lean
-# toolchain.
-lint: vet
-	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "lint: gofmt -w the files above"; exit 1; }
+# gofmt must have nothing to rewrite; the target lists any file it would.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "fmt: gofmt -w the files above"; exit 1; }
+
+# Static analysis beyond vet and gofmt. staticcheck and govulncheck are
+# optional locally (CI installs them); the target skips whichever is
+# missing rather than failing on a lean toolchain.
+lint: vet fmt
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

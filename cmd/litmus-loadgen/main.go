@@ -73,7 +73,7 @@ func main() {
 		shardRun  = flag.Bool("shard", false, "run the sharded-serving benchmark (BENCH_9.json): 1 vs 3 in-process nodes")
 		shardRnds = flag.Int("shard-rounds", 5, "-shard: passes over the request corpus")
 		shardReqs = flag.Int("shard-requests", 120, "-shard: distinct requests per round (must exceed -shard-cache)")
-		shardCap  = flag.Int("shard-cache", 80, "-shard: per-node result-cache and job-retention size")
+		shardCap  = flag.Int("shard-cache", 80, "-shard: per-node bound on finished records, the result cache")
 	)
 	logFlags := obscli.RegisterLog("text")
 	flag.Parse()

@@ -4,8 +4,8 @@ package main
 // routing turns N nodes into one coherent cache of N× the capacity. The
 // same workload — R rounds over S distinct requests, issued through a
 // shard.Router — runs twice: against one node, then against three, each
-// node configured with a result cache (and job retention) of c entries
-// where c < S ≤ 3·c·(1 - imbalance slack). The single node LRU-thrashes:
+// node keeping c finished records (its result cache) where
+// c < S ≤ 3·c·(1 - imbalance slack). The single node LRU-thrashes:
 // every round re-evicts what the previous round cached, so all R·S
 // requests are computed. The three-node ring holds the whole working
 // set — each node owns ~S/3 ≤ c digests — so only the first round
@@ -44,20 +44,16 @@ type shardNode struct {
 	url        string
 }
 
-// shardCluster boots n in-process nodes, each with a result cache and
-// job-record retention of cache entries. Retention must not exceed the
-// cache: finished job records answer resubmissions before the cache is
-// consulted, so a larger retention would mask the eviction behavior the
-// benchmark is measuring.
+// shardCluster boots n in-process nodes, each keeping cache finished
+// records — its result cache.
 func shardCluster(n, cache int) ([]*shardNode, func()) {
 	nodes := make([]*shardNode, n)
 	for i := range nodes {
 		s := serve.New(serve.Config{
-			Workers:      1,
-			QueueDepth:   256,
-			CacheSize:    cache,
-			JobRetention: cache,
-			RetryAfter:   50 * time.Millisecond,
+			Workers:    1,
+			QueueDepth: 256,
+			CacheSize:  cache,
+			RetryAfter: 50 * time.Millisecond,
 		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

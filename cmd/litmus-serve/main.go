@@ -7,13 +7,14 @@
 //	litmus-serve -addr :8080
 //	curl -s localhost:8080/healthz
 //
-// Flags tune the queue depth, worker count, result-cache size, per-job
-// timeout and 429 Retry-After hint; -pprof mounts /debug/pprof on the
-// same listener. -journal-dir makes jobs durable: every submission and
-// completion is appended to a crash-safe journal there (segments rotate
-// at -journal-max-bytes), and on boot the journal is replayed —
-// completed results come back into the cache, unfinished jobs are
-// re-enqueued, and /readyz serves 503 "replaying" until replay lands.
+// Flags tune the queue depth, worker count, bound on finished records
+// (the result cache), per-job timeout and 429 Retry-After hint; -pprof
+// mounts /debug/pprof on the same listener. -journal-dir makes jobs
+// durable: every submission and completion is appended to a crash-safe
+// journal there (segments rotate at -journal-max-bytes), and on boot
+// the journal is replayed — completed results come back as done
+// records, unfinished jobs are re-enqueued, and /readyz serves 503
+// "replaying" until replay lands.
 // -flight-record turns on the flight recorder: the full
 // metrics registry is snapshotted every -flight-interval into rotating
 // binary segments under -flight-dir (decode them with litmus-rec).
@@ -51,7 +52,7 @@ func main() {
 		addr           = flag.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
 		queueDepth     = flag.Int("queue", 0, "submission queue depth (0 = default 64)")
 		workers        = flag.Int("workers", 0, "concurrent assessment jobs (0 = default 2)")
-		cacheSize      = flag.Int("cache", 0, "result cache size in entries (0 = default 256)")
+		cacheSize      = flag.Int("cache", 0, "finished records kept, the result cache: jobs, batch entries and replayed results, least recently used forgotten first (0 = default 1024)")
 		jobTimeout     = flag.Duration("job-timeout", 0, "per-job execution deadline (0 = default 5m)")
 		retryAfter     = flag.Duration("retry-after", 0, "backoff hint sent with 429 responses (0 = default 1s)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
@@ -77,16 +78,13 @@ func main() {
 	reg := obs.NewRegistry()
 	var jr *journal.Journal
 	if *journalDir != "" {
-		// Retain as many journaled results as the cache holds — replaying
-		// more than the cache can admit would be wasted journal space.
-		retain := *cacheSize
-		if retain <= 0 {
-			retain = 256
-		}
+		// Retain as many journaled results as the server keeps records —
+		// replaying more than it can hold would be wasted journal space.
+		// Both default to 1024.
 		jr, err = journal.Open(journal.Options{
 			Dir:             *journalDir,
 			MaxSegmentBytes: *journalMaxSeg,
-			RetainResults:   retain,
+			RetainResults:   *cacheSize,
 			Registry:        reg,
 		})
 		if err != nil {

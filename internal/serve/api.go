@@ -183,8 +183,8 @@ type compiledRequest struct {
 	maxCtrls int
 }
 
-// compile validates req and returns its compiled form. Every error is a
-// client error (HTTP 400).
+// compile validates req and returns its compiled form, leaving req
+// unchanged. Every error is a client error (HTTP 400).
 func compile(req *AssessRequest) (*compiledRequest, error) {
 	c := &compiledRequest{norm: *req}
 
@@ -296,9 +296,11 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 		}
 		c.kpis = append(c.kpis, k)
 	}
-	c.norm.KPIs = c.norm.KPIs[:0]
-	for _, k := range c.kpis {
-		c.norm.KPIs = append(c.norm.KPIs, k.String())
+	// A fresh slice: norm.KPIs starts out sharing req.KPIs' backing
+	// array, which compile must not write through.
+	c.norm.KPIs = make([]string, len(c.kpis))
+	for i, k := range c.kpis {
+		c.norm.KPIs[i] = k.String()
 	}
 
 	// Window.
@@ -386,16 +388,12 @@ func (c *compiledRequest) canonicalJSON() []byte {
 }
 
 // CanonicalJobID returns the job id req would get from POST /v1/assess
-// — the canonical request digest that keys the result cache and, for
+// — the canonical request digest that keys the job table and, for
 // sharded deployments, the consistent-hash routing key (see
 // shard.Router). req is not mutated. Every error is a validation error,
 // identical to the HTTP 400 the service would return.
 func CanonicalJobID(req *AssessRequest) (string, error) {
-	r := *req
-	// compile canonicalizes the KPI list in place; detach the slice so
-	// the caller's request stays untouched.
-	r.KPIs = append([]string(nil), req.KPIs...)
-	c, err := compile(&r)
+	c, err := compile(req)
 	if err != nil {
 		return "", err
 	}

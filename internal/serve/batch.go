@@ -8,12 +8,13 @@ package serve
 //
 // Cache interaction: every entry is canonicalized exactly like a single
 // POST /v1/assess submission — same normalization, same digest — so a
-// batch entry hits results cached by earlier singles (or earlier
-// batches), and the results a batch computes are cached under the
-// per-entry digests for future singles to hit. A batch of 1000 entries
-// of which 400 are cached computes only the 600 misses. Entry order
-// never changes per-entry digests, and duplicate entries within a batch
-// dedup onto one computation.
+// batch entry is answered by the done record of an earlier single (or
+// of an earlier batch's entry), and every entry a batch computes
+// becomes a done record under its digest, queryable at
+// GET /v1/jobs/{entry-id} and answering future singles. A batch of 1000
+// entries of which 400 have done records computes only the 600 misses.
+// Entry order never changes per-entry digests, and duplicate entries
+// within a batch dedup onto one computation.
 //
 // A single POST /v1/assess is the bare case of the same submission: one
 // entry whose digest is the job id. Both handlers decode, compile and
@@ -35,6 +36,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve/journal"
@@ -148,8 +150,8 @@ func bareSubmission(c *compiledRequest, id string) *submission {
 }
 
 // batchState is the execution state a job carries: the entry list, the
-// unique uncached entries to compute, and the results resolved from the
-// cache at submit time.
+// unique unanswered entries to compute, and the results resolved from
+// done records at submit time.
 type batchState struct {
 	entries  []batchDocEntry
 	pending  []pendingEntry
@@ -237,15 +239,6 @@ func (sub *submission) submitEntries(resolved map[string]cachedResult, allCached
 	return out
 }
 
-// entryCachedLocked resolves one entry digest against finished jobs and
-// the result cache. Callers hold the server mutex.
-func (s *Server) entryCachedLocked(digest string) (cachedResult, bool) {
-	if j, ok := s.jobs[digest]; ok && j.state == stateDone {
-		return cachedResult{result: j.result, degraded: j.degraded}, true
-	}
-	return s.cache.get(digest)
-}
-
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchAssessRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
@@ -297,10 +290,10 @@ type batchOutcome struct {
 // engine in the world slot's world, each reading its own change's
 // provider. A bare job assesses its one change with AssessChangeContext:
 // the assessment document is the job's result and a failure is the
-// job's failure. A batch job runs AssessBatch; its computed entries land
-// in the cache under the per-entry digests — the same keys single
-// submissions use — and the entries resolved at submit time are spliced
-// back into its result document.
+// job's failure. A batch job runs AssessBatch; each computed entry
+// becomes a done record under its digest — the id a single submission
+// of the change gets — and the entries resolved at submit time are
+// spliced back into its result document.
 func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar attemptResult, err error) {
 	bs := j.batch
 	outcomes := map[string]batchOutcome{}
@@ -367,15 +360,16 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 				outcomes[d] = batchOutcome{result: b, degraded: res.Results[i].Degraded}
 			}
 		}
-		// Populate the per-entry result cache so future singles and
-		// batches hit it, journaling each computed entry first: if the
-		// batch job itself is later cut short, the entries it finished
-		// still survive replay.
+		// Record each computed entry, in submission order, so future
+		// singles and batches hit it, journaling it first: if the batch
+		// job itself is later cut short, the entries it finished still
+		// survive replay. An entry record joins the batch job's trace.
+		now := time.Now()
 		s.mu.Lock()
-		for d, o := range outcomes {
-			if o.errText == "" {
+		for _, d := range digests {
+			if o := outcomes[d]; o.errText == "" {
 				s.journalAppendLocked(journal.Record{Kind: journal.KindComplete, Digest: d, Degraded: o.degraded, Payload: o.result})
-				s.cache.put(d, cachedResult{result: o.result, degraded: o.degraded})
+				s.storeDoneLocked(d, o.result, o.degraded, j.traceID, now)
 			}
 		}
 		s.mu.Unlock()

@@ -8,7 +8,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -17,9 +19,12 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
+
+	litmus "repro"
 )
 
 var updateBatchTrace = flag.Bool("update-batch-trace", false, "rewrite the golden batch trace fixture")
@@ -405,6 +410,145 @@ func TestBatchCacheInterop(t *testing.T) {
 	}
 	if got := counterValue(t, s.Registry(), obs.MetricBatchEntries) - entries1; got != 0 {
 		t.Errorf("resubmit recomputed %d entries, want 0", got)
+	}
+}
+
+// TestBatchEntriesAreRecords: every entry a batch computes becomes a
+// done record of its own. GET /v1/jobs/{entry-id} answers done and
+// cached under the batch job's trace, /result serves the entry's
+// indented document — equal, compacted, to the batch document's entry,
+// and for the golden entry to the single-submission fixture — and a
+// single resubmission of an entry joins the batch's trace.
+func TestBatchEntriesAreRecords(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	g := goldenRequest(t)
+	chOther := g.Change
+	chOther.ID = "CHG-OTHER"
+	chOther.Elements = otherStudyElements(t)
+	chOther.TrueQuality = -0.7
+
+	sub, _ := submitBatch(t, ts, goldenBatchRequest(t, []ChangeSpec{g.Change, chOther}))
+	bst := waitDone(t, ts, sub.ID)
+	if bst.Status != stateDone {
+		t.Fatalf("batch job finished %s: %s", bst.Status, bst.Error)
+	}
+	doc := fetchBatchResult(t, ts, sub.ID)
+	results := make([][]byte, len(sub.Entries))
+	for i, e := range sub.Entries {
+		st, code := getJob(t, ts, e.ID)
+		if code != http.StatusOK {
+			t.Fatalf("GET entry %d record: status %d, want 200", i, code)
+		}
+		if st.Status != stateDone || !st.Cached || st.TraceID != bst.TraceID {
+			t.Errorf("entry %d record = %s cached %v trace %s, want done, cached, batch trace %s", i, st.Status, st.Cached, st.TraceID, bst.TraceID)
+		}
+		raw, code := fetchResult(t, ts, e.ID)
+		if code != http.StatusOK {
+			t.Fatalf("entry %d result: status %d: %s", i, code, raw)
+		}
+		if !bytes.Equal(compactJSON(t, raw), doc.Entries[i].Assessment) {
+			t.Errorf("entry %d result differs from the batch document's entry", i)
+		}
+		results[i] = raw
+	}
+	if got := append(append([]byte(nil), results[0]...), '\n'); !bytes.Equal(got, goldenFixture(t)) {
+		t.Errorf("golden entry record differs from the golden fixture:\n%s", got)
+	}
+
+	single := *g
+	single.Change = chOther
+	sub2, resp2 := submit(t, ts, &single)
+	if resp2.StatusCode != http.StatusOK || !sub2.Cached || sub2.ID != sub.Entries[1].ID {
+		t.Fatalf("single resubmit of entry 1: status %d cached %v id %s", resp2.StatusCode, sub2.Cached, sub2.ID)
+	}
+	if got, ok := parseTraceparent(resp2.Header.Get(traceparentHeader)); !ok || got != bst.TraceID {
+		t.Errorf("single resubmit traceparent %q, want the batch trace %s", resp2.Header.Get(traceparentHeader), bst.TraceID)
+	}
+}
+
+// TestEntryNeverReplacesLiveJob: a batch entry computed while a bare job
+// of the same digest is queued leaves that job alone — it runs as
+// submitted, under its own trace, and its record holds its own result.
+func TestEntryNeverReplacesLiveJob(t *testing.T) {
+	s, ts := gatedServer(t, Config{Workers: 1})
+	// Registered after gatedServer's cleanup, so it runs first (LIFO)
+	// and frees a gated worker before Shutdown waits on the pool.
+	t.Cleanup(func() { close(s.testRelease) })
+	g := goldenRequest(t)
+
+	bsub, _ := submitBatch(t, ts, goldenBatchRequest(t, []ChangeSpec{g.Change}))
+	<-s.testStarted // the batch holds the worker; its entry pends
+	sub, resp := submit(t, ts, g)
+	if resp.StatusCode != http.StatusAccepted || sub.Cached || sub.ID != bsub.Entries[0].ID {
+		t.Fatalf("bare submit: status %d cached %v id %s, want a queued job for entry %s", resp.StatusCode, sub.Cached, sub.ID, bsub.Entries[0].ID)
+	}
+	bareTrace, _ := parseTraceparent(resp.Header.Get(traceparentHeader))
+
+	s.testRelease <- struct{}{}
+	if st := waitDone(t, ts, bsub.ID); st.Status != stateDone {
+		t.Fatalf("batch job finished %s: %s", st.Status, st.Error)
+	}
+	<-s.testStarted // the bare job now holds the worker
+	if st, _ := getJob(t, ts, sub.ID); st.Status != stateRunning || st.Cached || st.TraceID != bareTrace {
+		t.Fatalf("bare job after the batch = %s cached %v trace %s, want running, uncached, trace %s", st.Status, st.Cached, st.TraceID, bareTrace)
+	}
+
+	s.testRelease <- struct{}{}
+	if st := waitDone(t, ts, sub.ID); st.Status != stateDone || st.Cached {
+		t.Fatalf("bare job finished %s cached %v, want done, computed", st.Status, st.Cached)
+	}
+	raw, _ := fetchResult(t, ts, sub.ID)
+	if got := append(append([]byte(nil), raw...), '\n'); !bytes.Equal(got, goldenFixture(t)) {
+		t.Errorf("bare job result differs from the golden fixture:\n%s", got)
+	}
+	if n := counterValue(t, s.Registry(), obs.Labeled(obs.MetricJobs, "status", stateDone)); n != 2 {
+		t.Errorf("done jobs = %d, want 2 (the batch and the bare job)", n)
+	}
+}
+
+// TestEntryReplacesFailedJob: a batch entry computed after a bare job of
+// the same digest failed replaces the failed record, so the digest
+// answers done and a resubmission is a hit instead of a retry.
+func TestEntryReplacesFailedJob(t *testing.T) {
+	s := newServer(Config{Workers: 1})
+	// Bare jobs fail; batch jobs run the real executor.
+	s.testExecute = func(ctx context.Context, j *job) ([]byte, bool, []litmus.AssessmentFailureDoc, error) {
+		if j.bare {
+			return nil, false, nil, &permanentError{err: errors.New("bare job broken")}
+		}
+		ar, err := s.execute(ctx, nil, j)
+		return ar.result, ar.degraded, ar.failures, err
+	}
+	s.start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	g := goldenRequest(t)
+
+	sub, _ := submit(t, ts, g)
+	if st := waitDone(t, ts, sub.ID); st.Status != stateFailed {
+		t.Fatalf("bare job finished %s, want failed", st.Status)
+	}
+	bsub, _ := submitBatch(t, ts, goldenBatchRequest(t, []ChangeSpec{g.Change}))
+	if bsub.Entries[0].Cached {
+		t.Fatal("entry with a failed record resolved at submit")
+	}
+	bst := waitDone(t, ts, bsub.ID)
+	if st, code := getJob(t, ts, sub.ID); code != http.StatusOK || st.Status != stateDone || !st.Cached || st.TraceID != bst.TraceID {
+		t.Fatalf("record after the batch = %d %s cached %v trace %s, want the batch's done entry record", code, st.Status, st.Cached, st.TraceID)
+	}
+	if sub2, resp2 := submit(t, ts, g); resp2.StatusCode != http.StatusOK || !sub2.Cached {
+		t.Errorf("resubmit: status %d cached %v, want a 200 hit", resp2.StatusCode, sub2.Cached)
+	}
+	s.mu.Lock()
+	finished := s.finished.Len()
+	s.mu.Unlock()
+	if finished != 2 {
+		t.Errorf("recency list holds %d records, want 2 (the entry and the batch)", finished)
 	}
 }
 

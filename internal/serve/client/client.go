@@ -94,21 +94,9 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*
 // response (Cached reports a result-cache or in-flight dedup hit); any
 // other status is an *APIError — 429 carries the Retry-After hint.
 func (c *Client) Submit(ctx context.Context, req *serve.AssessRequest) (*serve.SubmitResponse, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("encoding request: %w", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/assess", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, decodeAPIError(resp)
-	}
 	var sub serve.SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return nil, fmt.Errorf("decoding submit response: %w", err)
+	if err := c.post(ctx, "/v1/assess", req, &sub); err != nil {
+		return nil, err
 	}
 	return &sub, nil
 }
@@ -116,71 +104,47 @@ func (c *Client) Submit(ctx context.Context, req *serve.AssessRequest) (*serve.S
 // SubmitBatch posts a changelog to POST /v1/assess/batch. The response
 // carries the batch job id plus per-entry digests and cached flags.
 func (c *Client) SubmitBatch(ctx context.Context, req *serve.BatchAssessRequest) (*serve.BatchSubmitResponse, error) {
+	var sub serve.BatchSubmitResponse
+	if err := c.post(ctx, "/v1/assess/batch", req, &sub); err != nil {
+		return nil, err
+	}
+	return &sub, nil
+}
+
+// post sends req as JSON to path and decodes a 200/202 response body
+// into out; any other status is an *APIError.
+func (c *Client) post(ctx context.Context, path string, req, out any) error {
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return nil, fmt.Errorf("encoding request: %w", err)
+		return fmt.Errorf("encoding request: %w", err)
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/assess/batch", bytes.NewReader(payload))
+	resp, err := c.do(ctx, http.MethodPost, path, bytes.NewReader(payload))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, decodeAPIError(resp)
+		return decodeAPIError(resp)
 	}
-	var sub serve.BatchSubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return nil, fmt.Errorf("decoding batch submit response: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("decoding %s response: %w", path, err)
 	}
-	return &sub, nil
+	return nil
 }
 
 // AssessBatch submits a changelog and blocks until the batch job
 // finishes, returning the decoded per-entry result document. Queue-full
 // 429s are retried after the server's Retry-After hint.
 func (c *Client) AssessBatch(ctx context.Context, req *serve.BatchAssessRequest) (*serve.BatchResultDoc, error) {
-	var sub *serve.BatchSubmitResponse
-	for {
-		var err error
-		sub, err = c.SubmitBatch(ctx, req)
-		if err == nil {
-			break
-		}
-		apiErr, ok := err.(*APIError)
-		if !ok || apiErr.StatusCode != http.StatusTooManyRequests {
-			return nil, err
-		}
-		wait := apiErr.RetryAfter
-		if wait <= 0 {
-			wait = time.Second
-		}
-		if err := sleepCtx(ctx, wait); err != nil {
-			return nil, err
-		}
+	raw, err := c.await(ctx, "/v1/assess/batch", req)
+	if err != nil {
+		return nil, err
 	}
-	for {
-		st, err := c.Job(ctx, sub.ID)
-		if err != nil {
-			return nil, err
-		}
-		switch st.Status {
-		case "done":
-			raw, err := c.Result(ctx, sub.ID)
-			if err != nil {
-				return nil, err
-			}
-			var doc serve.BatchResultDoc
-			if err := json.Unmarshal(raw, &doc); err != nil {
-				return nil, fmt.Errorf("decoding batch result: %w", err)
-			}
-			return &doc, nil
-		case "failed":
-			return nil, fmt.Errorf("job %s failed: %s", sub.ID, st.Error)
-		}
-		if err := sleepCtx(ctx, c.PollInterval); err != nil {
-			return nil, err
-		}
+	var doc serve.BatchResultDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, fmt.Errorf("decoding batch result: %w", err)
 	}
+	return &doc, nil
 }
 
 // Ready probes GET /readyz. nil means the node is accepting work; a
@@ -236,10 +200,19 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 // after the server's Retry-After hint; job status is polled at
 // PollInterval. Cancel ctx to give up.
 func (c *Client) Assess(ctx context.Context, req *serve.AssessRequest) ([]byte, error) {
-	var sub *serve.SubmitResponse
+	return c.await(ctx, "/v1/assess", req)
+}
+
+// await is the submit-and-wait path of Assess and AssessBatch: it posts
+// req to path until the service accepts it, waiting out each queue-full
+// 429 for the server's Retry-After hint, then polls the job's status at
+// PollInterval and returns the finished job's result bytes.
+func (c *Client) await(ctx context.Context, path string, req any) ([]byte, error) {
+	var sub struct {
+		ID string `json:"id"`
+	}
 	for {
-		var err error
-		sub, err = c.Submit(ctx, req)
+		err := c.post(ctx, path, req, &sub)
 		if err == nil {
 			break
 		}

@@ -2,12 +2,14 @@ package client
 
 // End-to-end tests driving a real service instance through the typed
 // client: the golden scenario must come back bit-identical to the
-// committed fixture, and Assess must ride out 429 backpressure using
-// the server's Retry-After hint.
+// committed fixture, alone and as a batch entry, and Assess and
+// AssessBatch must ride out 429 backpressure using the server's
+// Retry-After hint.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -166,6 +168,82 @@ func TestAssessRidesOutBackpressure(t *testing.T) {
 		}
 		if len(results[i]) == 0 {
 			t.Errorf("call %d: empty result", i)
+		}
+	}
+}
+
+// goldenBatch wraps the golden request's shared fields around changes.
+func goldenBatch(t *testing.T, changes ...serve.ChangeSpec) *serve.BatchAssessRequest {
+	g := goldenRequest(t)
+	return &serve.BatchAssessRequest{
+		Topology: g.Topology, Generator: g.Generator, Index: g.Index, Changes: changes,
+		KPIs: g.KPIs, WindowDays: g.WindowDays, Assessor: g.Assessor, Controls: g.Controls,
+	}
+}
+
+// TestAssessBatchGolden: AssessBatch submits, polls and decodes the batch
+// document; the golden entry carries the committed fixture's document,
+// compacted by the embedding.
+func TestAssessBatchGolden(t *testing.T) {
+	c := newService(t, serve.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	other := goldenRequest(t).Change
+	other.ID = "CHG-OTHER"
+	other.At = "2012-03-16T00:00:00Z"
+	doc, err := c.AssessBatch(ctx, goldenBatch(t, goldenRequest(t).Change, other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Entries) != 2 {
+		t.Fatalf("batch document has %d entries, want 2", len(doc.Entries))
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "golden_assessment.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := []byte(doc.Entries[0].Assessment); !bytes.Equal(got, compact.Bytes()) {
+		t.Errorf("golden batch entry deviates from the golden fixture:\ngot:\n%s\nwant:\n%s", got, compact.Bytes())
+	}
+	if e := doc.Entries[1]; e.Error != "" || len(e.Assessment) == 0 || e.ChangeID != other.ID {
+		t.Errorf("second entry = %+v, want an assessment of %s", e, other.ID)
+	}
+}
+
+// TestAssessBatchRidesOutBackpressure floods a tiny queue with
+// concurrent AssessBatch calls; the client must absorb the 429s
+// (honoring Retry-After) and every call must land its document.
+func TestAssessBatchRidesOutBackpressure(t *testing.T) {
+	c := newService(t, serve.Config{Workers: 1, QueueDepth: 1, RetryAfter: 10 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	const calls = 6
+	var wg sync.WaitGroup
+	errs := make([]error, calls)
+	docs := make([]*serve.BatchResultDoc, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := goldenBatch(t, goldenRequest(t).Change)
+			req.Generator = &serve.GeneratorSpec{Seed: int64(200 + i)} // distinct batches: no dedup shortcut
+			docs[i], errs[i] = c.AssessBatch(ctx, req)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < calls; i++ {
+		if errs[i] != nil {
+			t.Errorf("call %d: %v", i, errs[i])
+			continue
+		}
+		if len(docs[i].Entries) != 1 || len(docs[i].Entries[0].Assessment) == 0 {
+			t.Errorf("call %d: document %+v, want one assessed entry", i, docs[i])
 		}
 	}
 }

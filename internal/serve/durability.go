@@ -7,18 +7,18 @@ package serve
 // mutex is held — so a job's submit always precedes its completion in
 // the journal, and a completion is journaled before it becomes
 // client-visible. Batch jobs additionally journal each computed entry
-// under its per-entry digest the moment it lands in the cache, so a
+// under its per-entry digest the moment it becomes a done record, so a
 // batch cut short by a crash or hard stop keeps the entries it
 // finished.
 //
 // Read path (boot): replayJournal folds the journal down to each
-// digest's final state, then (1) resurrects every completed result as a
-// done job record and a cache entry, and (2) re-enqueues every
-// submission that never reached a terminal result. Resurrection runs
-// first so re-enqueued batches resolve their entries against the
-// replayed cache. /readyz serves 503 "replaying" until both passes
-// finish. By the determinism contract a replayed result is bit-identical
-// to a recomputed one, so replay only ever skips work.
+// digest's final state, then (1) restores every completed result as a
+// done record, and (2) re-enqueues every submission that never reached
+// a terminal result. Restoring runs first so re-enqueued batches
+// resolve their entries against the replayed records. /readyz serves
+// 503 "replaying" until both passes finish. By the determinism contract
+// a replayed result is bit-identical to a recomputed one, so replay
+// only ever skips work.
 //
 // Append errors are logged and otherwise ignored: durability is
 // best-effort, serving is not — a full disk degrades the journal, never
@@ -34,12 +34,12 @@ import (
 
 // ReplayDone returns a channel closed once boot journal replay has
 // finished; it is closed immediately for servers without a journal.
-// Callers that need the replayed cache (routers, tests) wait on it
+// Callers that need the replayed results (routers, tests) wait on it
 // instead of polling /readyz.
 func (s *Server) ReplayDone() <-chan struct{} { return s.replayDone }
 
 // ReplayedResults returns how many completed results boot replay
-// repopulated into the result cache.
+// restored as done records.
 func (s *Server) ReplayedResults() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -80,7 +80,7 @@ func (s *Server) replayJournal() {
 	// Fold the record stream down to each digest's final state, exactly
 	// like the journal's own compactor: a later submit re-pends a digest,
 	// a cancellation keeps it pending, a failure drops it (deterministic
-	// failures are neither resurrected nor re-run), a completed result
+	// failures are neither restored nor re-run), a completed result
 	// supersedes everything before it.
 	states := map[string]*replayFinal{}
 	var order []string // first-seen digest order
@@ -108,8 +108,9 @@ func (s *Server) replayJournal() {
 		s.cfg.Logger.Error("journal replay failed", "error", err)
 	}
 
-	// Pass 1: resurrect completed results, oldest first so cache recency
-	// ends up matching journal order.
+	// Pass 1: restore completed results, oldest first so recency ends
+	// up matching journal order. A record a racing submission created
+	// wins.
 	now := time.Now()
 	var replayed int
 	for _, d := range order {
@@ -118,21 +119,10 @@ func (s *Server) replayJournal() {
 			continue
 		}
 		s.mu.Lock()
-		if _, ok := s.jobs[d]; ok {
+		if !s.storeDoneLocked(d, st.result, st.degraded, newTraceID(), now) {
 			s.mu.Unlock()
 			continue
 		}
-		j := newJob(d, false, now)
-		j.state = stateDone
-		j.cached = true
-		j.degraded = st.degraded
-		j.finished = now
-		j.result = st.result
-		j.traceID = newTraceID()
-		close(j.done)
-		s.jobs[d] = j
-		s.recordFinishedLocked(j)
-		s.cache.put(d, cachedResult{result: st.result, degraded: st.degraded})
 		s.replayed++
 		replayed = s.replayed
 		s.mu.Unlock()
@@ -198,10 +188,6 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 			s.mu.Unlock()
 			return false
 		}
-		if _, ok := s.cache.get(id); ok {
-			s.mu.Unlock()
-			return false
-		}
 		// The job is registered only once the send succeeds: a job
 		// registered on a full queue would stay "queued" forever, and the
 		// next pass would give up on it as already live. A worker cannot
@@ -221,9 +207,9 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 
 // replayJobLocked builds the job record for one re-enqueued submission;
 // the caller registers it once the job is on the queue. Batch entries
-// resolve against the cache at this moment — replayed results count as
-// hits, so a re-enqueued batch only recomputes what the crash actually
-// lost. Callers hold the server mutex.
+// resolve against done records at this moment — replayed results count
+// as hits, so a re-enqueued batch only recomputes what the crash
+// actually lost. Callers hold the server mutex.
 func (s *Server) replayJobLocked(id string, sub *submission, now time.Time) *job {
 	j := newJob(id, sub.bare, now)
 	j.traceID = newTraceID()

@@ -149,11 +149,27 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 }
 
 // TestDegradedJobSurfaced: a partial result finishes done with the
-// degraded flag set — in the job status, the jobs metric, and the
-// cached entry a later resubmit resurrects.
+// degraded flag set — in the job status, the jobs metric, a resubmission
+// answered by the live record, and a batch entry resolved from that
+// record, whose batch document and batch job carry the flag too.
 func TestDegradedJobSurfaced(t *testing.T) {
-	s, ts := newHookedServer(t, Config{JobRetention: 1}, func(context.Context, *job) ([]byte, bool, error) {
-		return []byte(`{"degraded": true}`), true, nil
+	s := newServer(Config{})
+	// Bare jobs return a degraded stub; batch jobs run the real executor,
+	// which splices the resolved entry into the batch document.
+	s.testExecute = func(ctx context.Context, j *job) ([]byte, bool, []litmus.AssessmentFailureDoc, error) {
+		if !j.bare {
+			ar, err := s.execute(ctx, nil, j)
+			return ar.result, ar.degraded, ar.failures, err
+		}
+		return []byte(`{"degraded": true}`), true, nil, nil
+	}
+	s.start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
 	})
 
 	req := requestWithSeed(t, 8501)
@@ -175,16 +191,32 @@ func TestDegradedJobSurfaced(t *testing.T) {
 		t.Errorf(`jobs{status="done"} = %d, want 0 (degraded replaces done)`, n)
 	}
 
-	// Age the record out (retention 1), then resubmit: the resurrected
-	// job must carry the degraded flag from the cache, not recompute.
-	sub2, _ := submit(t, ts, requestWithSeed(t, 8502))
-	waitDone(t, ts, sub2.ID)
-	sub3, resp3 := submit(t, ts, req)
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("resubmit: status = %d, want 200 cache hit", resp3.StatusCode)
+	// A resubmission is answered by the live record, flag and all.
+	sub2, resp2 := submit(t, ts, req)
+	if resp2.StatusCode != http.StatusOK || !sub2.Cached || sub2.ID != sub.ID {
+		t.Fatalf("resubmit: status %d cached %v id %s, want a 200 hit on %s", resp2.StatusCode, sub2.Cached, sub2.ID, sub.ID)
 	}
-	if st := waitDone(t, ts, sub3.ID); !st.Degraded || !st.Cached {
-		t.Errorf("resurrected job: degraded=%v cached=%v, want both true", st.Degraded, st.Cached)
+	if st := waitDone(t, ts, sub2.ID); !st.Degraded {
+		t.Error("record answering the resubmission lost the degraded flag")
+	}
+
+	// A batch entry resolved from the record carries the flag into the
+	// batch document and the batch job, without recomputing.
+	breq := goldenBatchRequest(t, []ChangeSpec{req.Change})
+	breq.Generator = req.Generator
+	bsub, _ := submitBatch(t, ts, breq)
+	if !bsub.Entries[0].Cached || bsub.Entries[0].ID != sub.ID {
+		t.Fatalf("batch entry at submit = %+v, want resolved from %s", bsub.Entries[0], sub.ID)
+	}
+	if st := waitDone(t, ts, bsub.ID); st.Status != stateDone || !st.Degraded {
+		t.Errorf("batch job: status %s degraded %v, want done and degraded", st.Status, st.Degraded)
+	}
+	doc := fetchBatchResult(t, ts, bsub.ID)
+	if e := doc.Entries[0]; !e.Cached || !e.Degraded {
+		t.Errorf("resolved batch entry: cached %v degraded %v, want both true", e.Cached, e.Degraded)
+	}
+	if n := counterValue(t, s.Registry(), obs.Labeled(obs.MetricJobs, "status", "degraded")); n != 2 {
+		t.Errorf(`jobs{status="degraded"} = %d, want 2 (the job and the batch; no recompute)`, n)
 	}
 }
 

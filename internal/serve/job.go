@@ -1,8 +1,11 @@
 package serve
 
-// Job and cache bookkeeping. All mutable job state is guarded by the
-// server mutex; result bytes are immutable once set, so handlers can
-// hand them to the response writer without copying.
+// Job bookkeeping. A job record is both the unit of work and, once
+// done, the cached result of its digest: the server keeps one table of
+// records and one recency list of the finished ones (server.go). All
+// mutable job state is guarded by the server mutex; result bytes are
+// immutable once set, so handlers can hand them to the response writer
+// without copying.
 
 import (
 	"container/list"
@@ -31,12 +34,12 @@ type job struct {
 	// jobs are changelog jobs (POST /v1/assess/batch).
 	bare bool
 	// batch holds the per-entry identities, the unique uncached entries
-	// to compute, and the results resolved from the cache at submit
-	// time. Nil only for results resurrected by journal replay.
+	// to compute, and the results resolved from done records at submit
+	// time. Nil for records born done (see storeDoneLocked).
 	batch *batchState
 
 	state     string
-	cached    bool // answered from the result cache, no computation
+	cached    bool // born done: a batch entry or a replayed result, no run of its own
 	degraded  bool // done, but with isolated per-KPI/per-element failures
 	submitted time.Time
 	started   time.Time
@@ -58,20 +61,15 @@ type job struct {
 	spans    []*obs.FrozenSpan
 	failures []litmus.AssessmentFailureDoc
 
-	// finishedElem is this job's node in the server's finished order,
-	// nil while the job has never finished or is back in flight after a
-	// retry. Tracking the element keeps the order duplicate-free, so
-	// retention evicts by true completion recency.
+	// finishedElem is this job's node in the server's recency list of
+	// finished records, nil while the job has never finished or is back
+	// in flight after a retry. Tracking the element keeps the list
+	// duplicate-free, so the bound evicts by true recency.
 	finishedElem *list.Element
-
-	// done is closed when the job reaches a terminal state (done or
-	// failed) — the in-process wait hook used by drains and tests. A
-	// failed job that is resubmitted gets a fresh channel for the retry.
-	done chan struct{}
 }
 
 func newJob(id string, bare bool, now time.Time) *job {
-	return &job{id: id, bare: bare, state: stateQueued, submitted: now, done: make(chan struct{})}
+	return &job{id: id, bare: bare, state: stateQueued, submitted: now}
 }
 
 // status renders the job's API view. Callers hold the server mutex.
@@ -88,57 +86,10 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// cachedResult is one cache entry: the canonical result bytes plus the
-// degraded flag, so a resurrected job's status stays truthful without
-// re-parsing the document.
+// cachedResult is a done record's result bytes and degraded flag, as a
+// batch entry resolved at submit time carries them: the bytes are
+// immutable, so eviction of the record cannot outrun the batch.
 type cachedResult struct {
 	result   []byte
 	degraded bool
 }
-
-// lruCache is a size-bounded least-recently-used map from canonical
-// request hash to result bytes. Not safe for concurrent use — the
-// server mutex guards it.
-type lruCache struct {
-	capacity int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-}
-
-type lruEntry struct {
-	key string
-	val cachedResult
-}
-
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{capacity: capacity, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns the cached value and refreshes its recency.
-func (c *lruCache) get(key string) (cachedResult, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		return cachedResult{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-// put inserts or refreshes a value, evicting the least recently used
-// entry beyond capacity.
-func (c *lruCache) put(key string, val cachedResult) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).val = val
-		return
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
-	}
-}
-
-// len returns the number of cached results.
-func (c *lruCache) len() int { return c.ll.Len() }

@@ -32,9 +32,10 @@ type Options struct {
 	// (default DefaultMaxSegmentBytes).
 	MaxSegmentBytes int64
 	// RetainResults bounds how many completed results compaction keeps
-	// (newest first; default DefaultRetainResults). Callers align it
-	// with the serve tier's result-cache size so the journal retains
-	// what a boot can actually repopulate.
+	// (newest first; default DefaultRetainResults, the serve tier's
+	// default CacheSize). Callers align it with the server's CacheSize,
+	// the bound on its finished records, so the journal retains what a
+	// boot can actually restore.
 	RetainResults int
 	// Registry receives the journal counters
 	// (litmus_journal_{appends,compactions}_total). Nil records nothing.
@@ -250,9 +251,9 @@ func (j *Journal) Replay(fn func(Record) error) error {
 //     on the next boot; the canceled-complete marker is dropped.
 //   - done: only the newest done complete survives, and only for the
 //     newest RetainResults completed digests overall — the journal
-//     mirrors the serve tier's cache bound instead of growing without
-//     limit.
-//   - failed: nothing survives. Replay neither resurrects nor
+//     mirrors the serve tier's bound on finished records instead of
+//     growing without limit.
+//   - failed: nothing survives. Replay neither restores nor
 //     re-enqueues deterministic failures, so their records carry no
 //     information past compaction; a later resubmit re-pends the digest
 //     (the fold is order-aware).

@@ -43,7 +43,7 @@
 // complete for a digest but the newest; every submit whose digest has a
 // terminal complete) and expiring all but the newest
 // Options.RetainResults completed results — mirroring the serve tier's
-// cache/retention bounds. Compaction writes a temporary file and
+// bound on finished records. Compaction writes a temporary file and
 // renames it into place, so a crash mid-compaction leaves either the
 // old segments or the compacted one, never a mix; stale temporaries are
 // removed on Open.

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -572,6 +573,46 @@ func TestCanonicalHash(t *testing.T) {
 	}
 }
 
+// TestCompileLeavesRequestUnchanged: canonicalizing a request sorts and
+// dedups a copy of its KPI list. compile, compileBatch and
+// CanonicalJobID must leave the caller's request — its KPI slice
+// included — exactly as submitted: the batch handler journals the
+// request document it decoded.
+func TestCompileLeavesRequestUnchanged(t *testing.T) {
+	kpis := []string{"voice-retainability", "data-accessibility", "voice-retainability"}
+	req := goldenRequest(t)
+	req.KPIs = append([]string(nil), kpis...)
+	batch := goldenBatchRequest(t, []ChangeSpec{req.Change, req.Change})
+	batch.KPIs = append([]string(nil), kpis...)
+	snapshot := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	wantReq, wantBatch := snapshot(req), snapshot(batch)
+
+	if _, err := compile(req); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot(req); got != wantReq {
+		t.Errorf("compile rewrote its request: KPIs %v, want %v", req.KPIs, kpis)
+	}
+	if _, err := CanonicalJobID(req); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot(req); got != wantReq {
+		t.Errorf("CanonicalJobID rewrote its request: KPIs %v, want %v", req.KPIs, kpis)
+	}
+	if _, err := compileBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshot(batch); got != wantBatch {
+		t.Errorf("compileBatch rewrote its request: KPIs %v, want %v", batch.KPIs, kpis)
+	}
+}
+
 func mustHash(t *testing.T, req *AssessRequest) string {
 	t.Helper()
 	c, err := compile(req)
@@ -581,69 +622,83 @@ func mustHash(t *testing.T, req *AssessRequest) string {
 	return c.hash()
 }
 
-// TestLRUCacheEviction covers the cache in isolation: recency refresh
-// and size-bounded eviction.
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.put("a", cachedResult{result: []byte("A")})
-	c.put("b", cachedResult{result: []byte("B")})
-	if _, ok := c.get("a"); !ok { // refresh a; b is now LRU
-		t.Fatal("a missing")
+// TestStoreEvictsLeastRecentlyUsed: with CacheSize 2 the server keeps
+// two finished records. A resubmission answered by a record makes it
+// the most recently used and a GET does not, so the next finish evicts
+// the record only read: its GET answers 404, and resubmitting it
+// recomputes.
+func TestStoreEvictsLeastRecentlyUsed(t *testing.T) {
+	var calls atomic.Int64
+	s, ts := newHookedServer(t, Config{Workers: 1, CacheSize: 2}, func(_ context.Context, j *job) ([]byte, bool, error) {
+		calls.Add(1)
+		return []byte(`{"stub":"` + j.id + `"}`), false, nil
+	})
+	run := func(seed int64) string {
+		t.Helper()
+		sub, _ := submit(t, ts, requestWithSeed(t, seed))
+		if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
+			t.Fatalf("job %d finished %s", seed, st.Status)
+		}
+		return sub.ID
 	}
-	c.put("c", cachedResult{result: []byte("C")}) // evicts b
-	if _, ok := c.get("b"); ok {
-		t.Error("b survived eviction")
+	a, b := run(5001), run(5002)
+
+	// A hit refreshes a; reading b does not refresh it.
+	subA, respA := submit(t, ts, requestWithSeed(t, 5001))
+	if respA.StatusCode != http.StatusOK || !subA.Cached || subA.ID != a {
+		t.Fatalf("resubmit a: status=%d id=%s cached=%v, want a 200 hit on %s", respA.StatusCode, subA.ID, subA.Cached, a)
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a evicted despite recency refresh")
+	if _, code := getJob(t, ts, b); code != http.StatusOK {
+		t.Fatalf("GET b: status %d, want 200", code)
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	run(5003) // evicts b, the least recently used
+
+	if _, code := getJob(t, ts, b); code != http.StatusNotFound {
+		t.Errorf("evicted record b: status %d, want 404", code)
+	}
+	if _, code := fetchResult(t, ts, b); code != http.StatusNotFound {
+		t.Errorf("evicted result b: status %d, want 404", code)
+	}
+	if st, code := getJob(t, ts, a); code != http.StatusOK || st.Status != stateDone {
+		t.Errorf("refreshed record a: status %d %s, want 200 done", code, st.Status)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("executor ran %d times before the resubmit, want 3", n)
+	}
+
+	// Resubmitting b is new work.
+	subB, respB := submit(t, ts, requestWithSeed(t, 5002))
+	if respB.StatusCode != http.StatusAccepted || subB.Cached {
+		t.Fatalf("resubmit b: status=%d cached=%v, want 202 uncached", respB.StatusCode, subB.Cached)
+	}
+	waitDone(t, ts, b)
+	if jobs := counterValue(t, s.Registry(), obs.Labeled(obs.MetricJobs, "status", "done")); jobs != 4 {
+		t.Errorf("done jobs = %d, want 4 (the evicted record recomputes)", jobs)
+	}
+	s.mu.Lock()
+	records, finished := len(s.jobs), s.finished.Len()
+	s.mu.Unlock()
+	if records != 2 || finished != 2 {
+		t.Errorf("store holds %d records, %d finished, want 2 and 2", records, finished)
 	}
 }
 
-// TestCacheOutlivesJobRetention: with retention of one job record, the
-// first job's record ages out — but a resubmit still hits the result
-// cache and resurrects a done job.
-func TestCacheOutlivesJobRetention(t *testing.T) {
-	s := New(Config{Workers: 1, JobRetention: 1})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-
-	subA, _ := submit(t, ts, requestWithSeed(t, 5001))
-	if st := waitDone(t, ts, subA.ID); st.Status != stateDone {
-		t.Fatalf("job A finished %s", st.Status)
-	}
-	subB, _ := submit(t, ts, requestWithSeed(t, 5002))
-	if st := waitDone(t, ts, subB.ID); st.Status != stateDone {
-		t.Fatalf("job B finished %s", st.Status)
-	}
-
-	// A's record is gone (retention 1)…
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + subA.ID)
+// getJob fetches GET /v1/jobs/{id}: the decoded status (zero unless
+// 200) and the response code.
+func getJob(t *testing.T, ts *httptest.Server, id string) (JobStatus, int) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("aged-out job: status = %d, want 404", resp.StatusCode)
+	defer resp.Body.Close()
+	var st JobStatus
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// …but resubmitting A is still a cache hit served without recompute.
-	subA2, respA2 := submit(t, ts, requestWithSeed(t, 5001))
-	if respA2.StatusCode != http.StatusOK || !subA2.Cached || subA2.ID != subA.ID {
-		t.Fatalf("resubmit after retention: status=%d id=%s cached=%v", respA2.StatusCode, subA2.ID, subA2.Cached)
-	}
-	if _, code := fetchResult(t, ts, subA.ID); code != http.StatusOK {
-		t.Errorf("resurrected result: status = %d, want 200", code)
-	}
-	if jobs := counterValue(t, s.Registry(), obs.Labeled(obs.MetricJobs, "status", "done")); jobs != 2 {
-		t.Errorf("done jobs = %d, want 2 (resurrection must not recompute)", jobs)
-	}
+	return st, resp.StatusCode
 }
 
 // TestJobFailureSurfaces: a request that compiles but cannot build its
@@ -675,10 +730,8 @@ func failingRequest(t *testing.T, seed int64) *AssessRequest {
 }
 
 // TestFailedJobRetryCompletes: resubmitting a failed job must re-run it
-// to a terminal state. The retry gets a fresh done channel — the first
-// run already closed the old one, so reusing it would panic the worker
-// with a double close — and the finished order holds the job at most
-// once across retries, so retention evicts by true recency.
+// to a terminal state, and the recency list holds the job at most once
+// across retries, so the bound evicts by true recency.
 func TestFailedJobRetryCompletes(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	req := failingRequest(t, 7001)

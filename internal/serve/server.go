@@ -31,12 +31,14 @@ type Config struct {
 	// Each job additionally fans its sampling iterations out over the
 	// assessor's own worker pool.
 	Workers int
-	// CacheSize bounds the LRU result cache (default 256 results).
+	// CacheSize bounds the finished records the server keeps (default
+	// 1024): done and failed jobs and batches, batch entries and results
+	// replayed from the journal. The records are the result cache — a
+	// submission whose digest has a done record is answered from it —
+	// and beyond the bound the least recently used is forgotten first. A
+	// record is used when it finishes and when it answers a submission
+	// or a batch entry; GETs do not count.
 	CacheSize int
-	// JobRetention bounds how many finished job records stay queryable
-	// (default 1024; oldest finished jobs are forgotten first — their
-	// results may still live in the cache).
-	JobRetention int
 	// JobTimeout is the per-job execution deadline (default 5m). The
 	// deadline propagates through AssessChangeContext, so a stuck job
 	// stops between sampling iterations.
@@ -52,7 +54,7 @@ type Config struct {
 	EnablePprof bool
 	// Journal, when non-nil, makes jobs durable: every submission and
 	// completion is appended to the journal, and on boot the server
-	// replays it — completed results repopulate the result cache and
+	// replays it — completed results come back as done records and
 	// unfinished jobs are re-enqueued (see durability.go). The caller
 	// owns the journal's lifecycle: Open it before New, Close it after
 	// Shutdown returns. /readyz reports 503 "replaying" until replay
@@ -74,11 +76,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 2
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 256
-	}
-	if c.JobRetention == 0 {
-		c.JobRetention = 1024
+	if c.CacheSize <= 0 {
+		c.CacheSize = 1024
 	}
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 5 * time.Minute
@@ -96,8 +95,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the Litmus assessment service: HTTP API, bounded job queue,
-// worker pool, LRU result cache. Create with New, mount Handler, stop
-// with Shutdown.
+// worker pool, and one bounded store of job records that is also the
+// result cache. Create with New, mount Handler, stop with Shutdown.
 type Server struct {
 	cfg Config
 	reg *obs.Registry
@@ -112,14 +111,16 @@ type Server struct {
 	journal    *journal.Journal
 	replayDone chan struct{}
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// jobs holds every record by digest: queued, running and finished
+	// jobs, batch entries and replayed results. finished lists the
+	// finished ones least recently used first; keepLocked bounds it.
 	jobs        map[string]*job
-	finished    *list.List // job ids in completion order, oldest first
-	cache       *lruCache
+	finished    *list.List
 	queue       chan *job
 	draining    bool
 	queueClosed bool
-	replayed    int // completed results repopulated by boot replay
+	replayed    int // completed results restored by boot replay
 
 	wg sync.WaitGroup
 
@@ -151,7 +152,6 @@ func newServer(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		jobs:     make(map[string]*job),
 		finished: list.New(),
-		cache:    newLRUCache(cfg.CacheSize),
 		queue:    make(chan *job, cfg.QueueDepth),
 	}
 	s.journal = cfg.Journal
@@ -296,20 +296,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 type submitResult struct {
 	code   int    // 200 when the job is done, 202 otherwise
 	status string // the job's state after this submission
-	// cached reports a submission answered by a done job or the result
-	// cache, or deduplicated onto an identical job in flight.
+	// cached reports a submission answered by a done record, or
+	// deduplicated onto an identical job in flight.
 	cached bool
-	// resolved holds the entries answered from the cache at submit time
-	// (never a bare entry: the job-level checks answer that).
+	// resolved holds the entries answered by done records at submit
+	// time (never a bare entry: the job-level checks answer that).
 	resolved map[string]cachedResult
 }
 
 // submit runs one submission — bare or batch — through the job table:
-// a done job answers it from the cache, an identical job in flight
-// absorbs it, a failed job is retried with it, a result cached after
-// its job record aged out resurrects the job, and anything else becomes
-// a new queued job. Entries resolve against the cache under the lock,
-// so the per-entry flags describe this moment and a new job carries the
+// a done record answers it, an identical job in flight absorbs it, a
+// failed job is retried with it, and anything else becomes a new queued
+// job. Entries resolve against done records under the lock, so the
+// per-entry flags describe this moment and a new job carries the
 // resolved bytes, so eviction cannot outrun it. On backpressure or
 // drain it writes the error response itself and returns ok=false.
 // payload renders the journal's submit record, only when one is
@@ -331,47 +330,25 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, id string, sub *
 	// bs becomes the job's, which runJob clears: count it under the lock.
 	pending := len(bs.pending)
 	j, known := s.jobs[id]
-	var hit cachedResult
-	inCache := false
-	if !known {
-		hit, inCache = s.cache.get(id)
-	}
-	switch {
-	case known && j.state != stateFailed:
+	if known && j.state != stateFailed {
 		// The same canonical submission is done — a pure cache hit, the
 		// result bytes are identical by the determinism contract — or in
 		// flight, and deduplicated onto it instead of queueing duplicate
 		// work.
 		if j.state == stateDone {
-			s.cache.get(id) // refresh recency
+			s.keepLocked(j)
 		}
 		res.status, res.cached, traceID = j.state, true, j.traceID
-	case inCache:
-		// The job record aged out but the result is still cached:
-		// resurrect a done job around the cached bytes.
-		j = newJob(id, sub.bare, now)
-		bs.pending = nil
-		j.batch = bs
-		j.state = stateDone
-		j.cached = true
-		j.degraded = hit.degraded
-		j.finished = now
-		j.result = hit.result
-		j.traceID = traceID
-		close(j.done)
-		s.jobs[id] = j
-		s.recordFinishedLocked(j)
-		res.status, res.cached = stateDone, true
-	default:
+	} else {
 		// A new job, or a retry of a failed one (the failure may have
 		// been a timeout or a drain-time cancellation). A failed record
-		// is reset for the new run only once the enqueue succeeds: a
-		// fresh done channel (the old one is closed), cleared lifecycle
-		// fields, and removal from the finished order so retention cannot
-		// evict the job while it is back in flight. On the 429 path the
-		// job is left failed and retryable. The retry is new work: it
-		// carries this submission's entries (the cache may have filled
-		// since the failed run) and belongs to the resubmitter's trace.
+		// is reset for the new run only once the enqueue succeeds:
+		// cleared lifecycle fields, and removal from the recency list so
+		// the bound cannot evict the job while it is back in flight. On
+		// the 429 path the job is left failed and retryable. The retry is
+		// new work: it carries this submission's entries (more of them
+		// may have done records since the failed run) and belongs to the
+		// resubmitter's trace.
 		if !known {
 			j = newJob(id, sub.bare, now)
 		}
@@ -379,7 +356,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, id string, sub *
 			return res, false
 		}
 		if known {
-			j.done = make(chan struct{})
 			j.started, j.finished = time.Time{}, time.Time{}
 			j.result, j.degraded = nil, false
 			j.attempts, j.retries = 0, 0
@@ -423,18 +399,18 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, id string, sub *
 	return res, true
 }
 
-// stateLocked resolves a submission's entries against finished jobs and
-// the result cache: the execution state of a job running it. A bare
-// entry is the job itself, answered by the job-level checks, so it
-// always pends. Callers hold the server mutex.
+// stateLocked resolves a submission's entries against done records —
+// each one answering an entry becomes the most recently used — and
+// returns the execution state of a job running it. A bare entry is the
+// job itself, answered by the job-level checks, so it always pends.
+// Callers hold the server mutex.
 func (s *Server) stateLocked(sub *submission) *batchState {
 	bs := &batchState{entries: sub.entries, resolved: map[string]cachedResult{}}
 	for _, pe := range sub.unique {
-		if !sub.bare {
-			if cr, ok := s.entryCachedLocked(pe.digest); ok {
-				bs.resolved[pe.digest] = cr
-				continue
-			}
+		if j, ok := s.jobs[pe.digest]; ok && j.state == stateDone && !sub.bare {
+			s.keepLocked(j)
+			bs.resolved[pe.digest] = cachedResult{result: j.result, degraded: j.degraded}
+			continue
 		}
 		bs.pending = append(bs.pending, pe)
 	}
@@ -474,23 +450,42 @@ func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) boo
 	}
 }
 
-// recordFinishedLocked marks j finished: it moves the job to the back
-// of the finished order (appending on first finish) and forgets the
-// oldest finished jobs beyond the retention bound. Element tracking
-// keeps each job in the order at most once, so re-finishes (cache
-// resurrection, failed-job retries) refresh recency instead of
-// duplicating entries.
-func (s *Server) recordFinishedLocked(j *job) {
+// keepLocked makes the finished record j the most recently used: it
+// moves j to the back of the recency list (appending a record new to
+// it) and forgets the least recently used records beyond CacheSize.
+// Element tracking keeps each record in the list at most once, so
+// re-finishes (failed-job retries) and hits refresh recency instead of
+// duplicating entries. Callers hold the server mutex.
+func (s *Server) keepLocked(j *job) {
 	if j.finishedElem != nil {
 		s.finished.MoveToBack(j.finishedElem)
 	} else {
-		j.finishedElem = s.finished.PushBack(j.id)
+		j.finishedElem = s.finished.PushBack(j)
 	}
-	for s.finished.Len() > s.cfg.JobRetention {
-		oldest := s.finished.Front()
-		s.finished.Remove(oldest)
-		delete(s.jobs, oldest.Value.(string))
+	for s.finished.Len() > s.cfg.CacheSize {
+		oldest := s.finished.Remove(s.finished.Front()).(*job)
+		delete(s.jobs, oldest.id)
 	}
+}
+
+// storeDoneLocked records a result computed or replayed outside a job
+// of its own — a batch entry, a completed digest from the journal — as
+// a record of digest id born done: it never runs, so it has no entries
+// and reports cached. It does not replace a record that is queued,
+// running or done: a job in flight keeps its identity, and a done
+// record already holds the same bytes. It replaces a failed record. It
+// reports whether it stored the record. Callers hold the server mutex.
+func (s *Server) storeDoneLocked(id string, result []byte, degraded bool, traceID string, now time.Time) bool {
+	if old, ok := s.jobs[id]; ok {
+		if old.state != stateFailed {
+			return false
+		}
+		s.finished.Remove(old.finishedElem)
+	}
+	j := &job{id: id, state: stateDone, cached: true, degraded: degraded, submitted: now, finished: now, result: result, traceID: traceID}
+	s.jobs[id] = j
+	s.keepLocked(j)
+	return true
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -553,7 +548,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	select {
 	case <-s.replayDone:
 	default:
-		// Boot replay is still repopulating the cache: not ready yet.
+		// Boot replay is still restoring done records: not ready yet.
 		// The count is live, so pollers see replay progress.
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":          "replaying",
@@ -669,15 +664,10 @@ func (s *Server) runJob(j *job) {
 		j.state = stateDone
 		j.degraded = ar.degraded
 		j.result = ar.result
-		s.cache.put(j.id, cachedResult{result: ar.result, degraded: ar.degraded})
 	}
-	s.recordFinishedLocked(j)
+	s.keepLocked(j)
 	latency := j.finished.Sub(j.submitted)
 	run := j.finished.Sub(j.started)
-	// Close under the mutex so the close pairs with the done channel
-	// this run owned — a concurrent retry resubmit swaps in a fresh
-	// channel only between terminal states, never mid-run.
-	close(j.done)
 	s.mu.Unlock()
 
 	s.reg.Counter(obs.Labeled(obs.MetricJobs, "status", statusLabel)).Add(1)

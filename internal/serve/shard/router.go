@@ -505,15 +505,12 @@ func (rt *Router) assess(ctx context.Context, id string, req *serve.AssessReques
 	defer timer.Stop()
 	bctx, bcancel := context.WithCancel(ctx)
 	defer bcancel()
-	outstanding, hedged := 1, false
+	outstanding := 1
 	var firstErr error
 	for {
 		select {
 		case <-timer.C:
-			if hedged {
-				continue
-			}
-			hedged = true
+			// The timer fires at most once, so this hedges once.
 			rt.hedges.Add(1)
 			rt.reg.Counter(obs.MetricRouterHedges).Add(1)
 			outstanding++
@@ -534,11 +531,9 @@ func (rt *Router) assess(ctx context.Context, id string, req *serve.AssessReques
 				firstErr = r.err
 			}
 			if outstanding == 0 {
-				if !hedged {
-					// The primary walked the whole sequence and failed
-					// before the hedge armed; a backup would only repeat it.
-					return nil, firstErr
-				}
+				// Every side failed. A primary that failed before the
+				// hedge armed walked the whole sequence; a backup would
+				// only repeat it.
 				return nil, firstErr
 			}
 			// One side failed while the other is still running: let the
