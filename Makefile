@@ -43,13 +43,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Repeated race run over the engine's process-wide working-set pools
-# (internal/core/scratch.go), which every concurrent assessment shares:
-# the pool tests (poisoned fit arenas and unit working sets, the group,
-# element and batch paths, concurrent panel shapes) and the worker-count
-# equivalence suites of the engine and the batch path, ten times each.
+# Repeated race run over the engine's process-wide working-set pools and
+# sample cache (internal/core/scratch.go), which every concurrent
+# assessment shares: the pool tests (poisoned fit arenas and unit working
+# sets, the group, element and batch paths, concurrent panel shapes, the
+# sample cache's keys and byte bound), the bit-equivalence tests of the
+# buffer forms the pooled working sets feed (Fligner–Policello,
+# DesignMatrixInto) and the worker-count equivalence suites of the
+# engine and the batch path, ten times each.
 race-pools:
-	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core .
+	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core ./internal/stats ./internal/timeseries .
 
 # Focused race run over the observability layer: the concurrent
 # metrics-registry and scope tests plus the instrumented pipeline, then
@@ -61,12 +64,12 @@ race-obs:
 	$(GO) test -race -count=10 -run 'Freeze|Trace' ./internal/obs ./internal/serve
 
 # Every allocation-bound test, twenty runs each: the span, selection,
-# per-iteration and per-element budgets of the engine, and the network
-# build and series synthesis budgets of the world path. The bounds are
+# per-iteration, per-element and per-element byte budgets of the engine,
+# and the network build and series synthesis budgets of the world path. The bounds are
 # calibrated on one toolchain and a marginal one flakes rarely, so
 # twenty runs show it before it fails on main.
 alloc-bounds:
-	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestAssessElementAllocs|TestBuildBytesPerElement|TestSeriesForBytes)$$' \
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestBuildBytesPerElement|TestSeriesForBytes)$$' \
 		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen
 
 # Chaos suite under the race detector: every fault injector through the

@@ -156,9 +156,6 @@ type Assessor struct {
 	// obs is the optional observability scope; nil (the default) is the
 	// zero-overhead fast path. See WithObserver.
 	obs *obs.Scope
-	// rt carries the deterministic sample cache (see scratch.go);
-	// shared by WithObserver-derived assessors.
-	rt *runtimeState
 }
 
 // NewAssessor returns an assessor with cfg (zero fields defaulted). It
@@ -167,7 +164,7 @@ func NewAssessor(cfg Config) (*Assessor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Assessor{cfg: cfg.withDefaults(), rt: newRuntimeState()}, nil
+	return &Assessor{cfg: cfg.withDefaults()}, nil
 }
 
 // MustNewAssessor is NewAssessor for known-good configurations.
@@ -192,7 +189,7 @@ func (a *Assessor) WithObserver(scope *obs.Scope) *Assessor {
 	if scope == nil {
 		return a
 	}
-	return &Assessor{cfg: a.cfg, obs: scope, rt: a.rt}
+	return &Assessor{cfg: a.cfg, obs: scope}
 }
 
 // Observer returns the scope the assessor records into (nil when
@@ -285,47 +282,53 @@ func rSquaredAtRows(fb []float64, rows []int, y []float64) float64 {
 	return 1 - ssr/sst
 }
 
-// finishElement turns the gathered per-iteration fits into the element
+// finishElement turns the element's per-iteration fits into its
 // verdict: aggregate forecasts, forecast differences, the rank-order test
-// with its autocorrelation correction, and the impact decision.
-func (a *Assessor) finishElement(sc *obs.Scope, elementID string, metric kpi.KPI, yBefore, yAfter timeseries.Series, fits []iterFit) (ElementResult, error) {
-	iters := len(fits)
-	yb := yBefore.Values
-	ya := yAfter.Values
-	forecastsB := make([][]float64, 0, iters)
-	forecastsA := make([][]float64, 0, iters)
-	r2s := make([]float64, 0, iters)
+// with its autocorrelation correction, and the impact decision. It reads
+// the ok slots of the fits of e's source (e itself, or its twin), in
+// iteration order, in place in their arena and works in s, the finishing
+// worker's unit working set, so it allocates only the forecasts and
+// differences the result keeps. The source's medians are computed once,
+// by the first of it and its twins to finish, and copied by the others.
+func (a *Assessor) finishElement(sc *obs.Scope, s *unitScratch, e *groupElement) (ElementResult, error) {
+	src := e.source()
+	fits := src.fits.fits
+	ok := 0
 	for it := range fits {
-		if !fits[it].ok {
-			continue
+		if fits[it].ok {
+			ok++
 		}
-		forecastsB = append(forecastsB, fits[it].fb)
-		forecastsA = append(forecastsA, fits[it].fa)
-		r2s = append(r2s, fits[it].r2)
 	}
-	sc.Counter(obs.MetricIterationsFailed).Add(int64(iters - len(forecastsB)))
-	if len(forecastsB) == 0 {
-		return ElementResult{}, fmt.Errorf("%w (%d attempted)", ErrAllIterationsFailed, iters)
+	sc.Counter(obs.MetricIterationsFailed).Add(int64(len(fits) - ok))
+	if ok == 0 {
+		return ElementResult{}, fmt.Errorf("%w (%d attempted)", ErrAllIterationsFailed, len(fits))
 	}
 
 	agg := sc.Child(obs.SpanAggregate)
-	medB := a.aggregate(forecastsB, yBefore.Len())
-	medA := a.aggregate(forecastsA, yAfter.Len())
-
-	diffB := make([]float64, len(yb))
-	for i := range yb {
-		diffB[i] = yb[i] - medB[i]
+	yBefore, yAfter := e.yBefore, e.yAfter
+	lenB, lenA := yBefore.Len(), yAfter.Len()
+	s.col = growFloats(s.col, ok)
+	src.medOnce.Do(func() { src.kept = a.medians(s, fits, ok, lenB, lenA) })
+	kept := src.kept
+	if src != e {
+		kept = make([]float64, 2*(lenB+lenA))
+		copy(kept, src.kept[:lenB+lenA])
 	}
-	diffA := make([]float64, len(ya))
-	for i := range ya {
-		diffA[i] = ya[i] - medA[i]
+	medB, medA := carve(&kept, lenB), carve(&kept, lenA)
+	diffB, diffA := carve(&kept, lenB), carve(&kept, lenA)
+	for i, y := range yBefore.Values {
+		diffB[i] = y - medB[i]
+	}
+	for i, y := range yAfter.Values {
+		diffA[i] = y - medA[i]
 	}
 	agg.End()
 
-	cleanB := dropNonFinite(diffB)
-	cleanA := dropNonFinite(diffA)
+	s.cleanB, s.cleanA = finiteInto(s.cleanB, diffB), finiteInto(s.cleanA, diffA)
+	cleanB, cleanA := s.cleanB, s.cleanA
 	rank := sc.Child(obs.SpanRankTest)
-	test, err := a.runTest(cleanB, cleanA)
+	s.rank = growFloats(s.rank, 2*(len(cleanB)+len(cleanA)))
+	test, err := a.runTest(cleanB, cleanA, s.rank)
 	if err != nil {
 		rank.End()
 		// %w keeps the stats sentinel (ErrSampleTooSmall/ErrDegenerate)
@@ -343,7 +346,7 @@ func (a *Assessor) finishElement(sc *obs.Scope, elementID string, metric kpi.KPI
 	}
 	rank.End()
 	sc.Histogram(obs.MetricPValue, obs.PValueBuckets).Observe(test.P)
-	// cleanA/cleanB and r2s are dead after these medians, so the in-place
+	// cleanA and cleanB are dead after these medians, so the in-place
 	// (quickselect) form is safe; DiffBefore/DiffAfter keep the original
 	// order in separate storage.
 	shift := stats.MedianInPlace(cleanA) - stats.MedianInPlace(cleanB)
@@ -351,16 +354,23 @@ func (a *Assessor) finishElement(sc *obs.Scope, elementID string, metric kpi.KPI
 	if a.cfg.EffectFloor > 0 && math.Abs(shift) < a.cfg.EffectFloor {
 		dir = 0
 	}
+	// The ok fits' R² values, in iteration order, in the column buffer.
+	r2s := s.col[:0]
+	for it := range fits {
+		if fits[it].ok {
+			r2s = append(r2s, fits[it].r2)
+		}
+	}
 
 	return ElementResult{
 		Verdict: Verdict{
-			Impact:    kpi.ImpactOfShift(metric, dir),
+			Impact:    kpi.ImpactOfShift(e.metric, dir),
 			Statistic: test.Statistic,
 			P:         test.P,
 			Shift:     shift,
 		},
-		ElementID:      elementID,
-		KPI:            metric,
+		ElementID:      e.id,
+		KPI:            e.metric,
 		FitR2:          stats.MedianInPlace(r2s),
 		ForecastBefore: timeseries.NewSeries(yBefore.Index, medB),
 		ForecastAfter:  timeseries.NewSeries(yAfter.Index, medA),
@@ -386,15 +396,16 @@ func (a *Assessor) AssessGroupContext(ctx context.Context, studies *timeseries.P
 	return res[0], errs[0]
 }
 
-// runTest applies the configured two-sample test.
-func (a *Assessor) runTest(before, after []float64) (stats.TestResult, error) {
+// runTest applies the configured two-sample test. The Fligner–Policello
+// test works in buf, of 2·(len(before)+len(after)) values.
+func (a *Assessor) runTest(before, after, buf []float64) (stats.TestResult, error) {
 	switch a.cfg.Test {
 	case TestMannWhitney:
 		return stats.MannWhitney(before, after)
 	case TestWelch:
 		return stats.WelchT(before, after)
 	default:
-		return stats.FlignerPolicello(before, after)
+		return stats.FlignerPolicelloBuf(before, after, buf)
 	}
 }
 
@@ -427,42 +438,52 @@ func sampleColumns(rng *rand.Rand, n, k int) []int {
 	return cols
 }
 
-// aggregate combines per-iteration forecasts per the configuration.
-func (a *Assessor) aggregate(forecasts [][]float64, length int) []float64 {
-	if a.cfg.Aggregation == AggregateMean {
-		return pointwiseMean(forecasts, length)
-	}
-	return pointwiseMedian(forecasts, length)
-}
-
-// pointwiseMean returns the per-position mean across the forecasts — the
-// non-robust ablation combiner.
-func pointwiseMean(forecasts [][]float64, length int) []float64 {
-	out := make([]float64, length)
-	for i := 0; i < length; i++ {
-		var s float64
-		for _, f := range forecasts {
-			s += f[i]
+// medians returns an element's result storage, 2·(lenB+lenA) values,
+// with the combined forecasts of the ok fits (ok of them) in its first
+// lenB+lenA: the before window's, then the after window's. The rest is
+// left for the forecast differences. s.col must hold ok values.
+func (a *Assessor) medians(s *unitScratch, fits []iterFit, ok, lenB, lenA int) []float64 {
+	// The ok fits' before-window forecasts, then their after-window ones.
+	rows := s.rows[:0]
+	for it := range fits {
+		if fits[it].ok {
+			rows = append(rows, fits[it].fb)
 		}
-		out[i] = s / float64(len(forecasts))
 	}
-	return out
+	for it := range fits {
+		if fits[it].ok {
+			rows = append(rows, fits[it].fa)
+		}
+	}
+	s.rows = rows
+	kept := make([]float64, 2*(lenB+lenA))
+	a.aggregate(kept[:lenB], rows[:ok], s.col)
+	a.aggregate(kept[lenB:lenB+lenA], rows[ok:], s.col)
+	clear(rows) // the pooled scratch must not keep the arena reachable
+	return kept
 }
 
-// pointwiseMedian returns the per-position median across the given
-// equal-length forecast vectors.
-func pointwiseMedian(forecasts [][]float64, length int) []float64 {
-	out := make([]float64, length)
-	buf := make([]float64, len(forecasts))
-	for i := 0; i < length; i++ {
+// aggregate writes into out, per timepoint, the combination across
+// forecasts (one window of every ok fit, in iteration order): the
+// median, or the mean of the non-robust ablation. col is scratch of
+// len(forecasts) values, refilled at every timepoint, so the quickselect
+// permutation is harmless and the full sort is avoided.
+func (a *Assessor) aggregate(out []float64, forecasts [][]float64, col []float64) {
+	col = col[:len(forecasts)]
+	for i := range out {
 		for j, f := range forecasts {
-			buf[j] = f[i]
+			col[j] = f[i]
 		}
-		// buf is rebuilt from scratch each timepoint, so the quickselect
-		// permutation is harmless and the full sort is avoided.
-		out[i] = stats.MedianInPlace(buf)
+		if a.cfg.Aggregation == AggregateMean {
+			var s float64
+			for _, v := range col {
+				s += v
+			}
+			out[i] = s / float64(len(col))
+			continue
+		}
+		out[i] = stats.MedianInPlace(col)
 	}
-	return out
 }
 
 // pooledLag1 estimates the lag-1 autocorrelation of the forecast
@@ -488,9 +509,10 @@ func finiteRows(xs []float64) []int {
 	return out
 }
 
-// dropNonFinite removes NaN/Inf values.
-func dropNonFinite(xs []float64) []float64 {
-	out := make([]float64, 0, len(xs))
+// finiteInto copies the finite values of xs, in order, into buf's
+// storage (grown to len(xs) when short) and returns them.
+func finiteInto(buf, xs []float64) []float64 {
+	out := growFloats(buf, len(xs))[:0]
 	for _, v := range xs {
 		if !math.IsNaN(v) && !math.IsInf(v, 0) {
 			out = append(out, v)

@@ -428,13 +428,26 @@ func TestSampleColumnsProperties(t *testing.T) {
 	}
 }
 
+// TestPointwiseMedian checks the per-timepoint aggregation, median and
+// mean, and that it leaves the forecasts as they were.
 func TestPointwiseMedian(t *testing.T) {
-	med := pointwiseMedian([][]float64{
+	forecasts := [][]float64{
 		{1, 10},
 		{2, 20},
 		{300, 30},
-	}, 2)
-	if med[0] != 2 || med[1] != 20 {
-		t.Errorf("pointwiseMedian = %v, want [2 20]", med)
+	}
+	col := make([]float64, len(forecasts))
+	for _, c := range []struct {
+		agg  Aggregation
+		want []float64
+	}{{AggregateMedian, []float64{2, 20}}, {AggregateMean, []float64{101, 20}}} {
+		got := make([]float64, 2)
+		MustNewAssessor(Config{Aggregation: c.agg}).aggregate(got, forecasts, col)
+		if got[0] != c.want[0] || got[1] != c.want[1] {
+			t.Errorf("%v aggregate = %v, want %v", c.agg, got, c.want)
+		}
+	}
+	if forecasts[2][0] != 300 || forecasts[0][1] != 10 {
+		t.Errorf("aggregate rewrote its forecasts: %v", forecasts)
 	}
 }

@@ -26,14 +26,28 @@ package core
 // operations in the same order, and the accept/resample decision depends
 // on the design alone (resample.go).
 //
+// An element's fits depend only on its design and its fit observations,
+// and its forecast medians only on its fits. So an element on the shared
+// design whose before window is bit-identical to an earlier one's — in a
+// batch, the same element under several changes at one change time,
+// whose effects begin at the change — is a twin: it reads the earlier
+// element's fits and medians instead of fitting again, and computes only
+// its own forecast differences and rank test. A batch of N changes over
+// S distinct (study, change time) signatures thus fits each element once
+// per signature, not once per change.
+//
 // Each group makes two flat, index-addressed fan-outs at Config.Workers:
 // one over its iterations, then one over its elements for aggregation
 // and the rank test (finishElement). No fan-out runs inside another.
+// Each worker keeps one unit working set from unitPool through both
+// (scratch.go), and the group's two control designs are built once into
+// worker 0's.
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,8 +88,46 @@ type groupElement struct {
 	err             error     // validation error; the element is not fitted
 	shared          bool      // fitted on the group's shared design
 	ybFit           []float64 // the before window at the design's fit rows
-	fits            *fitArena
-	levSkipped      atomic.Int64
+	fitHash         uint64    // hash of ybFit on the shared design
+	// twin is the earlier element of the group whose fits and medians
+	// this one reads (see the file comment); nil when it fits itself.
+	twin       *groupElement
+	fits       *fitArena
+	levSkipped atomic.Int64
+	// medOnce computes, for the element and its twins, the forecast
+	// medians into kept, the element's own result storage (finishElement).
+	medOnce sync.Once
+	kept    []float64
+}
+
+// source returns the element whose fits and medians e reads.
+func (e *groupElement) source() *groupElement {
+	if e.twin != nil {
+		return e.twin
+	}
+	return e
+}
+
+// hashBits hashes the bit patterns of xs (FNV-1a over 64-bit words).
+func hashBits(xs []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range xs {
+		h = (h ^ math.Float64bits(v)) * 1099511628211
+	}
+	return h
+}
+
+// sameBits reports whether a and b hold the same bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // AssessFactorGroup assesses every member of one factor group against
@@ -164,6 +216,9 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 	defer sc.End()
 
 	iters, n := a.cfg.Iterations, controls.Len()
+	// Each worker holds one unit working set through both fan-outs.
+	units := make(workerUnits, max(a.cfg.Workers, 1))
+	defer units.release()
 	elems = make([]groupElement, total)
 	var shared *design
 	var designs []*design
@@ -193,6 +248,16 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 				}
 				d = shared
 				e.shared, e.ybFit = true, e.yBefore.Values
+				e.fitHash = hashBits(e.ybFit)
+				for _, o := range shared.elems {
+					if o.fitHash == e.fitHash && o.yAfter.Len() == e.yAfter.Len() && sameBits(o.ybFit, e.ybFit) {
+						e.twin = o
+						break
+					}
+				}
+				if e.twin != nil {
+					continue
+				}
 			} else {
 				d = &design{k: a.sampleSize(n, len(rows)), fitRows: rows, partial: true}
 				designs = append(designs, d)
@@ -207,24 +272,31 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 	}
 
 	if len(designs) > 0 {
-		xBefore, xAfter := controls.SplitAt(changeAt)
-		xb, xa := xBefore.DesignMatrix(), xAfter.DesignMatrix()
-		for _, d := range designs {
-			d.samples = a.samplesFor(n, d.k)
+		// The group's control designs on the before and after windows,
+		// read by every worker.
+		ix, u := controls.Index(), units.get(0)
+		pos := ix.SearchPos(changeAt)
+		xb := controls.DesignMatrixInto(&u.ctlB, 0, pos)
+		xa := controls.DesignMatrixInto(&u.ctlA, pos, ix.N)
+		// Designs mostly share k: draw each k's samples once.
+		for i, d := range designs {
+			for _, prev := range designs[:i] {
+				if prev.k == d.k {
+					d.samples = prev.samples
+					break
+				}
+			}
+			if d.samples == nil {
+				d.samples = a.samplesFor(n, d.k)
+			}
 		}
 		cancelable := ctx.Done() != nil
-		// Each worker holds one unit working set for the whole fan-out.
-		units := make([]*unitScratch, max(a.cfg.Workers, 1))
 		sampling := sc.Child(obs.SpanSampling)
 		forEach(a.cfg.Workers, iters, func(w, it int) {
 			if cancelable && ctx.Err() != nil {
 				return
 			}
-			s := units[w]
-			if s == nil {
-				s = unitPool.Get().(*unitScratch)
-				units[w] = s
-			}
+			s := units.get(w)
 			for _, d := range designs {
 				if a.factor(s, it, n, xb, xa, d) {
 					fitIteration(s, it, d)
@@ -232,11 +304,6 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 			}
 		})
 		sampling.End()
-		for _, s := range units {
-			if s != nil {
-				unitPool.Put(s)
-			}
-		}
 		for _, d := range designs {
 			sc.Counter(obs.MetricBeforeFactorizations).Add(d.factorized.Load())
 			sc.Counter(obs.MetricControlsSampled).Add(int64(iters * d.k))
@@ -253,7 +320,7 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 	}
 
 	results = make([]ElementResult, total)
-	forEach(a.cfg.Workers, len(elems), func(_, i int) {
+	forEach(a.cfg.Workers, len(elems), func(w, i int) {
 		e := &elems[i]
 		esc := sc.Child(obs.SpanAssessElement)
 		esc.SetAttr("element", e.id)
@@ -263,12 +330,18 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 		}
 		if e.err == nil {
 			esc.Counter(obs.MetricIterations).Add(int64(iters))
-			esc.Counter(obs.MetricLeverageSkipped).Add(e.levSkipped.Load())
-			results[i], e.err = a.finishElement(esc, e.id, e.metric, e.yBefore, e.yAfter, e.fits.fits)
-			e.fits.release()
+			esc.Counter(obs.MetricLeverageSkipped).Add(e.source().levSkipped.Load())
+			results[i], e.err = a.finishElement(esc, units.get(w), e)
 		}
 		esc.End()
 	})
+	// Twins read their source's arena, so every arena outlives the
+	// fan-out.
+	for i := range elems {
+		if elems[i].fits != nil {
+			elems[i].fits.release()
+		}
+	}
 	if shared != nil {
 		factorized = shared.factorized.Load()
 	}
@@ -279,7 +352,7 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 // its fit rows: nil when its before window is fully observed (it fits on
 // the group's shared design), else the before-window rows where the
 // study observation exists (missing control observations are
-// median-imputed by DesignMatrix). Its errors reach result documents as
+// median-imputed by DesignMatrixInto). Its errors reach result documents as
 // failure details.
 func (a *Assessor) fitRows(study, yBefore, yAfter timeseries.Series, controls *timeseries.Panel) ([]int, error) {
 	if !study.Index.Equal(controls.Index()) {

@@ -69,7 +69,7 @@ func TestSamplesForMatchesSampleColumns(t *testing.T) {
 	allocs := func(iters int) float64 {
 		b := MustNewAssessor(Config{Seed: 42, Iterations: iters})
 		return testing.AllocsPerRun(10, func() {
-			delete(b.rt.samples, sampleKey{n, k}) // force a recomputation
+			forgetSamples() // force a recomputation
 			b.samplesFor(n, k)
 		})
 	}
@@ -225,7 +225,8 @@ func TestGroupSharedMatchesPerElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, res := range g.PerElement {
-		solo := MustNewAssessor(Config{}) // fresh assessor: no shared cache
+		forgetSamples() // the solo run draws its samples afresh
+		solo := MustNewAssessor(Config{})
 		want, err := solo.AssessElement(res.ElementID, studies.MustSeries(res.ElementID), controls, changeAt, kpi.VoiceRetainability)
 		if err != nil {
 			t.Fatal(err)

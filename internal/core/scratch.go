@@ -1,35 +1,49 @@
 package core
 
-// Reusable memory of the regression hot path. Every computed assessment
+// Reusable memory of the assessment hot path. Every computed assessment
 // runs Iterations × (design build + QR factorize + solve + leverages)
-// per factor group and keeps every element's per-iteration forecasts
-// for the median; done naively that is dozens of heap allocations per
-// iteration. Two mechanisms bring it to (amortized) zero:
+// per factor group, keeps every element's per-iteration forecasts for
+// the median, and finishes each element with medians, forecast
+// differences and a rank test; done naively that is dozens of heap
+// allocations per iteration and a dozen per element. Two mechanisms
+// bring what a warm assessment allocates down to what its result keeps:
 //
 //   - process-wide working-set pools, shared by every assessor (the
 //     serve tier builds a new assessor per job, so a pool on the
 //     assessor would never outlive a job). fitPool holds one element's
 //     per-iteration forecast slots, acquired when the group kernel
-//     validates the element and released when finishElement has copied
-//     what it keeps; unitPool holds one work unit's working set — one
-//     iteration's sampled designs, factorization, leverages and solve
-//     vectors — which each worker of a group's iteration fan-out takes
-//     for the whole fan-out and returns at its end.
+//     validates the element (a twin, which reads another element's
+//     fits, takes none) and released when the group's element fan-out
+//     is done; unitPool holds one worker's working set for both of a
+//     group's fan-outs (workerUnits): the iteration fan-out's sampled
+//     designs, factorization, leverages and solve vectors, and the
+//     element fan-out's median column, finite forecast differences and
+//     rank-test buffer. Worker 0's working set also holds the
+//     group's two control designs, built once per group straight from
+//     the control panel's before and after rows.
 //     Slot state is reset on acquire (fit slots) or before each design
 //     build (the unit's leverages), and every float buffer is fully
 //     overwritten before it is read, so a recycled buffer never leaks
 //     into a result. The pools hold one group's elements' arenas plus
-//     one unit working set per worker, at the largest panel shape; the
+//     one working set per worker, at the largest panel shape; the
 //     garbage collector drains what goes unused. Taking a working set
 //     per worker rather than per unit keeps the race detector, whose
 //     sync.Pool drops a quarter of its Puts, from rebuilding one every
 //     few iterations.
-//   - a deterministic sample cache: the control columns iteration it
-//     draws depend only on (Seed, it, n, k) — never on the element — so
-//     the per-iteration column sets are computed once per panel shape and
-//     shared read-only across every element, KPI, and repeated call. This
-//     also hoists the rand.NewSource seeding (~16% of the pre-arena
-//     profile) out of the hot loop entirely.
+//   - a process-wide deterministic sample cache: the control columns
+//     iteration it draws depend only on (Seed, it, n, k) — never on the
+//     element — so the per-iteration column sets are computed once per
+//     (Seed, Iterations, n, k) and shared read-only across every
+//     element, KPI, assessor and job. This also hoists the
+//     rand.NewSource seeding (~16% of the pre-arena profile) out of the
+//     hot loop entirely. Sharing across jobs pays only while jobs agree
+//     on Seed and Iterations, which clients choose: every benchmark
+//     workload sends one assessor seed and the default iterations, so
+//     each draws a single key and hits on 99.9 % of its calls; a client
+//     varying Seed per job would share draws only inside the job. The
+//     cache is bounded in bytes, because a client chooses Iterations: it
+//     starts over when full, and a shape larger than the whole bound is
+//     computed uncached, once per group.
 //
 // Nothing here may perturb the (Seed, iteration) RNG-derivation contract
 // of parallel.go: cached samples are the exact draws the contract
@@ -97,13 +111,15 @@ func acquireFits(iters, lenB, lenA int) *fitArena {
 // afterwards: finishElement copies every forecast it keeps.
 func (f *fitArena) release() { fitPool.Put(f) }
 
-// unitScratch is one work unit's working set: the sampled before/after
-// designs of one iteration, the design restricted to a gappy element's
-// fit rows, the factorization of the fit design and its leverages, and
-// the coefficients and work vector of one element's solve. A unit
-// rebuilds it in place (SelectColsWithIntercept, SelectRowsInto,
-// QR.Factor, LeveragesInto, SolveInto) for every design it factors and
-// every element it solves, so a warm scratch allocates nothing.
+// unitScratch is one worker's working set. For the iteration fan-out it
+// holds the sampled before/after designs of one iteration, the design
+// restricted to a gappy element's fit rows, the factorization of the
+// fit design and its leverages, and the coefficients and work vector of
+// one element's solve; a unit rebuilds them in place
+// (SelectColsWithIntercept, SelectRowsInto, QR.Factor, LeveragesInto,
+// SolveInto) for every design it factors and every element it solves.
+// For the element fan-out it holds finishElement's buffers. A warm
+// scratch allocates nothing.
 type unitScratch struct {
 	xb, xa, xfit linalg.Matrix
 	qr           linalg.QR
@@ -111,6 +127,39 @@ type unitScratch struct {
 	lev          []float64
 	beta         []float64 // the current element's coefficients
 	work         []float64 // leverage and QR solve work vector, one per fit row
+	// ctlB and ctlA are the group's control designs on the before and
+	// after windows, built into worker 0's working set once per group.
+	ctlB, ctlA linalg.Matrix
+	// finishElement's buffers: rows the ok fits' forecasts of both
+	// windows (cleared after use), col one value per ok iteration (a
+	// timepoint's forecasts, then the R² values), cleanB and cleanA the
+	// finite forecast differences of each window, and rank the rank
+	// test's sorted copies and placements.
+	rows                      [][]float64
+	col, cleanB, cleanA, rank []float64
+}
+
+// workerUnits holds the working set of each worker of a group's
+// fan-outs: taken from unitPool at the worker's first use and kept
+// through both fan-outs until release.
+type workerUnits []*unitScratch
+
+// get returns worker w's working set, taking one from the pool on first
+// use.
+func (u workerUnits) get(w int) *unitScratch {
+	if u[w] == nil {
+		u[w] = unitPool.Get().(*unitScratch)
+	}
+	return u[w]
+}
+
+// release returns every working set taken to the pool.
+func (u workerUnits) release() {
+	for _, s := range u {
+		if s != nil {
+			unitPool.Put(s)
+		}
+	}
 }
 
 // fit returns the matrix design d is fitted on: xfit when d's fit rows
@@ -123,67 +172,76 @@ func (s *unitScratch) fit(d *design) *linalg.Matrix {
 	return &s.xb
 }
 
-// sampleKey identifies a control-panel shape: the samples for iteration
-// it depend only on (Seed, it, n, k), which is what makes them shareable.
-type sampleKey struct{ n, k int }
-
-// maxSampleShapes bounds the sample cache; production pipelines see a
-// handful of panel shapes (one per control-group size), so the bound only
-// guards pathological callers. Beyond it, samples are computed uncached.
-const maxSampleShapes = 64
-
-// runtimeState is the mutable, concurrency-safe machinery an Assessor
-// carries alongside its immutable Config: the deterministic sample
-// cache, which depends on the configuration's Seed and Iterations.
-// WithObserver shares it between derived assessors — it is purely a
-// performance artifact and never observable in assessment output.
-type runtimeState struct {
-	mu      sync.Mutex
-	samples map[sampleKey][][]int
+// sampleKey identifies one cached set of draws: the samples for
+// iteration it depend only on (Seed, it, n, k), so one entry serves every
+// assessor with the same Seed and Iterations.
+type sampleKey struct {
+	seed        int64
+	iters, n, k int
 }
 
-func newRuntimeState() *runtimeState {
-	return &runtimeState{samples: make(map[sampleKey][][]int)}
+// bytes is the heap an entry of the shape holds: k column indexes and a
+// slice header per iteration.
+func (key sampleKey) bytes() int { return 8 * key.iters * (key.k + 3) }
+
+// maxSampleBytes bounds the sample cache. The benchmark workloads'
+// shape — 50 iterations drawing 6 of 9 controls — costs 3.5 KiB, so the
+// bound holds some 290 such shapes; 10,000 iterations of 67 of 100
+// controls cost 5.3 MiB and are computed uncached.
+const maxSampleBytes = 1 << 20
+
+// sampleCache is the process-wide sample cache (see the file comment).
+// Like the pools it is never observable in assessment output.
+var sampleCache struct {
+	sync.Mutex
+	byKey map[sampleKey][][]int
+	bytes int
 }
 
 // samplesFor returns the sorted control-column sample for every sampling
 // iteration on an n-column panel with sample size k. The result is the
 // exact sequence sampleColumns(iterRNG(Seed, it), n, k) would produce —
-// the determinism contract — computed once per (n, k) shape and cached
-// read-only. Callers must not mutate the returned slices.
+// the determinism contract — computed once per (Seed, Iterations, n, k)
+// and cached read-only. Callers must not mutate the returned slices.
 func (a *Assessor) samplesFor(n, k int) [][]int {
-	rt := a.rt
-	key := sampleKey{n, k}
-	rt.mu.Lock()
-	if s, ok := rt.samples[key]; ok {
-		rt.mu.Unlock()
+	key := sampleKey{a.cfg.Seed, a.cfg.Iterations, n, k}
+	sampleCache.Lock()
+	s, ok := sampleCache.byKey[key]
+	sampleCache.Unlock()
+	if ok {
 		return s
 	}
-	rt.mu.Unlock()
 
-	s := make([][]int, a.cfg.Iterations)
+	s = make([][]int, key.iters)
 	perm := make([]int, n)
-	flat := make([]int, a.cfg.Iterations*k)
+	flat := make([]int, key.iters*k)
 	// One generator, reseeded per iteration: Rand.Seed rebuilds exactly
 	// the state iterRNG's rand.NewSource builds, so the draws are the
 	// contract's without a fresh ~4.9 KiB source per iteration.
 	rng := rand.New(rand.NewSource(0))
 	for it := range s {
-		rng.Seed(deriveSeed(a.cfg.Seed, uint64(it)))
+		rng.Seed(deriveSeed(key.seed, uint64(it)))
 		permInto(rng, perm)
 		cols := flat[it*k : (it+1)*k : (it+1)*k]
 		copy(cols, perm[:k])
 		sort.Ints(cols)
 		s[it] = cols
 	}
+	if key.bytes() > maxSampleBytes {
+		return s
+	}
 
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if cached, ok := rt.samples[key]; ok {
+	sampleCache.Lock()
+	defer sampleCache.Unlock()
+	if cached, ok := sampleCache.byKey[key]; ok {
 		return cached // another goroutine won the race; share its copy
 	}
-	if len(rt.samples) < maxSampleShapes {
-		rt.samples[key] = s
+	if sampleCache.byKey == nil || sampleCache.bytes+key.bytes() > maxSampleBytes {
+		// Start over when full rather than track recency: a process that
+		// cycles through more shapes than fit only draws them again.
+		sampleCache.byKey, sampleCache.bytes = make(map[sampleKey][][]int), 0
 	}
+	sampleCache.byKey[key] = s
+	sampleCache.bytes += key.bytes()
 	return s
 }

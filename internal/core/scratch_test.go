@@ -1,12 +1,14 @@
 package core
 
-// Tests for the process-wide working-set pools of scratch.go: recycled
-// fit arenas and unit working sets never reach a result, and concurrent
-// assessors on different panel shapes share the pools safely. The pool
-// tests are named TestPool* so `make race-pools` can repeat them under
-// the race detector.
+// Tests for the process-wide working-set pools and sample cache of
+// scratch.go: recycled fit arenas and unit working sets never reach a
+// result, concurrent assessors on different panel shapes share the pools
+// safely, and the sample cache keys and bounds its entries. The tests
+// are named TestPool* so `make race-pools` can repeat them under the
+// race detector.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -62,14 +64,20 @@ func poisonPools() {
 }
 
 // poisonUnit poisons one unit working set in place at a rows × cols
-// design, with its NaN leverages marked present.
+// design, with its NaN leverages marked present, NaN control designs and
+// NaN finishing buffers.
 func poisonUnit(s *unitScratch, rows, cols int) {
 	poisonMatrix(&s.xb, rows, cols)
 	poisonMatrix(&s.xa, rows, cols)
 	poisonMatrix(&s.xfit, rows, cols)
+	poisonMatrix(&s.ctlB, rows, cols)
+	poisonMatrix(&s.ctlA, rows, cols)
 	s.qr.Factor(&s.xb)
 	s.lev, s.work, s.beta = nanFloats(s.lev, rows), nanFloats(s.work, rows), nanFloats(s.beta, cols)
 	s.hs = s.lev
+	s.col, s.cleanB, s.cleanA = nanFloats(s.col, rows), nanFloats(s.cleanB, rows), nanFloats(s.cleanA, rows)
+	s.rank = nanFloats(s.rank, 4*rows)
+	s.rows = append(s.rows[:0], s.col, s.cleanB, s.cleanA)
 }
 
 func poisonMatrix(m *linalg.Matrix, rows, cols int) {
@@ -271,4 +279,174 @@ func TestPoolConcurrentShapes(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestPoolTwinElementsMatchAlone builds groups in which several
+// elements share a before window — one with the same after window too,
+// one with a shifted one — beside distinct and gappy elements. The
+// kernel must make the copies twins of the first (one fit arena, one set
+// of medians), and every element's result must match assessing it alone,
+// on poisoned pools, whichever worker finishes a twin or its source
+// first.
+func TestPoolTwinElementsMatchAlone(t *testing.T) {
+	for _, c := range poolCases() {
+		t.Run(c.name, func(t *testing.T) {
+			studies := timeseries.NewPanel(c.studies.Index())
+			s1 := c.studies.MustSeries("s1")
+			pos := s1.Index.SearchPos(c.changeAt)
+			shifted := s1.Clone()
+			for i := pos; i < len(shifted.Values); i++ {
+				shifted.Values[i] += 0.7
+			}
+			studies.Add("s1", s1)
+			studies.Add("s1-copy", s1.Clone())
+			studies.Add("s1-shifted", shifted)
+			studies.Add("s2", c.studies.MustSeries("s2"))
+			studies.Add("s3", c.studies.MustSeries("s3"))
+			wantTwin := map[string]string{"s1-copy": "s1", "s1-shifted": "s1"}
+
+			a := MustNewAssessor(c.cfg)
+			var want strings.Builder
+			for _, id := range studies.IDs() {
+				want.WriteString(elementText(a.AssessElement(id, studies.MustSeries(id), c.controls, c.changeAt, kpi.VoiceRetainability)))
+			}
+			for _, workers := range []int{1, 4} {
+				cfg := c.cfg
+				cfg.Workers = workers
+				a := MustNewAssessor(cfg)
+				for rep := 0; rep < 3; rep++ {
+					poisonPools()
+					elems, results, _, err := a.assessGroup(context.Background(), c.controls, c.changeAt, []GroupMember{{Studies: studies, KPI: kpi.VoiceRetainability}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got strings.Builder
+					for i := range elems {
+						e := &elems[i]
+						twin := ""
+						if e.twin != nil {
+							twin = e.twin.id
+						}
+						if twin != wantTwin[e.id] {
+							t.Fatalf("workers %d: element %s is a twin of %q, want %q", workers, e.id, twin, wantTwin[e.id])
+						}
+						got.WriteString(elementText(results[i], e.err))
+					}
+					if got.String() != want.String() {
+						t.Fatalf("workers %d rep %d: group with twins differs from assessing each element alone:\n got %s\nwant %s", workers, rep, got.String(), want.String())
+					}
+				}
+			}
+		})
+	}
+}
+
+// forgetSamples empties the process-wide sample cache.
+func forgetSamples() {
+	sampleCache.Lock()
+	defer sampleCache.Unlock()
+	sampleCache.byKey, sampleCache.bytes = nil, 0
+}
+
+// cachedSamples reports whether the sample cache holds key, and its size
+// in bytes.
+func cachedSamples(key sampleKey) (bool, int) {
+	sampleCache.Lock()
+	defer sampleCache.Unlock()
+	_, ok := sampleCache.byKey[key]
+	return ok, sampleCache.bytes
+}
+
+// checkSamples requires samples to be the contract's draws for Seed and
+// Iterations of cfg on an n-column panel with sample size k, checking
+// every step-th iteration; it reports the first mismatch with t.Errorf,
+// so other goroutines may call it.
+func checkSamples(t *testing.T, cfg Config, n, k, step int, samples [][]int) {
+	t.Helper()
+	if len(samples) != cfg.Iterations {
+		t.Errorf("seed %d iterations %d: %d samples", cfg.Seed, cfg.Iterations, len(samples))
+		return
+	}
+	for it := 0; it < len(samples); it += step {
+		want := sampleColumns(iterRNG(cfg.Seed, it), n, k)
+		if fmt.Sprint(samples[it]) != fmt.Sprint(want) {
+			t.Errorf("seed %d iterations %d, iteration %d: %v, want %v", cfg.Seed, cfg.Iterations, it, samples[it], want)
+			return
+		}
+	}
+}
+
+// TestPoolSampleCacheKeysSeedAndIterations runs assessors whose panels
+// share (n, k) but whose Seed or Iterations differ, concurrently on a
+// cold process-wide cache, and requires each to get its own draws.
+func TestPoolSampleCacheKeysSeedAndIterations(t *testing.T) {
+	forgetSamples()
+	const n, k, rounds = 13, 8, 3
+	var wg sync.WaitGroup
+	for _, seed := range []int64{1, 2, 3} {
+		for _, iters := range []int{30, 45} {
+			for rep := 0; rep < 2; rep++ {
+				wg.Add(1)
+				go func(cfg Config) {
+					defer wg.Done()
+					a := MustNewAssessor(cfg)
+					for r := 0; r < rounds; r++ {
+						checkSamples(t, a.Config(), n, k, 1, a.samplesFor(n, k))
+					}
+				}(Config{Seed: seed, Iterations: iters})
+			}
+		}
+	}
+	wg.Wait()
+	for _, seed := range []int64{1, 2, 3} {
+		for _, iters := range []int{30, 45} {
+			if ok, _ := cachedSamples(sampleKey{seed, iters, n, k}); !ok {
+				t.Errorf("seed %d iterations %d not cached", seed, iters)
+			}
+		}
+	}
+}
+
+// TestPoolSampleCacheByteBound checks the cache's byte bound: a shape
+// larger than the whole bound (10,000 iterations drawing 67 of 100
+// controls) is drawn correctly but not cached, evicts nothing and does
+// not stop later small shapes from being cached; a shape that does not
+// fit beside the cached ones empties the cache and is kept.
+func TestPoolSampleCacheByteBound(t *testing.T) {
+	forgetSamples()
+	small := MustNewAssessor(Config{Seed: 5})
+	first := small.samplesFor(13, 8)
+
+	huge := MustNewAssessor(Config{Seed: 5, Iterations: 10000})
+	hugeKey := sampleKey{5, 10000, 100, 67}
+	if hugeKey.bytes() <= maxSampleBytes {
+		t.Fatalf("test shape costs %d bytes, want more than the %d-byte bound", hugeKey.bytes(), maxSampleBytes)
+	}
+	checkSamples(t, huge.Config(), 100, 67, 997, huge.samplesFor(100, 67))
+	if ok, bytes := cachedSamples(hugeKey); ok || bytes > maxSampleBytes {
+		t.Fatalf("oversized shape: cached %v, cache holds %d bytes (bound %d)", ok, bytes, maxSampleBytes)
+	}
+	if again := small.samplesFor(13, 8); &again[0][0] != &first[0][0] {
+		t.Error("an oversized shape evicted a small one")
+	}
+	later := small.samplesFor(21, 14)
+	if again := small.samplesFor(21, 14); &again[0][0] != &later[0][0] {
+		t.Error("a small shape after an oversized one was not cached")
+	}
+
+	// Shapes of about half the bound each: the third does not fit
+	// beside the first two and the small ones.
+	big := MustNewAssessor(Config{Seed: 6, Iterations: 1000})
+	for k := 60; k < 63; k++ {
+		big.samplesFor(100, k)
+		ok, bytes := cachedSamples(sampleKey{6, 1000, 100, k})
+		if !ok || bytes > maxSampleBytes {
+			t.Fatalf("k %d: cached %v, cache holds %d bytes (bound %d)", k, ok, bytes, maxSampleBytes)
+		}
+	}
+	for _, key := range []sampleKey{{6, 1000, 100, 60}, {6, 1000, 100, 61}, {5, DefaultIterations, 13, 8}} {
+		if ok, _ := cachedSamples(key); ok {
+			t.Errorf("%+v survived a full cache", key)
+		}
+	}
 }

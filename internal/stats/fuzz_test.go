@@ -56,6 +56,19 @@ func checkResult(t *testing.T, name string, r TestResult, err error, x, y []floa
 	}
 }
 
+// fpFuzzSeeds is FuzzFlignerPolicello's seed corpus as (x, y) pairs;
+// TestPoolFlignerPolicelloMatchesPlacements checks each against the
+// placement-array reference too.
+var fpFuzzSeeds = [][2][]float64{
+	{{1, 2, 3}, {4, 5, 6}},             // clean shift
+	{{1, 1, 1}, {1, 1, 1}},             // identical constants
+	{{1, 1, 1}, {2, 2, 2}},             // disjoint constants
+	{{1, 2, 2, 3}, {2, 2, 2, 4}},       // heavy ties
+	{{1, 2}, {3, 4, 5}},                // below minimum size
+	{{-1e300, 0, 1e300}, {0, 0, 0}},    // extreme scale
+	{{0.1, 0.2, 0.3, 0.4, 0.5}, {0.3}}, // lopsided
+}
+
 func FuzzFlignerPolicello(f *testing.F) {
 	seed := func(x, y []float64) []byte {
 		buf := []byte{byte(len(x))}
@@ -66,13 +79,9 @@ func FuzzFlignerPolicello(f *testing.F) {
 		}
 		return buf
 	}
-	f.Add(seed([]float64{1, 2, 3}, []float64{4, 5, 6}))             // clean shift
-	f.Add(seed([]float64{1, 1, 1}, []float64{1, 1, 1}))             // identical constants
-	f.Add(seed([]float64{1, 1, 1}, []float64{2, 2, 2}))             // disjoint constants
-	f.Add(seed([]float64{1, 2, 2, 3}, []float64{2, 2, 2, 4}))       // heavy ties
-	f.Add(seed([]float64{1, 2}, []float64{3, 4, 5}))                // below minimum size
-	f.Add(seed([]float64{-1e300, 0, 1e300}, []float64{0, 0, 0}))    // extreme scale
-	f.Add(seed([]float64{0.1, 0.2, 0.3, 0.4, 0.5}, []float64{0.3})) // lopsided
+	for _, s := range fpFuzzSeeds {
+		f.Add(seed(s[0], s[1]))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x, y := floatsFromBytes(data)

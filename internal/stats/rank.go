@@ -30,29 +30,6 @@ func Ranks(xs []float64) []float64 {
 	return ranks
 }
 
-// Placements returns, for each x in xs, the count of values in ys strictly
-// less than x plus half the count of values equal to x. This is the
-// placement statistic U(x) used by the Fligner–Policello test, with the
-// half-count convention handling ties.
-//
-// ys must be sorted ascending; Placements panics if it detects otherwise
-// (a cheap spot check, not a full scan).
-func Placements(xs, sortedYs []float64) []float64 {
-	if len(sortedYs) > 1 && sortedYs[0] > sortedYs[len(sortedYs)-1] {
-		panic("stats: Placements requires sorted ys")
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		lo := sort.SearchFloat64s(sortedYs, x)
-		hi := lo
-		for hi < len(sortedYs) && sortedYs[hi] == x {
-			hi++
-		}
-		out[i] = float64(lo) + float64(hi-lo)/2
-	}
-	return out
-}
-
 // TieCorrection returns the tie-correction term Σ(t³−t) over tie groups in
 // the pooled sample, used in the variance of the Mann–Whitney U statistic.
 func TieCorrection(pooled []float64) float64 {

@@ -86,17 +86,28 @@ func MannWhitney(x, y []float64) (TestResult, error) {
 // the statistic is degenerate (both placement variances zero with equal
 // means — e.g. two identical constant samples).
 func FlignerPolicello(x, y []float64) (TestResult, error) {
+	return FlignerPolicelloBuf(x, y, make([]float64, 2*(len(x)+len(y))))
+}
+
+// FlignerPolicelloBuf is FlignerPolicello working in buf's storage, which
+// must have room for 2·(len(x)+len(y)) values — the sorted copies of x
+// and y and their placements — and is overwritten. x and y are only
+// read, so a caller that reuses buf runs the test without allocating.
+func FlignerPolicelloBuf(x, y, buf []float64) (TestResult, error) {
 	n1, n2 := len(x), len(y)
 	if n1 < minSampleSize || n2 < minSampleSize {
 		return TestResult{}, fmt.Errorf("%w: FlignerPolicello needs >= %d observations per sample, got %d and %d", ErrSampleTooSmall, minSampleSize, n1, n2)
 	}
-	sortedX := append([]float64(nil), x...)
-	sortedY := append([]float64(nil), y...)
+	n := n1 + n2
+	sortedX, sortedY := buf[:n1:n1], buf[n1:n:n]
+	ux, uy := buf[n:n+n1:n+n1], buf[n+n1:2*n:2*n]
+	copy(sortedX, x)
+	copy(sortedY, y)
 	sort.Float64s(sortedX)
 	sort.Float64s(sortedY)
 
-	ux := Placements(x, sortedY) // for each x: #ys below it
-	uy := Placements(y, sortedX) // for each y: #xs below it
+	placementsInto(ux, x, sortedY) // for each x: #ys below it
+	placementsInto(uy, y, sortedX) // for each y: #xs below it
 	mux, muy := Mean(ux), Mean(uy)
 	var vx, vy float64
 	for _, u := range ux {
@@ -122,6 +133,21 @@ func FlignerPolicello(x, y []float64) (TestResult, error) {
 	}
 	z := num / den
 	return TestResult{Statistic: z, P: TwoSidedP(z), N1: n1, N2: n2}, nil
+}
+
+// placementsInto writes into dst, for each x in xs, its placement in the
+// ascending sortedYs: the count of values strictly less than x plus half
+// the count equal to x — the Fligner–Policello statistic's half-count
+// tie convention.
+func placementsInto(dst, xs, sortedYs []float64) {
+	for i, x := range xs {
+		lo := sort.SearchFloat64s(sortedYs, x)
+		hi := lo
+		for hi < len(sortedYs) && sortedYs[hi] == x {
+			hi++
+		}
+		dst[i] = float64(lo) + float64(hi-lo)/2
+	}
 }
 
 // MedianShift returns Median(y) − Median(x): the effect-size companion to

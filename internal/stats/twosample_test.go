@@ -55,14 +55,120 @@ func TestRanksPermutationInvariant(t *testing.T) {
 	}
 }
 
+// placements returns, for each x in xs, the count of values in ys
+// strictly less than x plus half the count equal to x, counted one pair
+// at a time: the textbook placement array flignerPolicelloRef is built
+// on, with no sorting or search.
+func placements(xs, ys []float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		for _, y := range ys {
+			switch {
+			case y < x:
+				out[i]++
+			case y == x:
+				out[i] += 0.5
+			}
+		}
+	}
+	return out
+}
+
+// flignerPolicelloRef is the Fligner–Policello test straight from its
+// formula over the placement arrays.
+func flignerPolicelloRef(x, y []float64) (TestResult, error) {
+	n1, n2 := len(x), len(y)
+	if n1 < minSampleSize || n2 < minSampleSize {
+		return TestResult{}, ErrSampleTooSmall
+	}
+	ux, uy := placements(x, y), placements(y, x)
+	mux, muy := Mean(ux), Mean(uy)
+	var vx, vy float64
+	for _, u := range ux {
+		d := u - mux
+		vx += d * d
+	}
+	for _, u := range uy {
+		d := u - muy
+		vy += d * d
+	}
+	num := float64(n2)*muy - float64(n1)*mux
+	den := 2 * math.Sqrt(vx+vy+mux*muy)
+	if den == 0 {
+		if num == 0 {
+			return TestResult{Statistic: 0, P: 1, N1: n1, N2: n2}, nil
+		}
+		z := math.Copysign(8, num)
+		return TestResult{Statistic: z, P: TwoSidedP(z), N1: n1, N2: n2}, nil
+	}
+	z := num / den
+	return TestResult{Statistic: z, P: TwoSidedP(z), N1: n1, N2: n2}, nil
+}
+
 func TestPlacements(t *testing.T) {
 	ys := []float64{1, 2, 3, 4}
-	got := Placements([]float64{0, 2.5, 2, 10}, ys)
+	got := placements([]float64{0, 2.5, 2, 10}, ys)
 	want := []float64{0, 2, 1.5, 4}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Placements = %v, want %v", got, want)
+			t.Fatalf("placements = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestPoolFlignerPolicelloMatchesPlacements pins the buffer form of the
+// test bit for bit against the formula over counted placement arrays —
+// on random samples with ties and uneven sizes, through one reused
+// buffer left dirty by the previous pair, and on every
+// FuzzFlignerPolicello seed — and checks that it leaves x and y as they
+// were.
+func TestPoolFlignerPolicelloMatchesPlacements(t *testing.T) {
+	var buf []float64
+	check := func(x, y []float64) {
+		t.Helper()
+		want, wantErr := flignerPolicelloRef(x, y)
+		x0, y0 := append([]float64(nil), x...), append([]float64(nil), y...)
+		n := 2 * (len(x) + len(y))
+		if cap(buf) < n {
+			buf = make([]float64, n)
+		}
+		got, err := FlignerPolicelloBuf(x, y, buf[:n])
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("FlignerPolicelloBuf(%v, %v) error %v, reference %v", x, y, err, wantErr)
+		}
+		if math.Float64bits(got.Statistic) != math.Float64bits(want.Statistic) || math.Float64bits(got.P) != math.Float64bits(want.P) || got.N1 != want.N1 || got.N2 != want.N2 {
+			t.Fatalf("FlignerPolicelloBuf(%v, %v) = %+v, reference %+v", x, y, got, want)
+		}
+		for i := range x0 {
+			if math.Float64bits(x[i]) != math.Float64bits(x0[i]) {
+				t.Fatalf("FlignerPolicelloBuf permuted x: %v, was %v", x, x0)
+			}
+		}
+		for i := range y0 {
+			if math.Float64bits(y[i]) != math.Float64bits(y0[i]) {
+				t.Fatalf("FlignerPolicelloBuf permuted y: %v, was %v", y, y0)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		n1, n2 := 1+rng.Intn(80), 1+rng.Intn(80)
+		levels := 1 + rng.Intn(12) // few levels: heavy ties
+		draw := func(n int, shift float64) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				if trial%2 == 0 {
+					xs[i] = float64(rng.Intn(levels)) + shift
+				} else {
+					xs[i] = rng.NormFloat64()*0.1 + shift
+				}
+			}
+			return xs
+		}
+		check(draw(n1, 0), draw(n2, rng.Float64()-0.5))
+	}
+	for _, s := range fpFuzzSeeds {
+		check(s[0], s[1])
 	}
 }
 

@@ -101,12 +101,26 @@ func (p *Panel) SplitAt(t time.Time) (before, after *Panel) {
 // column's median of valid observations so the regression stays solvable;
 // columns with no valid observation become zero.
 func (p *Panel) DesignMatrix() *linalg.Matrix {
-	m := linalg.NewMatrix(p.ix.N, len(p.ids))
+	return p.DesignMatrixInto(new(linalg.Matrix), 0, p.ix.N)
+}
+
+// DesignMatrixInto writes Slice(from, to).DesignMatrix() into m, reshaped
+// to (to−from)×Len() and reusing its storage, without building the
+// sliced panel: each missing observation is replaced by the median of
+// its column's valid observations in [from, to), which is computed only
+// for a column that has a gap. It returns m and panics on an invalid
+// window.
+func (p *Panel) DesignMatrixInto(m *linalg.Matrix, from, to int) *linalg.Matrix {
+	p.ix.Slice(from, to) // validates the window
+	m.Reshape(to-from, len(p.ids))
 	for j, id := range p.ids {
-		col := p.cols[id]
-		fill := columnFill(col)
+		col := p.cols[id][from:to]
+		fill, filled := 0.0, false
 		for i, v := range col {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
+				if !filled {
+					fill, filled = columnFill(col), true
+				}
 				v = fill
 			}
 			m.Set(i, j, v)

@@ -2,8 +2,11 @@ package timeseries
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/linalg"
 )
 
 func testPanel(t *testing.T) *Panel {
@@ -104,6 +107,90 @@ func TestPanelDesignMatrixImputesMissing(t *testing.T) {
 	m2 := p2.DesignMatrix()
 	if m2.At(0, 0) != 0 {
 		t.Errorf("all-missing column imputed to %v, want 0", m2.At(0, 0))
+	}
+}
+
+// TestPoolDesignMatrixIntoMatchesSlice pins DesignMatrixInto(m, from,
+// to) bit for bit against Slice(from, to).DesignMatrix() and against a
+// naive per-window median fill, on every window of a panel with gaps at
+// its edges and in its middle, an all-NaN column, infinities and a
+// column with no gap, through one m left NaN-poisoned at a larger and a
+// smaller shape before each call.
+func TestPoolDesignMatrixIntoMatchesSlice(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	const n = 12
+	ix := NewIndex(epoch, time.Hour, n)
+	p := NewPanel(ix)
+	p.Add("full", NewSeries(ix, []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8}))
+	p.Add("edges", NewSeries(ix, []float64{nan, 2, 7, 1, 8, inf, 2, 8, 1, 8, 2, nan}))
+	p.Add("dead", NewSeries(ix, []float64{nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan}))
+	p.Add("mixed", NewSeries(ix, []float64{-inf, 0.5, nan, 0.25, 0.75, nan, 1.5, -0.5, nan, 2.5, 0.125, inf}))
+	p.Add("late", NewSeries(ix, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, nan, nan}))
+
+	// fillOf is the naive reference: the sorted median of the column's
+	// finite values in the window, 0 when there are none.
+	fillOf := func(col []float64) float64 {
+		var valid []float64
+		for _, v := range col {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				valid = append(valid, v)
+			}
+		}
+		if len(valid) == 0 {
+			return 0
+		}
+		sort.Float64s(valid)
+		k := len(valid)
+		if k%2 == 1 {
+			return valid[k/2]
+		}
+		return (valid[k/2-1] + valid[k/2]) / 2
+	}
+	poison := func(m *linalg.Matrix, rows, cols int) {
+		m.Reshape(rows, cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				m.Set(i, j, nan)
+			}
+		}
+	}
+	var m linalg.Matrix
+	for from := 0; from <= n; from++ {
+		for to := from; to <= n; to++ {
+			for _, shape := range [][2]int{{2 * n, 8}, {2, 2}} {
+				poison(&m, shape[0], shape[1])
+				got := p.DesignMatrixInto(&m, from, to)
+				if got != &m {
+					t.Fatalf("[%d,%d): DesignMatrixInto returned another matrix", from, to)
+				}
+				want := p.Slice(from, to).DesignMatrix()
+				if got.Rows() != to-from || got.Cols() != p.Len() || want.Rows() != got.Rows() || want.Cols() != got.Cols() {
+					t.Fatalf("[%d,%d): shape %dx%d, Slice gives %dx%d, want %dx%d", from, to, got.Rows(), got.Cols(), want.Rows(), want.Cols(), to-from, p.Len())
+				}
+				for j, id := range p.IDs() {
+					col := p.MustSeries(id).Values[from:to]
+					fill := fillOf(col)
+					for i, v := range col {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							v = fill
+						}
+						if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(g) != math.Float64bits(v) {
+							t.Fatalf("[%d,%d) %s row %d: DesignMatrixInto %v, Slice.DesignMatrix %v, naive %v", from, to, id, i, g, w, v)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, w := range [][2]int{{-1, 3}, {4, 3}, {0, n + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DesignMatrixInto(m, %d, %d) did not panic on an invalid window", w[0], w[1])
+				}
+			}()
+			p.DesignMatrixInto(&m, w[0], w[1])
+		}()
 	}
 }
 
