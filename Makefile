@@ -50,9 +50,12 @@ race:
 # sample cache's keys and byte bound), the bit-equivalence tests of the
 # buffer forms the pooled working sets feed (Fligner–Policello,
 # DesignMatrixInto) and the worker-count equivalence suites of the
-# engine and the batch path, ten times each.
+# engine and the batch path, ten times each; then the process-wide free
+# list of generators (internal/seedmix): a recycled generator against a
+# fresh source, and concurrent network builds and series draws against
+# sequential ones.
 race-pools:
-	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core ./internal/stats ./internal/timeseries .
+	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core ./internal/stats ./internal/timeseries . ./internal/seedmix ./internal/gen ./internal/netsim
 
 # Focused race run over the observability layer: the concurrent
 # metrics-registry and scope tests plus the instrumented pipeline, then
@@ -65,11 +68,11 @@ race-obs:
 
 # Every allocation-bound test, twenty runs each: the span, selection,
 # per-iteration, per-element and per-element byte budgets of the engine,
-# and the network build and series synthesis budgets of the world path. The bounds are
-# calibrated on one toolchain and a marginal one flakes rarely, so
-# twenty runs show it before it fails on main.
+# and the network build, generator and series synthesis budgets of the
+# world path. The bounds are calibrated on one toolchain and a marginal
+# one flakes rarely, so twenty runs show it before it fails on main.
 alloc-bounds:
-	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestBuildBytesPerElement|TestSeriesForBytes)$$' \
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes)$$' \
 		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen
 
 # Chaos suite under the race detector: every fault injector through the

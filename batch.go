@@ -347,7 +347,9 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 	// workers, then its elements. Per-iteration seeding makes every
 	// result independent of scheduling, so the batch is deterministic
 	// for every worker count. A group's assess-group span sits under sc.
-	ga := assessor.WithObserver(sc)
+	// The call's assessor draws a sample shape too large for the
+	// process-wide cache once for all groups, and is dropped on return.
+	ga := assessor.ForCall(sc)
 	for _, g := range groups {
 		members := make([]core.GroupMember, len(g.members))
 		for j, m := range g.members {

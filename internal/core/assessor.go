@@ -156,6 +156,9 @@ type Assessor struct {
 	// obs is the optional observability scope; nil (the default) is the
 	// zero-overhead fast path. See WithObserver.
 	obs *obs.Scope
+	// call holds the oversized sample shapes drawn so far in the call of
+	// an assessor ForCall derived; nil otherwise. See samplesFor.
+	call *callSamples
 }
 
 // NewAssessor returns an assessor with cfg (zero fields defaulted). It
@@ -190,6 +193,20 @@ func (a *Assessor) WithObserver(scope *obs.Scope) *Assessor {
 		return a
 	}
 	return &Assessor{cfg: a.cfg, obs: scope}
+}
+
+// ForCall returns an assessor for one call that assesses several factor
+// groups (an AssessChange or AssessBatch of the pipeline). It records
+// into scope as WithObserver does (into the receiver's scope when scope
+// is nil), and it draws each sample shape too large for the process-wide
+// sample cache at most once, keeping the draws until the caller drops
+// it: callers drop it when the call returns, so nothing outlives the
+// call.
+func (a *Assessor) ForCall(scope *obs.Scope) *Assessor {
+	if scope == nil {
+		scope = a.obs
+	}
+	return &Assessor{cfg: a.cfg, obs: scope, call: &callSamples{}}
 }
 
 // Observer returns the scope the assessor records into (nil when

@@ -43,7 +43,9 @@ package core
 //     varying Seed per job would share draws only inside the job. The
 //     cache is bounded in bytes, because a client chooses Iterations: it
 //     starts over when full, and a shape larger than the whole bound is
-//     computed uncached, once per group.
+//     drawn outside it, once per pipeline call on the assessor
+//     Assessor.ForCall derives for that call (once per group on any
+//     other assessor), and dropped with the call.
 //
 // Nothing here may perturb the (Seed, iteration) RNG-derivation contract
 // of parallel.go: cached samples are the exact draws the contract
@@ -187,7 +189,7 @@ func (key sampleKey) bytes() int { return 8 * key.iters * (key.k + 3) }
 // maxSampleBytes bounds the sample cache. The benchmark workloads'
 // shape — 50 iterations drawing 6 of 9 controls — costs 3.5 KiB, so the
 // bound holds some 290 such shapes; 10,000 iterations of 67 of 100
-// controls cost 5.3 MiB and are computed uncached.
+// controls cost 5.3 MiB and are drawn per call instead (callSamples).
 const maxSampleBytes = 1 << 20
 
 // sampleCache is the process-wide sample cache (see the file comment).
@@ -198,6 +200,13 @@ var sampleCache struct {
 	bytes int
 }
 
+// callSamples holds the sample shapes too large for the process-wide
+// cache that one call has drawn (see Assessor.ForCall).
+type callSamples struct {
+	sync.Mutex
+	byKey map[sampleKey][][]int
+}
+
 // samplesFor returns the sorted control-column sample for every sampling
 // iteration on an n-column panel with sample size k. The result is the
 // exact sequence sampleColumns(iterRNG(Seed, it), n, k) would produce —
@@ -205,32 +214,33 @@ var sampleCache struct {
 // and cached read-only. Callers must not mutate the returned slices.
 func (a *Assessor) samplesFor(n, k int) [][]int {
 	key := sampleKey{a.cfg.Seed, a.cfg.Iterations, n, k}
+	if key.bytes() > maxSampleBytes {
+		// Too large for the process-wide cache: drawn once per call on
+		// an assessor ForCall derived, once per group on any other.
+		c := a.call
+		if c == nil {
+			return key.draw()
+		}
+		c.Lock()
+		defer c.Unlock()
+		s, ok := c.byKey[key]
+		if !ok {
+			s = key.draw()
+			if c.byKey == nil {
+				c.byKey = make(map[sampleKey][][]int)
+			}
+			c.byKey[key] = s
+		}
+		return s
+	}
+
 	sampleCache.Lock()
 	s, ok := sampleCache.byKey[key]
 	sampleCache.Unlock()
 	if ok {
 		return s
 	}
-
-	s = make([][]int, key.iters)
-	perm := make([]int, n)
-	flat := make([]int, key.iters*k)
-	// One generator, reseeded per iteration: Rand.Seed rebuilds exactly
-	// the state iterRNG's rand.NewSource builds, so the draws are the
-	// contract's without a fresh ~4.9 KiB source per iteration.
-	rng := rand.New(rand.NewSource(0))
-	for it := range s {
-		rng.Seed(deriveSeed(key.seed, uint64(it)))
-		permInto(rng, perm)
-		cols := flat[it*k : (it+1)*k : (it+1)*k]
-		copy(cols, perm[:k])
-		sort.Ints(cols)
-		s[it] = cols
-	}
-	if key.bytes() > maxSampleBytes {
-		return s
-	}
-
+	s = key.draw()
 	sampleCache.Lock()
 	defer sampleCache.Unlock()
 	if cached, ok := sampleCache.byKey[key]; ok {
@@ -243,5 +253,26 @@ func (a *Assessor) samplesFor(n, k int) [][]int {
 	}
 	sampleCache.byKey[key] = s
 	sampleCache.bytes += key.bytes()
+	return s
+}
+
+// draw computes the samples of key: the sorted control columns of every
+// iteration.
+func (key sampleKey) draw() [][]int {
+	s := make([][]int, key.iters)
+	perm := make([]int, key.n)
+	flat := make([]int, key.iters*key.k)
+	// One generator, reseeded per iteration: Rand.Seed rebuilds exactly
+	// the state iterRNG's rand.NewSource builds, so the draws are the
+	// contract's without a fresh ~4.9 KiB source per iteration.
+	rng := rand.New(rand.NewSource(0))
+	for it := range s {
+		rng.Seed(deriveSeed(key.seed, uint64(it)))
+		permInto(rng, perm)
+		cols := flat[it*key.k : (it+1)*key.k : (it+1)*key.k]
+		copy(cols, perm[:key.k])
+		sort.Ints(cols)
+		s[it] = cols
+	}
 	return s
 }

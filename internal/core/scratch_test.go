@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/kpi"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/timeseries"
 )
 
@@ -448,5 +449,39 @@ func TestPoolSampleCacheByteBound(t *testing.T) {
 		if ok, _ := cachedSamples(key); ok {
 			t.Errorf("%+v survived a full cache", key)
 		}
+	}
+}
+
+// TestOversizedSamplesOncePerCall pins the per-call draw of a shape too
+// large for the process-wide cache (6,000 iterations drawing 20 of 30
+// controls, 1.1 MiB): the factor groups of one call, on the assessor
+// ForCall derives, share one draw; a new call draws again; and an
+// assessor outside a call keeps nothing.
+func TestOversizedSamplesOncePerCall(t *testing.T) {
+	const n, k = 30, 20
+	a := MustNewAssessor(Config{Seed: 5, Iterations: 6000})
+	if key := (sampleKey{5, 6000, n, k}); key.bytes() <= maxSampleBytes {
+		t.Fatalf("test shape costs %d bytes, want more than the %d-byte bound", key.bytes(), maxSampleBytes)
+	}
+	call := a.ForCall(nil)
+	first := call.samplesFor(n, k) // the first group's designs
+	if second := call.samplesFor(n, k); &second[0][0] != &first[0][0] {
+		t.Error("the second group of a call drew the oversized shape again")
+	}
+	checkSamples(t, a.Config(), n, k, 599, first)
+	next := a.ForCall(nil).samplesFor(n, k)
+	if &next[0][0] == &first[0][0] {
+		t.Error("a new call shares the last call's draw")
+	}
+	checkSamples(t, a.Config(), n, k, 599, next)
+	if again := a.samplesFor(n, k); &again[0][0] == &first[0][0] || &again[0][0] == &next[0][0] {
+		t.Error("an assessor outside a call returned a call's draw")
+	}
+	if a.call != nil {
+		t.Error("ForCall changed the receiver")
+	}
+	scope := obs.New("call", obs.NewRegistry())
+	if got := a.WithObserver(scope).ForCall(nil).Observer(); got != scope {
+		t.Error("ForCall(nil) dropped the receiver's scope")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/extfactor"
 	"repro/internal/kpi"
 	"repro/internal/netsim"
+	"repro/internal/seedmix"
 	"repro/internal/timeseries"
 )
 
@@ -82,13 +83,12 @@ func DefaultConfig(ix timeseries.Index) Config {
 }
 
 // Generator produces KPI series and raw counters for network elements.
-// It is not safe for concurrent use: it caches what it synthesizes and
-// draws every stream from one rand.Rand.
+// It is not safe for concurrent use: it caches what it synthesizes.
+// Generators on one network may draw concurrently.
 type Generator struct {
 	net *netsim.Network
 	cfg Config
 
-	rng      *rand.Rand                  // reseeded per stream; see stream
 	regional map[netsim.Region][]float64 // cached regional stress paths
 	counters map[string][]kpi.Counters   // cached per-element counters
 }
@@ -108,7 +108,6 @@ func New(net *netsim.Network, cfg Config) *Generator {
 	return &Generator{
 		net:      net,
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(0)),
 		regional: make(map[netsim.Region][]float64),
 		counters: make(map[string][]kpi.Counters),
 	}
@@ -136,23 +135,23 @@ func (g *Generator) hashSeed(parts ...string) int64 {
 	return int64(h.Sum64())
 }
 
-// stream reseeds the generator's one rand.Rand for the stream labeled
-// by parts and returns it. Rand.Seed rebuilds exactly the state
-// rand.NewSource builds, so every stream draws what a fresh source
-// would, without a ~4.9 KiB source per stream. One stream is live at a
+// stream reseeds rng for the stream labeled by parts. A draw takes one
+// rand.Rand from the process-wide free list (seedmix.TakeRand) for all
+// of its streams: Rand.Seed rebuilds exactly the state rand.NewSource
+// builds, so every stream draws what a fresh source would, without a
+// ~4.9 KiB source per stream or per generator. One stream is live at a
 // time: each caller consumes its draws before the next stream starts.
-func (g *Generator) stream(parts ...string) *rand.Rand {
-	g.rng.Seed(g.hashSeed(parts...))
-	return g.rng
+func (g *Generator) stream(rng *rand.Rand, parts ...string) {
+	rng.Seed(g.hashSeed(parts...))
 }
 
-// regionalStress returns (computing once) the shared AR(1) stress path of
-// a region.
-func (g *Generator) regionalStress(r netsim.Region) []float64 {
+// regionalStress returns (computing once, on rng) the shared AR(1)
+// stress path of a region.
+func (g *Generator) regionalStress(rng *rand.Rand, r netsim.Region) []float64 {
 	if path, ok := g.regional[r]; ok {
 		return path
 	}
-	rng := g.stream("region", string(r))
+	g.stream(rng, "region", string(r))
 	n := g.cfg.Index.N
 	path := make([]float64, n)
 	// Stationary start.
@@ -168,12 +167,12 @@ func (g *Generator) regionalStress(r netsim.Region) []float64 {
 
 // sensitivity returns element e's multiplier on the shared stress
 // (regional process and external factors), deterministic in (seed,
-// element ID) unless overridden.
-func (g *Generator) sensitivity(id string) float64 {
+// element ID) unless overridden; it draws on rng.
+func (g *Generator) sensitivity(rng *rand.Rand, id string) float64 {
 	if s, ok := g.cfg.SensitivityOverrides[id]; ok {
 		return s
 	}
-	rng := g.stream("sens", id)
+	g.stream(rng, "sens", id)
 	return 1 + (rng.Float64()*2-1)*g.cfg.SensitivitySpread
 }
 
@@ -190,9 +189,10 @@ type baseRates struct {
 }
 
 // ratesFor derives an element's baseline rates from its kind and identity.
-// Controllers and core elements aggregate more traffic than single towers.
-func (g *Generator) ratesFor(e *netsim.Element) baseRates {
-	rng := g.stream("base", e.ID)
+// Controllers and core elements aggregate more traffic than single
+// towers. It draws on rng.
+func (g *Generator) ratesFor(rng *rand.Rand, e *netsim.Element) baseRates {
+	g.stream(rng, "base", e.ID)
 	scale := 1.0
 	switch {
 	case e.Kind == netsim.Cell:
@@ -247,9 +247,13 @@ func (g *Generator) Counters(id string) []kpi.Counters {
 // ID), so a cached and an uncached draw are bit-identical.
 func (g *Generator) draw(id string, emit func(i int, c kpi.Counters)) {
 	e := g.net.MustElement(id)
-	rates := g.ratesFor(e)
-	regional := g.regionalStress(e.Region)
-	sens := g.sensitivity(id)
+	// The draw's streams share one generator from the free list, taken
+	// unseeded: each stream seeds it.
+	rng := seedmix.TakeRand()
+	defer seedmix.PutRand(rng)
+	rates := g.ratesFor(rng, e)
+	regional := g.regionalStress(rng, e.Region)
+	sens := g.sensitivity(rng, id)
 	// An effect's share depends on the element alone. A few effects'
 	// shares fit on the stack.
 	var buf [4]float64
@@ -259,7 +263,7 @@ func (g *Generator) draw(id string, emit func(i int, c kpi.Counters)) {
 	}
 	// The series stream starts after the rates, regional and sensitivity
 	// streams have drawn theirs (see stream).
-	rng := g.stream("series", id)
+	g.stream(rng, "series", id)
 	n := g.cfg.Index.N
 	end := g.cfg.Index.End()
 	stepHours := g.cfg.Index.Step.Hours()

@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -342,11 +343,12 @@ func TestSeriesForMatchesSeriesWithoutCaching(t *testing.T) {
 	}
 }
 
-// TestSeriesForReusesOneSource pins the per-generator rand.Rand: each
-// stream reseeds it instead of allocating a ~4.9 KiB source. On a warm
-// region SeriesFor draws three streams (rates, sensitivity, series) and
-// keeps 1 + len(ks) allocations (the result slice and one value slice
-// per KPI); a source per stream would add three more.
+// TestSeriesForReusesOneSource pins the draw's one rand.Rand from the
+// free list: each stream reseeds it instead of allocating a ~4.9 KiB
+// source. On a warm region SeriesFor draws three streams (rates,
+// sensitivity, series) and keeps 1 + len(ks) allocations (the result
+// slice and one value slice per KPI); a source per stream would add
+// three more.
 func TestSeriesForReusesOneSource(t *testing.T) {
 	net := testNetwork()
 	g := New(net, DefaultConfig(dailyIndex(30)))
@@ -385,6 +387,68 @@ func TestSeriesForBytes(t *testing.T) {
 	if limit := uint64(len(ks)*n*8 + 512); per > limit {
 		t.Errorf("SeriesFor allocates %d B, want at most %d", per, limit)
 	}
+}
+
+// generatorSink makes each generator TestNewGeneratorBytes builds escape
+// to the heap, as the serve tier's do.
+var generatorSink *Generator
+
+// TestNewGeneratorBytes pins what New allocates: the generator and its
+// two empty caches. The rand.Rand its draws need comes from the free list
+// per draw; a source per generator made New cost 5,728 B.
+func TestNewGeneratorBytes(t *testing.T) {
+	net := testNetwork()
+	cfg := DefaultConfig(timeseries.NewIndex(epoch, 6*time.Hour, 112))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		generatorSink = New(net, cfg)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("New: %d B", per)
+	if per > 1024 {
+		t.Errorf("New allocates %d B, want at most 1024", per)
+	}
+}
+
+// TestPoolConcurrentGeneratorsMatchSequential has goroutines each draw
+// series from a generator of their own on one network, so their draws
+// take and return generators of the process-wide free list at once, and
+// requires every series to equal a sequential run's bit for bit.
+func TestPoolConcurrentGeneratorsMatchSequential(t *testing.T) {
+	net := testNetwork()
+	cfg := DefaultConfig(dailyIndex(30))
+	cfg.ElementNoiseAR = 0.4
+	ids := append(net.OfKind(netsim.NodeB)[:12], net.OfKind(netsim.Cell)[:6]...)
+	ks := []kpi.KPI{kpi.VoiceRetainability, kpi.DataAccessibility}
+	seq := New(net, cfg)
+	want := make([][]timeseries.Series, len(ids))
+	for i, id := range ids {
+		want[i] = seq.SeriesFor(id, ks)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := New(net, cfg)
+			for j := range ids {
+				i := (j + 5*w) % len(ids) // each goroutine in its own order
+				for m, s := range g.SeriesFor(ids[i], ks) {
+					for b, v := range s.Values {
+						if math.Float64bits(v) != math.Float64bits(want[i][m].Values[b]) {
+							t.Errorf("goroutine %d, %s %v at %d: %v, sequential %v", w, ids[i], ks[m], b, v, want[i][m].Values[b])
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestEmptyIndexPanics(t *testing.T) {

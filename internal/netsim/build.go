@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+
+	"repro/internal/seedmix"
 )
 
 // TopologyConfig parameterizes the generative topology. The defaults
@@ -73,7 +75,11 @@ func Build(cfg TopologyConfig) *Network {
 	if cfg.ControllersPerRegion <= 0 || cfg.TowersPerController <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive topology sizes %+v", cfg))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	// A source from the free list, reseeded: Rand.Seed rebuilds exactly
+	// the state rand.NewSource(cfg.Seed) builds.
+	rng := seedmix.TakeRand()
+	defer seedmix.PutRand(rng)
+	rng.Seed(cfg.Seed)
 	n := newNetwork(len(cfg.Regions) * regionSize(cfg))
 	for _, region := range cfg.Regions {
 		buildRegion(n, rng, cfg, region)

@@ -15,7 +15,10 @@ package netsim
 import "fmt"
 
 // Technology identifies the radio access technology of an element.
-type Technology int
+// Technology, Kind, Terrain and TrafficProfile are int8, so an Element
+// packs all four into one word. They are signed because %#v, which the
+// networks golden prints them with, shows unsigned values in hex.
+type Technology int8
 
 // Radio access technologies covered by the paper.
 const (
@@ -39,7 +42,7 @@ func (t Technology) String() string {
 
 // Kind identifies the role of a network element in the architecture of
 // Fig. 2 of the paper.
-type Kind int
+type Kind int8
 
 // Element kinds across the three architectures. Core kinds:
 // circuit-switched (MSC, GMSC), packet-switched (SGSN, GGSN), and
@@ -117,7 +120,7 @@ func Regions() []Region {
 }
 
 // Terrain classifies the radio environment of a tower (paper §1, §3.3).
-type Terrain int
+type Terrain int8
 
 // Terrain categories.
 const (
@@ -139,7 +142,7 @@ func (t Terrain) String() string {
 // TrafficProfile classifies the dominant usage pattern of the covered
 // area — the business-vs-lake distinction of the paper's DiD
 // counter-example (§3.2).
-type TrafficProfile int
+type TrafficProfile int8
 
 // Traffic profiles.
 const (
@@ -177,12 +180,16 @@ type Config struct {
 	SONEnabled bool
 }
 
-// Element is one addressable network element.
+// Element is one addressable network element. Its four one-byte
+// classifications sit together after ID, so they share one word and an
+// element fits the 176 B size class.
 type Element struct {
-	ID     string
-	Kind   Kind
-	Tech   Technology
-	Region Region
+	ID      string
+	Kind    Kind
+	Tech    Technology
+	Terrain Terrain
+	Traffic TrafficProfile
+	Region  Region
 	// Parent is the ID of the upstream element ("" for top-level core
 	// elements). Towers parent to controllers, controllers to core
 	// switches.
@@ -190,8 +197,6 @@ type Element struct {
 
 	Location GeoPoint
 	ZipCode  string
-	Terrain  Terrain
-	Traffic  TrafficProfile
 	// FoliageExposure in [0,1] scales how strongly yearly foliage
 	// seasonality affects the element's KPIs; ~0 outside deciduous
 	// regions (paper Fig. 3: Northeast seasonal, Southeast not).

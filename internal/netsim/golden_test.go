@@ -2,14 +2,17 @@ package netsim
 
 // Golden pin of generated networks. For each topology config the
 // fixture holds the element count and the SHA-256 of a canonical dump
-// of everything the network answers: every element field in insertion
-// order, the adjacency queries of every element, the predicate queries
-// of every tower, per-kind and per-region scans, one radius query, an
-// unknown ID and Validate. Slices print with %#v, so a nil and an empty
-// answer differ. The fixture was rendered by the map-backed network that
-// preceded the slice-backed one, so it pins the build's draw order, its
-// IDs and zips, and every query's order independently of the code under
-// test. Regenerate after an intentional contract change with:
+// of everything the network answers: every element field, element by
+// element in insertion order, the adjacency queries of every element,
+// the predicate queries of every tower, per-kind and per-region scans,
+// one radius query, an unknown ID and Validate. Each element prints its
+// fields by name in a fixed order (elementFields), so the dump does not
+// depend on how Element lays its fields out. Slices print with %#v, so
+// a nil and an empty answer differ. The fixture was rendered by the
+// map-backed network that preceded the slice-backed one, so it pins the
+// build's draw order, its IDs and zips, and every query's order
+// independently of the code under test. Regenerate after an intentional
+// contract change with:
 //
 //	go test ./internal/netsim -run TestNetworkGolden -update
 
@@ -22,6 +25,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -59,12 +64,51 @@ func goldenConfigs() []goldenConfig {
 		goldenConfig{"no-cells-no-enb-2-regions", noCells})
 }
 
-// dumpNetwork writes the canonical dump of n to w.
-func dumpNetwork(w io.Writer, n *Network) {
+// elementField is one Element field of the canonical dump: its name and
+// its value in Go syntax (%#v).
+type elementField struct {
+	name  string
+	value func(*Element) string
+}
+
+// elementFields are the fields the dump prints, by name and in the order
+// Element declared them when the fixture was rendered, so each line
+// reads as %#v of that Element did then, whatever the struct's layout.
+var elementFields = []elementField{
+	{"ID", func(e *Element) string { return fmt.Sprintf("%#v", e.ID) }},
+	{"Kind", func(e *Element) string { return fmt.Sprintf("%#v", e.Kind) }},
+	{"Tech", func(e *Element) string { return fmt.Sprintf("%#v", e.Tech) }},
+	{"Region", func(e *Element) string { return fmt.Sprintf("%#v", e.Region) }},
+	{"Parent", func(e *Element) string { return fmt.Sprintf("%#v", e.Parent) }},
+	{"Location", func(e *Element) string {
+		return fmt.Sprintf("netsim.GeoPoint{Lat:%#v, Lon:%#v}", e.Location.Lat, e.Location.Lon)
+	}},
+	{"ZipCode", func(e *Element) string { return fmt.Sprintf("%#v", e.ZipCode) }},
+	{"Terrain", func(e *Element) string { return fmt.Sprintf("%#v", e.Terrain) }},
+	{"Traffic", func(e *Element) string { return fmt.Sprintf("%#v", e.Traffic) }},
+	{"FoliageExposure", func(e *Element) string { return fmt.Sprintf("%#v", e.FoliageExposure) }},
+	{"Config", func(e *Element) string {
+		c := e.Config
+		return fmt.Sprintf("netsim.Config{SoftwareVersion:%#v, Vendor:%#v, EquipmentModel:%#v, AntennaTiltDeg:%#v, TxPowerDBm:%#v, FrequencyMHz:%#v, SONEnabled:%#v}",
+			c.SoftwareVersion, c.Vendor, c.EquipmentModel, c.AntennaTiltDeg, c.TxPowerDBm, c.FrequencyMHz, c.SONEnabled)
+	}},
+}
+
+// dumpNetwork writes the canonical dump of n to w, each element's fields
+// in the order of fields.
+func dumpNetwork(w io.Writer, n *Network, fields []elementField) {
 	ids := n.IDs()
 	fmt.Fprintf(w, "len %d\n", n.Len())
 	for _, id := range ids {
-		fmt.Fprintf(w, "element %#v\n", *n.MustElement(id))
+		e := n.MustElement(id)
+		io.WriteString(w, "element netsim.Element{")
+		for i, f := range fields {
+			if i > 0 {
+				io.WriteString(w, ", ")
+			}
+			io.WriteString(w, f.name+":"+f.value(e))
+		}
+		io.WriteString(w, "}\n")
 	}
 	for _, id := range ids {
 		fmt.Fprintf(w, "children %s %#v\n", id, n.Children(id))
@@ -90,13 +134,13 @@ func dumpNetwork(w io.Writer, n *Network) {
 	fmt.Fprintf(w, "validate %v\n", n.Validate())
 }
 
-func renderGoldenNetworks() []byte {
+func renderGoldenNetworks(fields []elementField) []byte {
 	var doc bytes.Buffer
 	for _, gc := range goldenConfigs() {
 		n := Build(gc.cfg)
 		h := sha256.New()
 		bw := bufio.NewWriter(h)
-		dumpNetwork(bw, n)
+		dumpNetwork(bw, n, fields)
 		if err := bw.Flush(); err != nil {
 			panic(err) // a hash never fails to write
 		}
@@ -116,7 +160,7 @@ func TestRegionSizeCountsBuild(t *testing.T) {
 }
 
 func TestNetworkGolden(t *testing.T) {
-	got := renderGoldenNetworks()
+	got := renderGoldenNetworks(elementFields)
 	golden := filepath.Join("testdata", "golden_networks.txt")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -134,5 +178,40 @@ func TestNetworkGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("generated networks differ from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestNetworkGoldenDumpsEveryField requires the dump to print every
+// Element field once, so a field added to Element cannot go unpinned.
+func TestNetworkGoldenDumpsEveryField(t *testing.T) {
+	var declared, dumped []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Element{})) {
+		declared = append(declared, f.Name)
+	}
+	for _, f := range elementFields {
+		dumped = append(dumped, f.name)
+	}
+	slices.Sort(declared)
+	slices.Sort(dumped)
+	if !slices.Equal(declared, dumped) {
+		t.Errorf("Element declares %v, the dump prints %v", declared, dumped)
+	}
+}
+
+// TestNetworkGoldenPinsFieldOrder swaps two fields of the dump, the two
+// enums a struct layout might reorder, and requires the rendering to
+// miss the fixture: the dump pins its field order and values, not just
+// the set of values.
+func TestNetworkGoldenPinsFieldOrder(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_networks.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := slices.Clone(elementFields)
+	i := slices.IndexFunc(swapped, func(f elementField) bool { return f.name == "Terrain" })
+	j := slices.IndexFunc(swapped, func(f elementField) bool { return f.name == "Traffic" })
+	swapped[i], swapped[j] = swapped[j], swapped[i]
+	if bytes.Equal(renderGoldenNetworks(swapped), want) {
+		t.Error("a dump with Terrain and Traffic swapped matches the fixture")
 	}
 }

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,6 +114,136 @@ func TestNetworkAddValidation(t *testing.T) {
 	}
 }
 
+// TestNetworkIndexMatchesMap grows a network from NewNetwork by Add
+// through every rehash of its index, past 5,000 elements with IDs of
+// mixed lengths, and checks each lookup against a map: present IDs,
+// absent ones, "" and prefixes of present IDs. The panics keep their
+// texts, and Children and Descendants answer as the parent links say.
+func TestNetworkIndexMatchesMap(t *testing.T) {
+	prefixes := []string{"", "n", "cell-", "a-rather-long-element-identifier-"}
+	n := NewNetwork()
+	pos := map[string]int{}
+	var ids []string
+	kids := map[string][]string{}
+	check := func() {
+		t.Helper()
+		if size := len(n.index); size&(size-1) != 0 || size < 2*n.Len() {
+			t.Fatalf("%d elements in a %d-slot index", n.Len(), size)
+		}
+		for _, id := range ids {
+			if got := n.lookup(id); got != int32(pos[id]) {
+				t.Fatalf("%d elements: lookup(%q) = %d, want %d", n.Len(), id, got, pos[id])
+			}
+			for _, absent := range []string{id[:len(id)-1], id + "x", id + ".c1"} {
+				if _, ok := pos[absent]; !ok && n.Element(absent) != nil {
+					t.Fatalf("%d elements: absent %q found", n.Len(), absent)
+				}
+			}
+		}
+		for _, absent := range []string{"", "missing", "a-rather-long-element-identifier"} {
+			if n.Element(absent) != nil {
+				t.Fatalf("%d elements: absent %q found", n.Len(), absent)
+			}
+		}
+	}
+	slots := len(n.index)
+	for i := 0; i < 5200; i++ {
+		e := &Element{ID: prefixes[i%len(prefixes)] + strconv.Itoa(i)}
+		if i >= 7 {
+			e.Parent = ids[(i-7)/3]
+			kids[e.Parent] = append(kids[e.Parent], e.ID)
+		}
+		n.Add(e)
+		pos[e.ID] = i
+		ids = append(ids, e.ID)
+		if len(n.index) != slots {
+			slots = len(n.index)
+			check()
+		}
+		if n.Element(e.ID) != e {
+			t.Fatalf("Element(%q) is not the element added", e.ID)
+		}
+	}
+	check()
+
+	panicText := func(e *Element) (text string) {
+		defer func() { text = fmt.Sprint(recover()) }()
+		n.Add(e)
+		return ""
+	}
+	for _, tc := range []struct {
+		e    *Element
+		want string
+	}{
+		{&Element{ID: ""}, "netsim: element with empty ID"},
+		{&Element{ID: ids[4000]}, fmt.Sprintf("netsim: duplicate element ID %q", ids[4000])},
+		{&Element{ID: "new", Parent: "n1x"}, `netsim: element "new" references unknown parent "n1x"`},
+	} {
+		if got := panicText(tc.e); got != tc.want {
+			t.Errorf("Add(%+v) panics with %q, want %q", *tc.e, got, tc.want)
+		}
+	}
+	if n.Len() != len(ids) || n.Element("new") != nil {
+		t.Fatalf("a panicking Add changed the network: %d elements", n.Len())
+	}
+	check()
+
+	for _, id := range ids {
+		if got, want := n.Children(id), kids[id]; !slices.Equal(got, want) {
+			t.Fatalf("Children(%q) = %v, want %v", id, got, want)
+		}
+	}
+	for _, id := range []string{ids[0], ids[5], ids[300], ids[2000]} {
+		var want []string
+		for queue := []string{id}; len(queue) > 0; queue = queue[1:] {
+			want = append(want, kids[queue[0]]...)
+			queue = append(queue, kids[queue[0]]...)
+		}
+		if got := n.Descendants(id); !slices.Equal(got, want) {
+			t.Fatalf("Descendants(%q): %d IDs, want %d", id, len(got), len(want))
+		}
+	}
+}
+
+// TestPoolConcurrentBuildsMatch builds networks on several goroutines at
+// once, every build drawing from a generator of the process-wide free
+// list, and requires each build's elements to equal a sequential
+// build's, field by field.
+func TestPoolConcurrentBuildsMatch(t *testing.T) {
+	dump := func(seed int64) string {
+		cfg := DefaultTopologyConfig()
+		cfg.Regions = []Region{Northeast, Midwest}
+		cfg.Seed = seed
+		n := Build(cfg)
+		var b strings.Builder
+		for _, id := range n.IDs() {
+			for _, f := range elementFields {
+				b.WriteString(f.value(n.MustElement(id)) + " ")
+			}
+		}
+		return b.String()
+	}
+	const seeds = 2
+	want := make([]string, seeds)
+	for s := range want {
+		want[s] = dump(int64(s + 1))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2*seeds; g++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for rep := 0; rep < 2; rep++ {
+				if dump(int64(s+1)) != want[s] {
+					t.Errorf("seed %d: a concurrent build differs from the sequential one", s+1)
+					return
+				}
+			}
+		}(g % seeds)
+	}
+	wg.Wait()
+}
+
 func TestBuildDeterministic(t *testing.T) {
 	cfg := DefaultTopologyConfig()
 	cfg.Regions = []Region{Northeast}
@@ -143,10 +277,11 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 // TestBuildBytesPerElement pins what Build allocates per element of the
-// default topology (1970 elements): the element, its ID, a tower's zip
-// and an even share of the presized index and child links, with no map
-// or slice growth and no fmt. With map growth and fmt IDs a build costs
-// 497 B and 4.6 allocations per element.
+// default topology (1970 elements): the 176 B element, its ID, a tower's
+// zip and an even share of the presized index table and child links,
+// with no map, no slice growth, no fmt and no new generator source. With
+// map growth and fmt IDs a build cost 497 B and 4.6 allocations per
+// element; with 200 B elements, a map index and its own source, 303 B.
 func TestBuildBytesPerElement(t *testing.T) {
 	cfg := DefaultTopologyConfig()
 	elems := float64(Build(cfg).Len())
@@ -161,8 +296,8 @@ func TestBuildBytesPerElement(t *testing.T) {
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / elems
 	allocs := float64(after.Mallocs-before.Mallocs) / runs / elems
 	t.Logf("Build: %.0f B and %.2f allocations per element", bytes, allocs)
-	if bytes > 360 {
-		t.Errorf("Build allocates %.0f B per element, want at most 360", bytes)
+	if bytes > 240 {
+		t.Errorf("Build allocates %.0f B per element, want at most 240", bytes)
 	}
 	if allocs > 3 {
 		t.Errorf("Build makes %.2f allocations per element, want at most 3", allocs)

@@ -3,19 +3,23 @@ package netsim
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/seedmix"
 )
 
 // Network is a collection of elements with parent/child adjacency — the
 // topological structure the paper infers from daily configuration
 // snapshots (§2.2) and uses for control-group selection (§3.3).
 //
-// Elements sit in insertion order, which every scan follows; index maps
-// an ID to its position, and first, last and next link each position to
-// its first and last child and to its next sibling (-1 for none), in
-// insertion order.
+// Elements sit in insertion order, which every scan follows; first, last
+// and next link each position to its first and last child and to its
+// next sibling (-1 for none), in insertion order. index maps an ID to its
+// position: an open-addressed table, a power of two at least twice the
+// element count, holding position + 1 (0 for an empty slot) and probed
+// linearly from the mixed FNV-1a hash of the ID.
 type Network struct {
 	elems             []*Element
-	index             map[string]int32
+	index             []int32
 	first, last, next []int32
 }
 
@@ -26,11 +30,21 @@ func NewNetwork() *Network { return newNetwork(0) }
 func newNetwork(size int) *Network {
 	return &Network{
 		elems: make([]*Element, 0, size),
-		index: make(map[string]int32, size),
+		index: make([]int32, indexSize(size)),
 		first: make([]int32, 0, size),
 		last:  make([]int32, 0, size),
 		next:  make([]int32, 0, size),
 	}
+}
+
+// indexSize returns the index table size for size elements: the least
+// power of two of at least 2·size slots, and at least 8.
+func indexSize(size int) int {
+	slots := 8
+	for slots < 2*size {
+		slots *= 2
+	}
+	return slots
 }
 
 // Add inserts an element. It panics on a duplicate ID or (for non-root
@@ -40,7 +54,11 @@ func (n *Network) Add(e *Element) {
 	if e.ID == "" {
 		panic("netsim: element with empty ID")
 	}
-	if n.lookup(e.ID) >= 0 {
+	if 2*(len(n.elems)+1) > len(n.index) {
+		n.rehash(indexSize(len(n.elems) + 1))
+	}
+	slot := n.slot(e.ID)
+	if n.index[slot] != 0 {
 		panic(fmt.Sprintf("netsim: duplicate element ID %q", e.ID))
 	}
 	parent := int32(-1)
@@ -50,7 +68,7 @@ func (n *Network) Add(e *Element) {
 		}
 	}
 	pos := int32(len(n.elems))
-	n.index[e.ID] = pos
+	n.index[slot] = pos + 1
 	n.elems = append(n.elems, e)
 	n.first = append(n.first, -1)
 	n.last = append(n.last, -1)
@@ -65,12 +83,28 @@ func (n *Network) Add(e *Element) {
 	}
 }
 
+// rehash rebuilds the index with the given number of slots.
+func (n *Network) rehash(slots int) {
+	n.index = make([]int32, slots)
+	for pos, e := range n.elems {
+		n.index[n.slot(e.ID)] = int32(pos) + 1
+	}
+}
+
+// slot returns the index slot of id: the slot holding it, or the empty
+// slot where it would go. The table always has an empty slot.
+func (n *Network) slot(id string) int {
+	mask := uint64(len(n.index) - 1)
+	for i := seedmix.SplitMix64(seedmix.FNV64a(id)) & mask; ; i = (i + 1) & mask {
+		if p := n.index[i]; p == 0 || n.elems[p-1].ID == id {
+			return int(i)
+		}
+	}
+}
+
 // lookup returns the position of id, or -1 if absent.
 func (n *Network) lookup(id string) int32 {
-	if pos, ok := n.index[id]; ok {
-		return pos
-	}
-	return -1
+	return n.index[n.slot(id)] - 1
 }
 
 // Element returns the element with the given ID, or nil if absent.

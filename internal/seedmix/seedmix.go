@@ -4,7 +4,15 @@
 // data-fault injectors and the network-fault proxies all key their
 // generators through it. It imports nothing from the repository, so the
 // fault injectors stay independent of the engine they break.
+//
+// It also keeps the process-wide free list of math/rand generators that
+// the world build and series synthesis draw from (TakeRand, PutRand).
 package seedmix
+
+import (
+	"math/rand"
+	"runtime"
+)
 
 // SplitMix64 is the SplitMix64 finalizer (Steele, Lea & Flood 2014): a
 // bijective avalanche mix whose output stream passes BigCrush. It is the
@@ -25,4 +33,39 @@ func FNV64a(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
+}
+
+// rands is the process-wide free list of generators. A math/rand source
+// is about 4.9 KiB, and a network build and every series draw need one
+// only for the length of their draws; the list lets them reuse sources
+// instead of allocating one each. It is a buffered channel, not a
+// sync.Pool: garbage collection empties a pool, and the race detector
+// drops a quarter of its Puts, so a pool would make what a draw
+// allocates depend on the collector. Four per P: a draw holds its
+// generator only while it runs, so about one per P is out at a time and
+// the rest covers draws descheduled mid-way, while a burst of
+// concurrent draws leaves at most 4·P sources (about 20 KiB per P)
+// resident once it is over.
+var rands = make(chan *rand.Rand, 4*runtime.GOMAXPROCS(0))
+
+// TakeRand returns a generator from the free list, or a new one when
+// the list is empty. Its state is whatever its last user left: the
+// caller seeds it before drawing (Rand.Seed rebuilds exactly the state
+// rand.NewSource builds) and hands it back with PutRand.
+func TakeRand() *rand.Rand {
+	select {
+	case r := <-rands:
+		return r
+	default:
+		return rand.New(rand.NewSource(0))
+	}
+}
+
+// PutRand returns r to the free list, or drops it when the list is
+// full. The caller must not use r afterwards.
+func PutRand(r *rand.Rand) {
+	select {
+	case rands <- r:
+	default:
+	}
 }
