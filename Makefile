@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt lint build test race race-pools race-obs alloc-bounds chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json bench-smoke serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
+.PHONY: ci vet fmt lint build test race race-pools race-obs alloc-bounds chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-smoke serve-smoke crash-smoke clean
 
 ci: vet fmt build test race race-pools race-obs alloc-bounds chaos fuzz-seed
 
@@ -68,12 +68,14 @@ race-obs:
 
 # Every allocation-bound test, twenty runs each: the span, selection,
 # per-iteration, per-element and per-element byte budgets of the engine,
-# and the network build, generator and series synthesis budgets of the
-# world path. The bounds are calibrated on one toolchain and a marginal
-# one flakes rarely, so twenty runs show it before it fails on main.
+# the network build, generator and series synthesis budgets of the
+# world path, and the batch path's amortization against cold singles
+# (allocations and CPU time). The bounds are calibrated on one toolchain
+# and a marginal one flakes rarely, so twenty runs show it before it
+# fails on main.
 alloc-bounds:
-	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes)$$' \
-		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestBatchAmortization)$$' \
+		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen ./internal/serve/client
 
 # Chaos suite under the race detector: every fault injector through the
 # pipeline (result or typed Degraded reason, clean inputs bit-identical
@@ -123,16 +125,6 @@ bench-workers:
 bench-obs:
 	$(GO) test -bench 'AssessGroupInstrumented' -benchmem -run '^$$' .
 
-# Machine-readable snapshot of the assessment-kernel benchmarks
-# (ns/op, B/op, allocs/op per benchmark) — the artifact CI uploads so
-# kernel performance is reviewable per commit. Short -benchtime keeps it
-# cheap; use `make bench` for full-length local numbers.
-bench-json:
-	$(GO) test -bench 'AssessElement$$|AssessElementWorkers|WorkerScaling|QRReuse|Median$$' \
-		-benchmem -benchtime 0.2s -run '^$$' . ./internal/linalg ./internal/stats \
-		| $(GO) run ./cmd/benchjson -o BENCH_3.json
-	@echo wrote BENCH_3.json
-
 # Benchmark smoke: the tests of the bench module (its own Go module, so
 # outside the root `go test ./...`), then every benchmark workload for
 # two seconds. The run exits non-zero on any wrong or failed answer; its
@@ -159,36 +151,6 @@ serve-smoke:
 # be served byte-identical after replay — zero completed work lost.
 crash-smoke:
 	LITMUS_CRASH_SMOKE=1 $(GO) test -run TestCrashRecoverySmoke -count=1 -v ./cmd/litmus-serve
-
-# Serving-layer latency/throughput snapshot (p50/p90/p99, jobs/sec,
-# cache hit counters) — the BENCH_4.json artifact CI uploads.
-bench-serve:
-	$(GO) run ./cmd/litmus-loadgen -n 200 -c 8 -o BENCH_4.json
-	@echo wrote BENCH_4.json
-
-# Batch-vs-singles amortization proof. First the engine-level benchmark
-# pair (AssessChangelog vs per-change AssessChangeContext) through
-# cmd/benchjson for trend-spotting, then the full service-path run: a
-# 1000-entry changelog as one POST /v1/assess/batch vs 1000 sequential
-# singles, written to BENCH_8.json — the target (wall ≤ 0.35× the
-# singles, allocations ≤ 0.25× of N standalone jobs that each build
-# their world) is enforced by the run's exit code.
-bench-batch:
-	$(GO) test -bench 'BatchChangelog|SequentialSingles' -benchmem -benchtime 1x -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -o BENCH_8_engine.json
-	$(GO) run ./cmd/litmus-loadgen -batch -o BENCH_8.json
-	@echo wrote BENCH_8.json and BENCH_8_engine.json
-
-# Sharded-serving proof: the same workload (5 rounds over 120 distinct
-# requests) routed by consistent-hashed digest against 1 vs 3 in-process
-# nodes, each with an 80-entry cache. The single node LRU-thrashes and
-# recomputes every round; the 3-node ring holds the whole working set.
-# Written to BENCH_9.json — the targets (≥ 2.2× throughput, every digest
-# computed on exactly one node, zero failovers) are enforced by the
-# run's exit code.
-bench-shard:
-	$(GO) run ./cmd/litmus-loadgen -shard -o BENCH_9.json
-	@echo wrote BENCH_9.json
 
 clean:
 	$(GO) clean ./...

@@ -2,10 +2,9 @@ package litmus
 
 // Batch-vs-singles benchmark pair: the same changelog through
 // AssessChangelog (amortized) and through per-change AssessChangeContext
-// calls (the baseline). `make bench-batch` runs both through
-// cmd/benchjson into BENCH_8.json's companion numbers; the committed
-// BENCH_8.json itself comes from `litmus-loadgen -batch`, which measures
-// the full service path at changelog scale.
+// calls (the baseline); `make bench` runs both. The service path at
+// changelog scale is bounded by TestBatchAmortization
+// (internal/serve/client).
 
 import (
 	"context"
@@ -19,8 +18,8 @@ import (
 )
 
 // benchChangelog builds n changes spread over `signatures` distinct
-// (study, at) pairs on the batch test world's topology — same sharing
-// shape as the litmus-loadgen -batch corpus.
+// (study, at) pairs on the batch test world's topology — the same
+// sharing shape as TestBatchAmortization's changelog.
 func benchChangelog(n, signatures int) (*netsim.Network, []*changelog.Change, SeriesProvider) {
 	topo := netsim.DefaultTopologyConfig()
 	topo.Seed = 17

@@ -52,7 +52,9 @@ func goldenRequest(t *testing.T) *serve.AssessRequest {
 	}
 }
 
-func newService(t *testing.T, cfg serve.Config) *Client {
+// newService starts a service on cfg and returns a client for it, with
+// the server for reading its registry.
+func newService(t *testing.T, cfg serve.Config) (*Client, *serve.Server) {
 	t.Helper()
 	s := serve.New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -62,13 +64,13 @@ func newService(t *testing.T, cfg serve.Config) *Client {
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
-	return New(ts.URL, ts.Client())
+	return New(ts.URL, ts.Client()), s
 }
 
 // TestAssessGolden is the client-side half of the e2e acceptance gate:
 // submit, poll, fetch — the bytes must equal the committed fixture.
 func TestAssessGolden(t *testing.T) {
-	c := newService(t, serve.Config{})
+	c, _ := newService(t, serve.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -96,7 +98,7 @@ func TestAssessGolden(t *testing.T) {
 }
 
 func TestSubmitAndPollPrimitives(t *testing.T) {
-	c := newService(t, serve.Config{})
+	c, _ := newService(t, serve.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -130,7 +132,7 @@ func TestSubmitAndPollPrimitives(t *testing.T) {
 }
 
 func TestUnknownJobError(t *testing.T) {
-	c := newService(t, serve.Config{})
+	c, _ := newService(t, serve.Config{})
 	ctx := context.Background()
 	_, err := c.Job(ctx, "jdeadbeef")
 	apiErr, ok := err.(*APIError)
@@ -143,7 +145,7 @@ func TestUnknownJobError(t *testing.T) {
 // Assess calls; the client must absorb the 429s (honoring Retry-After)
 // and every call must still land the correct result.
 func TestAssessRidesOutBackpressure(t *testing.T) {
-	c := newService(t, serve.Config{Workers: 1, QueueDepth: 1, RetryAfter: 10 * time.Millisecond})
+	c, _ := newService(t, serve.Config{Workers: 1, QueueDepth: 1, RetryAfter: 10 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -185,7 +187,7 @@ func goldenBatch(t *testing.T, changes ...serve.ChangeSpec) *serve.BatchAssessRe
 // document; the golden entry carries the committed fixture's document,
 // compacted by the embedding.
 func TestAssessBatchGolden(t *testing.T) {
-	c := newService(t, serve.Config{})
+	c, _ := newService(t, serve.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -219,7 +221,7 @@ func TestAssessBatchGolden(t *testing.T) {
 // concurrent AssessBatch calls; the client must absorb the 429s
 // (honoring Retry-After) and every call must land its document.
 func TestAssessBatchRidesOutBackpressure(t *testing.T) {
-	c := newService(t, serve.Config{Workers: 1, QueueDepth: 1, RetryAfter: 10 * time.Millisecond})
+	c, _ := newService(t, serve.Config{Workers: 1, QueueDepth: 1, RetryAfter: 10 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 

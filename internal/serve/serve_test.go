@@ -763,6 +763,36 @@ func TestFailedJobRetryCompletes(t *testing.T) {
 	}
 }
 
+// TestJobCountedWhenVisible: litmus_jobs_total counts a job before
+// GET /v1/jobs/{id} can show its terminal state. Each job's status is
+// polled without a pause and the counter read the moment the state is
+// terminal.
+func TestJobCountedWhenVisible(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	want := map[string]int64{}
+	for i := 0; i < 12; i++ {
+		req := requestWithSeed(t, int64(7100+i))
+		if i%2 == 1 {
+			req = failingRequest(t, int64(7100+i))
+		}
+		sub, _ := submit(t, ts, req)
+		var st JobStatus
+		for st.Status != stateDone && st.Status != stateFailed {
+			var code int
+			if st, code = getJob(t, ts, sub.ID); code != http.StatusOK {
+				t.Fatalf("job %d: status code %d", i, code)
+			}
+		}
+		want[st.Status]++
+		if n := counterValue(t, s.Registry(), obs.Labeled(obs.MetricJobs, "status", st.Status)); n != want[st.Status] {
+			t.Fatalf("job %d visible as %s with %s jobs = %d, want %d", i, st.Status, st.Status, n, want[st.Status])
+		}
+	}
+	if want[stateDone] == 0 || want[stateFailed] == 0 {
+		t.Fatalf("terminal states seen %v, want both done and failed", want)
+	}
+}
+
 // TestFailedJobRetryQueueFull: a failed-job resubmit shed by the full
 // queue must leave the record failed — still retryable — rather than
 // wedged in a phantom "queued" state that never runs and dedups every

@@ -636,6 +636,10 @@ func (s *Server) runJob(j *job) {
 		statusLabel = "degraded"
 	}
 
+	// Count the job before its terminal state becomes visible, so a
+	// client that reads the state also reads it counted.
+	s.reg.Counter(obs.Labeled(obs.MetricJobs, "status", statusLabel)).Add(1)
+
 	s.mu.Lock()
 	j.finished = time.Now()
 	j.attempts = attempts
@@ -670,7 +674,6 @@ func (s *Server) runJob(j *job) {
 	run := j.finished.Sub(j.started)
 	s.mu.Unlock()
 
-	s.reg.Counter(obs.Labeled(obs.MetricJobs, "status", statusLabel)).Add(1)
 	s.reg.Histogram(obs.MetricJobSeconds, obs.StageBuckets).Observe(latency.Seconds())
 	s.reg.Histogram(obs.MetricJobQueueSeconds, obs.StageBuckets).Observe(queueWait.Seconds())
 	s.reg.Histogram(obs.MetricJobRunSeconds, obs.StageBuckets).Observe(run.Seconds())

@@ -1,12 +1,11 @@
 package shard
 
 // Resilience-layer tests: circuit-breaker state transitions, the
-// failoverable-status table, live membership via SetEndpoints (minimal
-// remapping + health-state carry-over), WaitReady backoff with
-// Retry-After, breaker-driven skip of dead owners, and hedged
-// assessment — including the hedge-cancel contract: the losing
-// request's context is canceled while its server-side job still
-// completes and lands in the journal and cache.
+// failoverable-status table, WaitReady backoff with Retry-After,
+// breaker-driven skip of dead owners, and hedged assessment —
+// including the hedge-cancel contract: the losing request's context is
+// canceled while its server-side job still completes and lands in the
+// journal and cache.
 
 import (
 	"context"
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,87 +131,6 @@ func TestFailoverable(t *testing.T) {
 	}
 	if !failoverable(context.DeadlineExceeded) {
 		t.Error("attempt timeout not failoverable")
-	}
-}
-
-// TestSetEndpointsMinimalRemapping pins the consistent-hash contract
-// across a live membership change: after adding a node, every key
-// either keeps its owner or moves onto the new node — never between two
-// survivors — and health/breaker state carries over.
-func TestSetEndpointsMinimalRemapping(t *testing.T) {
-	eps := []string{"http://a", "http://b", "http://c"}
-	rt, err := NewRouter(eps, RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Open b's breaker, and leave a with a partial failure streak.
-	now := time.Now()
-	for i := 0; i < defaultBreakerThreshold; i++ {
-		rt.health["http://b"].observe(false, now)
-	}
-	rt.health["http://a"].observe(false, now)
-	bBreaker, aBreaker := rt.health["http://b"], rt.health["http://a"]
-	if bBreaker.current() != stateOpen {
-		t.Fatal("setup: b's breaker not open")
-	}
-
-	const keys = 5000
-	before := make(map[string]string, keys)
-	for i := 0; i < keys; i++ {
-		key := "j" + strconv.Itoa(i)
-		before[key] = rt.Ring().Owner(key)
-	}
-
-	if err := rt.SetEndpoints([]string{"http://a", "http://b", "http://c", "http://d"}); err != nil {
-		t.Fatal(err)
-	}
-
-	moved := 0
-	for key, old := range before {
-		if got := rt.Ring().Owner(key); got != old {
-			if got != "http://d" {
-				t.Fatalf("key %s moved %s → %s across a membership change, not onto the new node", key, old, got)
-			}
-			moved++
-		}
-	}
-	if moved == 0 || moved > keys/2 {
-		t.Fatalf("%d/%d keys moved to the new node — want roughly a quarter", moved, keys)
-	}
-
-	// Surviving nodes keep their breaker instances (state and streaks
-	// intact); the new node starts closed.
-	if rt.health["http://b"] != bBreaker || bBreaker.current() != stateOpen {
-		t.Fatal("b's open breaker did not survive the membership change")
-	}
-	if rt.health["http://a"] != aBreaker {
-		t.Fatal("a's breaker was rebuilt, losing its failure streak")
-	}
-	if rt.health["http://d"].current() != stateClosed {
-		t.Fatal("new node's breaker not closed")
-	}
-
-	// Shrinking drops removed nodes' state entirely.
-	if err := rt.SetEndpoints([]string{"http://a", "http://d"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rt.health["http://b"]; ok {
-		t.Fatal("removed node's breaker retained")
-	}
-	if _, ok := rt.clients["http://b"]; ok {
-		t.Fatal("removed node's client retained")
-	}
-	if got := len(rt.Endpoints()); got != 2 {
-		t.Fatalf("endpoints after shrink = %d, want 2", got)
-	}
-
-	// Invalid membership is rejected without touching the live ring.
-	if err := rt.SetEndpoints(nil); err == nil {
-		t.Fatal("empty membership accepted")
-	}
-	if got := len(rt.Endpoints()); got != 2 {
-		t.Fatalf("failed SetEndpoints mutated the ring: %d endpoints", got)
 	}
 }
 

@@ -26,9 +26,6 @@ package shard
 //     most 1+RetryBudget nodes, each attempt optionally boxed by
 //     AttemptTimeout under the caller's own deadline, so retries can
 //     never amplify load or latency unboundedly.
-//   - Live membership (SetEndpoints): the ring is rebuilt under the
-//     router's lock with health/breaker state carried over for
-//     surviving nodes, preserving the minimal-remapping guarantee.
 
 import (
 	"context"
@@ -98,30 +95,27 @@ type RouterOptions struct {
 	HedgeMinDelay time.Duration
 }
 
-// Router routes assessment traffic across a set of service endpoints by
-// consistent-hashed canonical digest, with per-endpoint circuit
-// breakers, bounded failover, and optional hedging. Safe for concurrent
-// use; membership changes live via SetEndpoints.
+// Router routes assessment traffic across a fixed set of service
+// endpoints by consistent-hashed canonical digest, with per-endpoint
+// circuit breakers, bounded failover, and optional hedging. Safe for
+// concurrent use.
 type Router struct {
-	httpc        *http.Client
-	pollInterval time.Duration
-	replicas     int
-	reg          *obs.Registry
+	reg *obs.Registry
 
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	attemptTimeout   time.Duration
-	retryBudget      int
+	attemptTimeout time.Duration
+	retryBudget    int
 
 	hedge         bool
 	hedgeQuantile float64
 	hedgeMinDelay time.Duration
 
-	mu      sync.Mutex
+	// Fixed by NewRouter and read without the lock.
 	ring    *Ring
 	clients map[string]*client.Client
 	health  map[string]*breaker
-	routed  map[string]int64 // endpoint → requests sent (incl. failover targets)
+
+	mu     sync.Mutex
+	routed map[string]int64 // endpoint → requests sent (incl. failover targets)
 
 	latencies [hedgeWindow]float64 // seconds; ring buffer of successful Assess calls
 	latN      int                  // samples stored (≤ hedgeWindow)
@@ -176,82 +170,33 @@ func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 		hedgeMin = defaultHedgeMinDelay
 	}
 	rt := &Router{
-		httpc:            httpc,
-		pollInterval:     opts.PollInterval,
-		replicas:         opts.Replicas,
-		reg:              opts.Registry,
-		breakerThreshold: opts.BreakerThreshold,
-		breakerCooldown:  opts.BreakerCooldown,
-		attemptTimeout:   opts.AttemptTimeout,
-		retryBudget:      opts.RetryBudget,
-		hedge:            opts.Hedge,
-		hedgeQuantile:    hedgeQ,
-		hedgeMinDelay:    hedgeMin,
-		ring:             ring,
-		clients:          make(map[string]*client.Client, len(endpoints)),
-		health:           make(map[string]*breaker, len(endpoints)),
-		routed:           make(map[string]int64, len(endpoints)),
+		reg:            opts.Registry,
+		attemptTimeout: opts.AttemptTimeout,
+		retryBudget:    opts.RetryBudget,
+		hedge:          opts.Hedge,
+		hedgeQuantile:  hedgeQ,
+		hedgeMinDelay:  hedgeMin,
+		ring:           ring,
+		clients:        make(map[string]*client.Client, len(endpoints)),
+		health:         make(map[string]*breaker, len(endpoints)),
+		routed:         make(map[string]int64, len(endpoints)),
 	}
 	for _, ep := range ring.Nodes() {
-		rt.clients[ep] = rt.newClient(ep)
-		rt.health[ep] = rt.newBreaker(ep)
+		c := client.New(ep, httpc)
+		if opts.PollInterval > 0 {
+			c.PollInterval = opts.PollInterval
+		}
+		rt.clients[ep] = c
+		rt.health[ep] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(to breakerState) {
+			rt.transitions.Add(1)
+			rt.reg.Counter(obs.Labeled(obs.MetricRouterBreakerTransitions, "endpoint", ep, "to", to.String())).Add(1)
+		})
 	}
 	return rt, nil
 }
 
-func (rt *Router) newClient(ep string) *client.Client {
-	c := client.New(ep, rt.httpc)
-	if rt.pollInterval > 0 {
-		c.PollInterval = rt.pollInterval
-	}
-	return c
-}
-
-func (rt *Router) newBreaker(ep string) *breaker {
-	return newBreaker(rt.breakerThreshold, rt.breakerCooldown, func(to breakerState) {
-		rt.transitions.Add(1)
-		rt.reg.Counter(obs.Labeled(obs.MetricRouterBreakerTransitions, "endpoint", ep, "to", to.String())).Add(1)
-	})
-}
-
-// SetEndpoints replaces the router's membership live: the ring is
-// rebuilt under the router's lock, clients and breaker/health state are
-// carried over for surviving nodes (an open circuit stays open across a
-// membership change), new nodes start with a fresh closed breaker, and
-// removed nodes are dropped. The consistent-hash contract carries over
-// with the ring: only keys owned by removed nodes, or claimed by new
-// ones, change owners.
-func (rt *Router) SetEndpoints(endpoints []string) error {
-	ring, err := NewRing(endpoints, rt.replicas)
-	if err != nil {
-		return err
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	clients := make(map[string]*client.Client, len(endpoints))
-	health := make(map[string]*breaker, len(endpoints))
-	for _, ep := range ring.Nodes() {
-		if c, ok := rt.clients[ep]; ok {
-			clients[ep] = c
-			health[ep] = rt.health[ep]
-			continue
-		}
-		clients[ep] = rt.newClient(ep)
-		health[ep] = rt.newBreaker(ep)
-	}
-	rt.ring, rt.clients, rt.health = ring, clients, health
-	return nil
-}
-
-// Ring returns the router's current consistent-hash ring.
-func (rt *Router) Ring() *Ring {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.ring
-}
-
-// Endpoints returns the routed endpoints in configuration order.
-func (rt *Router) Endpoints() []string { return rt.Ring().Nodes() }
+// Ring returns the router's consistent-hash ring.
+func (rt *Router) Ring() *Ring { return rt.ring }
 
 // Stats returns a snapshot of the router's routing and resilience
 // counters.
@@ -261,13 +206,13 @@ func (rt *Router) Stats() RouteStats {
 	for ep, n := range rt.routed {
 		routed[ep] = n
 	}
+	rt.mu.Unlock()
 	var open []string
 	for ep, b := range rt.health {
 		if b.current() != stateClosed {
 			open = append(open, ep)
 		}
 	}
-	rt.mu.Unlock()
 	sort.Strings(open)
 	return RouteStats{
 		Routed:             routed,
@@ -308,27 +253,6 @@ func failoverable(err error) bool {
 	return true
 }
 
-// plan snapshots the routing state for one request: the key's failover
-// sequence, the client and breaker per endpoint, and the attempt budget.
-func (rt *Router) plan(key string) (seq []string, clients map[string]*client.Client, health map[string]*breaker, budget int) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	seq = rt.ring.Sequence(key)
-	clients = make(map[string]*client.Client, len(seq))
-	health = make(map[string]*breaker, len(seq))
-	for _, ep := range seq {
-		clients[ep] = rt.clients[ep]
-		health[ep] = rt.health[ep]
-	}
-	budget = rt.retryBudget
-	if budget == 0 {
-		budget = len(seq) - 1
-	} else if budget < 0 {
-		budget = 0
-	}
-	return seq, clients, health, budget
-}
-
 // attempt runs fn against one node, boxed by AttemptTimeout when
 // configured (nested under the caller's own deadline).
 func (rt *Router) attempt(ctx context.Context, c *client.Client, fn func(context.Context, *client.Client) error) error {
@@ -348,24 +272,30 @@ func (rt *Router) attempt(ctx context.Context, c *client.Client, fn func(context
 // is attempted anyway — a request never fails without at least one
 // attempt.
 func (rt *Router) route(ctx context.Context, key string, offset int, fn func(context.Context, *client.Client) error) error {
-	seq, clients, health, budget := rt.plan(key)
+	seq := rt.ring.Sequence(key)
+	budget := rt.retryBudget
+	if budget == 0 {
+		budget = len(seq) - 1
+	} else if budget < 0 {
+		budget = 0
+	}
 	if offset %= len(seq); offset > 0 {
 		seq = append(append(make([]string, 0, len(seq)), seq[offset:]...), seq[:offset]...)
 	}
 	try := func(ep string) error {
 		rt.recordRoute(ep, ep != seq[0] || offset != 0)
-		err := rt.attempt(ctx, clients[ep], fn)
+		err := rt.attempt(ctx, rt.clients[ep], fn)
 		switch {
 		case err == nil:
-			health[ep].observe(true, time.Now())
+			rt.health[ep].observe(true, time.Now())
 		case ctx.Err() != nil:
 			// The caller canceled mid-attempt (deadline, or a hedge
 			// loser) — that says nothing about the node's health.
 		case failoverable(err):
-			health[ep].observe(false, time.Now())
+			rt.health[ep].observe(false, time.Now())
 		default:
 			// A deterministic API answer proves the node is alive.
-			health[ep].observe(true, time.Now())
+			rt.health[ep].observe(true, time.Now())
 		}
 		return err
 	}
@@ -378,7 +308,7 @@ func (rt *Router) route(ctx context.Context, key string, offset int, fn func(con
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !health[ep].allow(time.Now()) {
+		if !rt.health[ep].allow(time.Now()) {
 			rt.breakerSkips.Add(1)
 			continue
 		}
@@ -603,13 +533,8 @@ const (
 // hammering a replaying node, and a Retry-After hint on the 503 is
 // honored as-is.
 func (rt *Router) WaitReady(ctx context.Context) error {
-	for _, ep := range rt.Endpoints() {
-		rt.mu.Lock()
+	for _, ep := range rt.ring.Nodes() {
 		c := rt.clients[ep]
-		rt.mu.Unlock()
-		if c == nil { // removed by a concurrent SetEndpoints
-			continue
-		}
 		backoff := waitReadyBase
 		for {
 			err := c.Ready(ctx)

@@ -2,8 +2,9 @@ package shard
 
 // Ring contract tests (determinism, balance, minimal remapping on
 // membership change) plus Router tests against real in-process service
-// nodes: digest-stable routing with no double computation, and
-// owner-down failover with byte-identical recomputation.
+// nodes: digest-stable routing with no double computation, node caches
+// pooled by the ring, and owner-down failover with byte-identical
+// recomputation.
 
 import (
 	"context"
@@ -139,14 +140,15 @@ func testRequest(t *testing.T, seed int64) *serve.AssessRequest {
 	}
 }
 
-// cluster boots n real in-process service nodes and a router over them.
-func cluster(t *testing.T, n int) (*Router, []*serve.Server, []*httptest.Server) {
+// cluster boots n real in-process service nodes, each configured by
+// cfg, and a router over them.
+func cluster(t *testing.T, n int, cfg serve.Config) (*Router, []*serve.Server, []*httptest.Server) {
 	t.Helper()
 	servers := make([]*serve.Server, n)
 	https := make([]*httptest.Server, n)
 	endpoints := make([]string, n)
 	for i := range servers {
-		s := serve.New(serve.Config{Workers: 1})
+		s := serve.New(cfg)
 		ts := httptest.NewServer(s.Handler())
 		servers[i], https[i], endpoints[i] = s, ts, ts.URL
 		t.Cleanup(func() {
@@ -165,11 +167,13 @@ func cluster(t *testing.T, n int) (*Router, []*serve.Server, []*httptest.Server)
 
 func doneJobs(t *testing.T, s *serve.Server) int64 {
 	t.Helper()
-	v, ok := s.Registry().Snapshot()[obs.Labeled(obs.MetricJobs, "status", "done")]
-	if !ok {
-		return 0
-	}
-	return v.(int64)
+	return nodeCounter(s, obs.Labeled(obs.MetricJobs, "status", "done"))
+}
+
+// nodeCounter reads one counter from a node's registry (0 if unset).
+func nodeCounter(s *serve.Server, name string) int64 {
+	v, _ := s.Registry().Snapshot()[name].(int64)
+	return v
 }
 
 // TestRouterNoDoubleComputation: distinct digests spread across the
@@ -177,7 +181,7 @@ func doneJobs(t *testing.T, s *serve.Server) int64 {
 // same node, and the cluster-wide done-job count equals the distinct
 // digest count — no digest computed twice.
 func TestRouterNoDoubleComputation(t *testing.T) {
-	rt, servers, _ := cluster(t, 3)
+	rt, servers, _ := cluster(t, 3, serve.Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := rt.WaitReady(ctx); err != nil {
@@ -216,10 +220,81 @@ func TestRouterNoDoubleComputation(t *testing.T) {
 	}
 }
 
+// TestRingPoolsNodeCaches: routing by digest pools the nodes' result
+// caches into one. Twenty-four requests, eight owned by each of three
+// nodes, fit in three 16-record caches but not in one. Over two rounds
+// the ring computes each request once, on its owner, and answers the
+// second round from cache; a single node with the same cache evicts
+// every record before its reuse and computes all 48.
+func TestRingPoolsNodeCaches(t *testing.T) {
+	const nodes, perNode, cacheSize = 3, 8, 16
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	twoRounds := func(rt *Router, reqs []*serve.AssessRequest) {
+		t.Helper()
+		first := make([][]byte, len(reqs))
+		for round := 0; round < 2; round++ {
+			for i, req := range reqs {
+				b, err := rt.Assess(ctx, req)
+				if err != nil {
+					t.Fatalf("round %d, request %d: %v", round, i, err)
+				}
+				if round == 0 {
+					first[i] = b
+				} else if string(b) != string(first[i]) {
+					t.Fatalf("request %d: repeat answer differs from the first", i)
+				}
+			}
+		}
+	}
+
+	rt, servers, https := cluster(t, nodes, serve.Config{Workers: 1, CacheSize: cacheSize})
+	if err := rt.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Ports are random, so pick requests by owner to give each node
+	// exactly its share.
+	owned := make(map[string]int, nodes)
+	var reqs []*serve.AssessRequest
+	for seed := int64(11_000); len(reqs) < nodes*perNode; seed++ {
+		req := testRequest(t, seed)
+		id, err := serve.CanonicalJobID(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner := rt.Ring().Owner(id); owned[owner] < perNode {
+			owned[owner]++
+			reqs = append(reqs, req)
+		}
+	}
+	twoRounds(rt, reqs)
+	var computed, hits int64
+	for i, s := range servers {
+		done := doneJobs(t, s)
+		if done != perNode {
+			t.Errorf("node %s computed %d jobs, want the %d it owns", https[i].URL, done, perNode)
+		}
+		computed += done
+		hits += nodeCounter(s, obs.MetricCacheHits)
+	}
+	if computed != int64(len(reqs)) || hits != int64(len(reqs)) {
+		t.Errorf("ring computed %d jobs with %d cache hits, want %d and %d", computed, hits, len(reqs), len(reqs))
+	}
+	if st := rt.Stats(); st.Failovers != 0 {
+		t.Errorf("unexpected failovers: %+v", st)
+	}
+
+	one, single, _ := cluster(t, 1, serve.Config{Workers: 1, CacheSize: cacheSize})
+	twoRounds(one, reqs)
+	if done := doneJobs(t, single[0]); done != int64(2*len(reqs)) {
+		t.Errorf("one node computed %d jobs, want %d: its cache should thrash", done, 2*len(reqs))
+	}
+}
+
 // TestRouterFailover: with the owner down, the request completes on the
 // next node in its sequence, byte-identical to the owner's answer.
 func TestRouterFailover(t *testing.T) {
-	rt, _, https := cluster(t, 3)
+	rt, _, https := cluster(t, 3, serve.Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
