@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt lint build test race race-pools race-obs alloc-bounds chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-smoke serve-smoke crash-smoke clean
+.PHONY: ci vet fmt lint build test race race-pools race-obs alloc-bounds chaos chaos-cluster fuzz-seed eval-sweep tables bench bench-workers bench-obs bench-smoke serve-smoke crash-smoke clean
 
 ci: vet fmt build test race race-pools race-obs alloc-bounds chaos fuzz-seed
 
@@ -92,11 +92,13 @@ chaos:
 # any single-node fault, every completed answer byte-identical to the
 # clean cluster's, hedging bounds the slow-node p99, and each proxy's
 # realized fault schedule reproduces from (spec, seed, link). Writes
-# CHAOS_CLUSTER.json — the per-scenario stats artifact CI uploads.
+# out/CHAOS_CLUSTER.json — the per-scenario stats artifact CI uploads
+# (out/ is git-ignored; the committed CHAOS_CLUSTER.json is a snapshot).
 chaos-cluster:
-	LITMUS_CLUSTER_CHAOS=1 LITMUS_CLUSTER_CHAOS_OUT=$(CURDIR)/CHAOS_CLUSTER.json \
+	mkdir -p out
+	LITMUS_CLUSTER_CHAOS=1 LITMUS_CLUSTER_CHAOS_OUT=$(CURDIR)/out/CHAOS_CLUSTER.json \
 		$(GO) test -race -run TestClusterChaos -count=1 -v -timeout 20m ./internal/serve/shard
-	@echo wrote CHAOS_CLUSTER.json
+	@echo wrote out/CHAOS_CLUSTER.json
 
 # Replay the committed fuzz seed corpora as unit tests (no fuzzing
 # engine; catches regressions in the never-panic contracts). Use
@@ -106,13 +108,21 @@ fuzz-seed:
 
 # Scaled-down fault sweep under the race detector: the Table-4 grid
 # plus the adversarial scenario families at corruption rates
-# 0/0.01/0.05/0.1/0.2, rendered as a table and written to EVAL_6.json
-# (accuracy / FPR / FNR / degraded fraction per scenario × rate) — the
-# robustness-curve artifact CI uploads. `-scale 0.05` keeps it cheap;
-# drop the flag for the full 9110-cases-per-rate sweep.
+# 0/0.01/0.05/0.1/0.2, rendered as a table and written to
+# out/EVAL_6.json (accuracy / FPR / FNR / degraded fraction per
+# scenario × rate) — the robustness-curve artifact CI uploads (out/ is
+# git-ignored; the committed EVAL_6.json is a snapshot). `-scale 0.05`
+# keeps it cheap; drop the flag for the full 9110-cases-per-rate sweep.
 eval-sweep:
-	$(GO) run -race ./cmd/litmus-eval -sweep -scale 0.05
-	@echo wrote EVAL_6.json
+	mkdir -p out
+	$(GO) run -race ./cmd/litmus-eval -sweep -scale 0.05 -sweep-out out/EVAL_6.json
+
+# The reproduction's full-volume tables: the confusion matrices of
+# Table 2 (313 cases) and Table 4 (8,010 cases) for all three
+# algorithms against internal/eval/testdata/tables.json; any changed
+# count fails (about half a minute, Table 4 most of it).
+tables:
+	LITMUS_TABLES=1 $(GO) test -run '^TestTables$$' -count=1 -v ./internal/eval
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -304,9 +304,10 @@ func rSquaredAtRows(fb []float64, rows []int, y []float64) float64 {
 // with its autocorrelation correction, and the impact decision. It reads
 // the ok slots of the fits of e's source (e itself, or its twin), in
 // iteration order, in place in their arena and works in s, the finishing
-// worker's unit working set, so it allocates only the forecasts and
-// differences the result keeps. The source's medians are computed once,
-// by the first of it and its twins to finish, and copied by the others.
+// worker's unit working set, so it allocates nothing. The source's
+// medians are computed once, by the first of it and its twins to finish,
+// into the source's arena, where the others read them; the forecast
+// differences go to s.diff, before window then after window.
 func (a *Assessor) finishElement(sc *obs.Scope, s *unitScratch, e *groupElement) (ElementResult, error) {
 	src := e.source()
 	fits := src.fits.fits
@@ -323,25 +324,20 @@ func (a *Assessor) finishElement(sc *obs.Scope, s *unitScratch, e *groupElement)
 
 	agg := sc.Child(obs.SpanAggregate)
 	yBefore, yAfter := e.yBefore, e.yAfter
-	lenB, lenA := yBefore.Len(), yAfter.Len()
+	lenB := yBefore.Len()
 	s.col = growFloats(s.col, ok)
-	src.medOnce.Do(func() { src.kept = a.medians(s, fits, ok, lenB, lenA) })
-	kept := src.kept
-	if src != e {
-		kept = make([]float64, 2*(lenB+lenA))
-		copy(kept, src.kept[:lenB+lenA])
-	}
-	medB, medA := carve(&kept, lenB), carve(&kept, lenA)
-	diffB, diffA := carve(&kept, lenB), carve(&kept, lenA)
+	src.medOnce.Do(func() { a.medians(s, src.fits, ok) })
+	med := src.fits.med
+	s.diff = growFloats(s.diff, len(med))
 	for i, y := range yBefore.Values {
-		diffB[i] = y - medB[i]
+		s.diff[i] = y - med[i]
 	}
 	for i, y := range yAfter.Values {
-		diffA[i] = y - medA[i]
+		s.diff[lenB+i] = y - med[lenB+i]
 	}
 	agg.End()
 
-	s.cleanB, s.cleanA = finiteInto(s.cleanB, diffB), finiteInto(s.cleanA, diffA)
+	s.cleanB, s.cleanA = finiteInto(s.cleanB, s.diff[:lenB]), finiteInto(s.cleanA, s.diff[lenB:])
 	cleanB, cleanA := s.cleanB, s.cleanA
 	rank := sc.Child(obs.SpanRankTest)
 	s.rank = growFloats(s.rank, 2*(len(cleanB)+len(cleanA)))
@@ -364,8 +360,7 @@ func (a *Assessor) finishElement(sc *obs.Scope, s *unitScratch, e *groupElement)
 	rank.End()
 	sc.Histogram(obs.MetricPValue, obs.PValueBuckets).Observe(test.P)
 	// cleanA and cleanB are dead after these medians, so the in-place
-	// (quickselect) form is safe; DiffBefore/DiffAfter keep the original
-	// order in separate storage.
+	// (quickselect) form is safe; s.diff keeps the original order.
 	shift := stats.MedianInPlace(cleanA) - stats.MedianInPlace(cleanB)
 	dir := test.Direction(a.cfg.Alpha)
 	if a.cfg.EffectFloor > 0 && math.Abs(shift) < a.cfg.EffectFloor {
@@ -386,13 +381,9 @@ func (a *Assessor) finishElement(sc *obs.Scope, s *unitScratch, e *groupElement)
 			P:         test.P,
 			Shift:     shift,
 		},
-		ElementID:      e.id,
-		KPI:            e.metric,
-		FitR2:          stats.MedianInPlace(r2s),
-		ForecastBefore: timeseries.NewSeries(yBefore.Index, medB),
-		ForecastAfter:  timeseries.NewSeries(yAfter.Index, medA),
-		DiffBefore:     diffB,
-		DiffAfter:      diffA,
+		ElementID: e.id,
+		KPI:       e.metric,
+		FitR2:     stats.MedianInPlace(r2s),
 	}, nil
 }
 
@@ -455,29 +446,27 @@ func sampleColumns(rng *rand.Rand, n, k int) []int {
 	return cols
 }
 
-// medians returns an element's result storage, 2·(lenB+lenA) values,
-// with the combined forecasts of the ok fits (ok of them) in its first
-// lenB+lenA: the before window's, then the after window's. The rest is
-// left for the forecast differences. s.col must hold ok values.
-func (a *Assessor) medians(s *unitScratch, fits []iterFit, ok, lenB, lenA int) []float64 {
+// medians writes into f.med the combined forecasts of f's ok fits (ok
+// of them): the before window's, then the after window's. s.col must
+// hold ok values.
+func (a *Assessor) medians(s *unitScratch, f *fitArena, ok int) {
 	// The ok fits' before-window forecasts, then their after-window ones.
 	rows := s.rows[:0]
-	for it := range fits {
-		if fits[it].ok {
-			rows = append(rows, fits[it].fb)
+	for it := range f.fits {
+		if f.fits[it].ok {
+			rows = append(rows, f.fits[it].fb)
 		}
 	}
-	for it := range fits {
-		if fits[it].ok {
-			rows = append(rows, fits[it].fa)
+	for it := range f.fits {
+		if f.fits[it].ok {
+			rows = append(rows, f.fits[it].fa)
 		}
 	}
 	s.rows = rows
-	kept := make([]float64, 2*(lenB+lenA))
-	a.aggregate(kept[:lenB], rows[:ok], s.col)
-	a.aggregate(kept[lenB:lenB+lenA], rows[ok:], s.col)
+	lenB := len(f.fits[0].fb)
+	a.aggregate(f.med[:lenB], rows[:ok], s.col)
+	a.aggregate(f.med[lenB:], rows[ok:], s.col)
 	clear(rows) // the pooled scratch must not keep the arena reachable
-	return kept
 }
 
 // aggregate writes into out, per timepoint, the combination across

@@ -95,10 +95,14 @@ type groupElement struct {
 	fits       *fitArena
 	levSkipped atomic.Int64
 	// medOnce computes, for the element and its twins, the forecast
-	// medians into kept, the element's own result storage (finishElement).
+	// medians into its fit arena (finishElement).
 	medOnce sync.Once
-	kept    []float64
 }
+
+// finishObserver, set only by the package's tests, sees each element
+// finished without error with its forecast medians and differences in
+// pooled memory; it runs concurrently and must copy what it keeps.
+var finishObserver func(ctx context.Context, e *groupElement, med, diff []float64)
 
 // source returns the element whose fits and medians e reads.
 func (e *groupElement) source() *groupElement {
@@ -332,11 +336,14 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 			esc.Counter(obs.MetricIterations).Add(int64(iters))
 			esc.Counter(obs.MetricLeverageSkipped).Add(e.source().levSkipped.Load())
 			results[i], e.err = a.finishElement(esc, units.get(w), e)
+			if finishObserver != nil && e.err == nil {
+				finishObserver(ctx, e, e.source().fits.med, units.get(w).diff)
+			}
 		}
 		esc.End()
 	})
-	// Twins read their source's arena, so every arena outlives the
-	// fan-out.
+	// Twins read their source's arena, medians included, so every arena
+	// outlives the fan-out.
 	for i := range elems {
 		if elems[i].fits != nil {
 			elems[i].fits.release()

@@ -16,6 +16,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -73,9 +74,10 @@ func gappyWorld() (studies, controls *timeseries.Panel, changeAt time.Time) {
 	return studies, controls, w.changeAt
 }
 
-// renderElement writes every field of an element result; %v prints each
-// float in its shortest round-tripping form.
-func renderElement(b *strings.Builder, r ElementResult) {
+// renderElement writes every field of an element result and its series
+// (recordSeries); %v prints each float in its shortest round-tripping
+// form.
+func renderElement(b *strings.Builder, r finished) {
 	fmt.Fprintf(b, "element %s kpi %v impact %v z %v p %v shift %v r2 %v\n", r.ElementID, r.KPI, r.Impact, r.Statistic, r.P, r.Shift, r.FitR2)
 	fmt.Fprintf(b, "  forecast before %v %v\n", r.ForecastBefore.Index, r.ForecastBefore.Values)
 	fmt.Fprintf(b, "  forecast after %v %v\n", r.ForecastAfter.Index, r.ForecastAfter.Values)
@@ -92,16 +94,17 @@ func renderGappy(t *testing.T, cfg Config) string {
 	a := MustNewAssessor(cfg)
 	var b strings.Builder
 	reg := obs.NewRegistry()
-	g, err := a.WithObserver(obs.New("test", reg)).AssessGroup(studies, controls, changeAt, kpi.VoiceRetainability)
+	ctx, log := recordSeries(context.Background())
+	g, err := a.WithObserver(obs.New("test", reg)).AssessGroupContext(ctx, studies, controls, changeAt, kpi.VoiceRetainability)
 	if err != nil {
 		t.Fatalf("AssessGroup: %v", err)
 	}
 	if got := reg.Counter(obs.MetricGroupSharedElements).Value(); got != 2 {
 		t.Fatalf("shared-path elements = %d, want 2 (the rest fall back)", got)
 	}
-	b.WriteString(groupText(g, nil))
+	b.WriteString(groupText(log, g, nil))
 	for _, id := range studies.IDs() {
-		r, err := a.AssessElement(id, studies.MustSeries(id), controls, changeAt, kpi.VoiceRetainability)
+		r, err := assessElementSeries(a, id, studies.MustSeries(id), controls, changeAt, kpi.VoiceRetainability)
 		if err != nil {
 			fmt.Fprintf(&b, "element %s error %v\n", id, err)
 			continue

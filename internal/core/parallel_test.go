@@ -62,8 +62,8 @@ func TestIterRNGContract(t *testing.T) {
 }
 
 // equalElementResults compares every numeric output of two element
-// results bit-for-bit.
-func equalElementResults(a, b ElementResult) error {
+// results and their series bit-for-bit.
+func equalElementResults(a, b finished) error {
 	if a.Impact != b.Impact || a.Statistic != b.Statistic || a.P != b.P || a.Shift != b.Shift {
 		return fmt.Errorf("verdict %v != %v", a.Verdict, b.Verdict)
 	}
@@ -111,13 +111,13 @@ func TestAssessElementEquivalenceAcrossWorkers(t *testing.T) {
 			variant.Seed = seed
 			variant.Workers = 1
 			sequential := MustNewAssessor(variant)
-			want, err := sequential.AssessElement("s", study, controls, w.changeAt, kpi.VoiceRetainability)
+			want, err := assessElementSeries(sequential, "s", study, controls, w.changeAt, kpi.VoiceRetainability)
 			if err != nil {
 				t.Fatalf("seed %d variant %d: sequential: %v", seed, vi, err)
 			}
 			for _, workers := range workerCounts[1:] {
 				variant.Workers = workers
-				got, err := MustNewAssessor(variant).AssessElement("s", study, controls, w.changeAt, kpi.VoiceRetainability)
+				got, err := assessElementSeries(MustNewAssessor(variant), "s", study, controls, w.changeAt, kpi.VoiceRetainability)
 				if err != nil {
 					t.Fatalf("seed %d variant %d workers %d: %v", seed, vi, workers, err)
 				}
@@ -139,14 +139,14 @@ func TestAssessGroupEquivalenceAcrossWorkers(t *testing.T) {
 		studies.Add("s3", w.series(10, 1.1, 0))
 		studies.Add("s4", w.series(10, 1.0, 0.5))
 
-		want, err := MustNewAssessor(Config{Seed: seed, Workers: 1}).
-			AssessGroup(studies, controls, w.changeAt, kpi.VoiceRetainability)
+		want, wantElems, err := assessGroupSeries(MustNewAssessor(Config{Seed: seed, Workers: 1}),
+			studies, controls, w.changeAt, kpi.VoiceRetainability)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range workerCounts[1:] {
-			got, err := MustNewAssessor(Config{Seed: seed, Workers: workers}).
-				AssessGroup(studies, controls, w.changeAt, kpi.VoiceRetainability)
+			got, gotElems, err := assessGroupSeries(MustNewAssessor(Config{Seed: seed, Workers: workers}),
+				studies, controls, w.changeAt, kpi.VoiceRetainability)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestAssessGroupEquivalenceAcrossWorkers(t *testing.T) {
 					t.Fatalf("workers %d: element order changed: %s at %d, want %s",
 						workers, got.PerElement[i].ElementID, i, want.PerElement[i].ElementID)
 				}
-				if err := equalElementResults(want.PerElement[i], got.PerElement[i]); err != nil {
+				if err := equalElementResults(wantElems[i], gotElems[i]); err != nil {
 					t.Errorf("workers %d element %s: %v", workers, want.PerElement[i].ElementID, err)
 				}
 			}
@@ -212,20 +212,20 @@ func TestAssessorConcurrentUse(t *testing.T) {
 	controls := w.controls(9, 0.5, 1.5)
 	study := w.series(10, 1.0, -0.4)
 	a := MustNewAssessor(Config{Workers: 4})
-	want, err := a.AssessElement("s", study, controls, w.changeAt, kpi.VoiceRetainability)
+	want, err := assessElementSeries(a, "s", study, controls, w.changeAt, kpi.VoiceRetainability)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const callers = 8
-	results := make([]ElementResult, callers)
+	results := make([]finished, callers)
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	wg.Add(callers)
 	for c := 0; c < callers; c++ {
 		go func(c int) {
 			defer wg.Done()
-			results[c], errs[c] = a.AssessElement("s", study, controls, w.changeAt, kpi.VoiceRetainability)
+			results[c], errs[c] = assessElementSeries(a, "s", study, controls, w.changeAt, kpi.VoiceRetainability)
 		}(c)
 	}
 	wg.Wait()

@@ -220,14 +220,14 @@ func TestGroupSharedFactorizationCount(t *testing.T) {
 func TestGroupSharedMatchesPerElement(t *testing.T) {
 	studies, controls, changeAt := groupWorld(22)
 	shared := MustNewAssessor(Config{})
-	g, err := shared.AssessGroup(studies, controls, changeAt, kpi.VoiceRetainability)
+	_, elems, err := assessGroupSeries(shared, studies, controls, changeAt, kpi.VoiceRetainability)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range g.PerElement {
+	for _, res := range elems {
 		forgetSamples() // the solo run draws its samples afresh
 		solo := MustNewAssessor(Config{})
-		want, err := solo.AssessElement(res.ElementID, studies.MustSeries(res.ElementID), controls, changeAt, kpi.VoiceRetainability)
+		want, err := assessElementSeries(solo, res.ElementID, studies.MustSeries(res.ElementID), controls, changeAt, kpi.VoiceRetainability)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestGroupSharedFallbackOnMissingData(t *testing.T) {
 	reg := obs.NewRegistry()
 	scope := obs.New("test", reg)
 	a := MustNewAssessor(Config{})
-	g, err := a.WithObserver(scope).AssessGroup(studies, controls, changeAt, kpi.VoiceRetainability)
+	_, elems, err := assessGroupSeries(a.WithObserver(scope), studies, controls, changeAt, kpi.VoiceRetainability)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +261,9 @@ func TestGroupSharedFallbackOnMissingData(t *testing.T) {
 	if got := reg.Counter(obs.MetricBeforeFactorizations).Value(); got != 2*iters {
 		t.Errorf("before-window factorizations = %d, want %d (shared) + %d (fallback element)", got, iters, iters)
 	}
-	for _, res := range g.PerElement {
+	for _, res := range elems {
 		solo := MustNewAssessor(Config{})
-		want, err := solo.AssessElement(res.ElementID, studies.MustSeries(res.ElementID), controls, changeAt, kpi.VoiceRetainability)
+		want, err := assessElementSeries(solo, res.ElementID, studies.MustSeries(res.ElementID), controls, changeAt, kpi.VoiceRetainability)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,25 +274,25 @@ func TestGroupSharedFallbackOnMissingData(t *testing.T) {
 // TestGroupSharedEquivalenceAcrossWorkers re-pins worker-count
 // determinism on the shared path specifically.
 func TestGroupSharedEquivalenceAcrossWorkers(t *testing.T) {
-	var base GroupResult
+	var base []finished
 	for i, workers := range []int{1, 2, 4, 8} {
 		studies, controls, changeAt := groupWorld(24)
 		a := MustNewAssessor(Config{Workers: workers})
-		g, err := a.AssessGroup(studies, controls, changeAt, kpi.VoiceRetainability)
+		_, elems, err := assessGroupSeries(a, studies, controls, changeAt, kpi.VoiceRetainability)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			base = g
+			base = elems
 			continue
 		}
-		for j, res := range g.PerElement {
-			assertElementResultsIdentical(t, res.ElementID, res, base.PerElement[j])
+		for j, res := range elems {
+			assertElementResultsIdentical(t, res.ElementID, res, base[j])
 		}
 	}
 }
 
-func assertElementResultsIdentical(t *testing.T, id string, got, want ElementResult) {
+func assertElementResultsIdentical(t *testing.T, id string, got, want finished) {
 	t.Helper()
 	if got.Statistic != want.Statistic || got.P != want.P || got.Shift != want.Shift || got.FitR2 != want.FitR2 {
 		t.Errorf("element %s: shared path verdict (stat %v p %v shift %v r2 %v) != per-element (stat %v p %v shift %v r2 %v)",

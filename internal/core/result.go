@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/kpi"
-	"repro/internal/timeseries"
 )
 
 // Verdict is the outcome of one assessment: the assessed impact with its
@@ -33,7 +32,9 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("%s (z=%.2f p=%.4f shift=%+.4g)", v.Impact, v.Statistic, v.P, v.Shift)
 }
 
-// ElementResult is the assessment of one study-group element.
+// ElementResult is the assessment of one study-group element. The
+// forecast medians and differences behind its verdict stay in the
+// engine's pooled memory and end with the assessment.
 type ElementResult struct {
 	Verdict
 	// ElementID identifies the study element.
@@ -43,12 +44,6 @@ type ElementResult struct {
 	// FitR2 is the pre-change regression fit quality (median across
 	// sampling iterations) — a diagnostic for poor control groups.
 	FitR2 float64
-	// ForecastBefore and ForecastAfter are the median forecast series for
-	// the study element (Eq. 4–5 of the paper), useful for plotting.
-	ForecastBefore, ForecastAfter timeseries.Series
-	// DiffBefore and DiffAfter are the forecast-difference samples the
-	// rank-order test compared.
-	DiffBefore, DiffAfter []float64
 }
 
 // GroupResult summarizes an assessment across a study group (paper §3.2:

@@ -17,10 +17,11 @@ package core
 //     is done; unitPool holds one worker's working set for both of a
 //     group's fan-outs (workerUnits): the iteration fan-out's sampled
 //     designs, factorization, leverages and solve vectors, and the
-//     element fan-out's median column, finite forecast differences and
-//     rank-test buffer. Worker 0's working set also holds the
-//     group's two control designs, built once per group straight from
-//     the control panel's before and after rows.
+//     element fan-out's median column, forecast differences and
+//     rank-test buffers. An arena also holds its element's forecast
+//     medians, which the element's twins read. Worker 0's working set
+//     also holds the group's two control designs, built once per group
+//     straight from the control panel's before and after rows.
 //     Slot state is reset on acquire (fit slots) or before each design
 //     build (the unit's leverages), and every float buffer is fully
 //     overwritten before it is read, so a recycled buffer never leaks
@@ -84,16 +85,18 @@ func carve(buf *[]float64, n int) []float64 {
 
 // fitArena is one element's per-iteration fit slots, with every
 // forecast carved out of one buffer: iteration it owns slot it
-// exclusively, so the iteration fan-out writes race-free.
+// exclusively, so the iteration fan-out writes race-free. med holds the
+// median forecasts of both windows (finishElement, shared with twins).
 type fitArena struct {
 	fits []iterFit
 	buf  []float64
+	med  []float64
 }
 
 // acquireFits returns a pooled arena of iters slots with before/after
 // forecasts of lenB/lenA points. Every slot starts not ok with zero R²,
-// whatever the arena held before; the forecasts are unspecified until
-// the iteration that owns them writes them in full.
+// whatever the arena held before; forecasts and medians are unspecified
+// until their writer (an iteration, finishElement) fills them in full.
 func acquireFits(iters, lenB, lenA int) *fitArena {
 	f := fitPool.Get().(*fitArena)
 	if cap(f.fits) < iters {
@@ -102,6 +105,7 @@ func acquireFits(iters, lenB, lenA int) *fitArena {
 	f.fits = f.fits[:iters]
 	stride := lenB + lenA
 	f.buf = growFloats(f.buf, iters*stride)
+	f.med = growFloats(f.med, stride)
 	for it := range f.fits {
 		buf := f.buf[it*stride : (it+1)*stride]
 		f.fits[it] = iterFit{fb: carve(&buf, lenB), fa: carve(&buf, lenA)}
@@ -109,8 +113,8 @@ func acquireFits(iters, lenB, lenA int) *fitArena {
 	return f
 }
 
-// release returns the arena to the pool. Nothing may read its slots
-// afterwards: finishElement copies every forecast it keeps.
+// release returns the arena to the pool. Nothing may read its slots or
+// medians afterwards: a result keeps none of them.
 func (f *fitArena) release() { fitPool.Put(f) }
 
 // unitScratch is one worker's working set. For the iteration fan-out it
@@ -134,11 +138,12 @@ type unitScratch struct {
 	ctlB, ctlA linalg.Matrix
 	// finishElement's buffers: rows the ok fits' forecasts of both
 	// windows (cleared after use), col one value per ok iteration (a
-	// timepoint's forecasts, then the R² values), cleanB and cleanA the
-	// finite forecast differences of each window, and rank the rank
+	// timepoint's forecasts, then the R² values), diff the forecast
+	// differences of the before window then the after window, cleanB
+	// and cleanA the finite ones of each window, and rank the rank
 	// test's sorted copies and placements.
-	rows                      [][]float64
-	col, cleanB, cleanA, rank []float64
+	rows                            [][]float64
+	col, diff, cleanB, cleanA, rank []float64
 }
 
 // workerUnits holds the working set of each worker of a group's

@@ -28,7 +28,8 @@ var poisonShapes = [][3]int{{72, 64, 16}, {8, 6, 2}}
 
 // poisonPools takes up to six entries out of both working-set pools,
 // poisons each in place in one of poisonShapes — NaN in every float
-// buffer, every fit slot marked ok, leverages present — and puts them
+// buffer, the arenas' medians and the units' forecast differences
+// included, every fit slot marked ok, leverages present — and puts them
 // back. An acquire that skipped its slot reset, a design build that
 // kept a stale leverage vector, or a read of a buffer before it is
 // overwritten then changes a result's bytes. Taking entries out also
@@ -46,6 +47,7 @@ func poisonPools() {
 		iters, rows := sh[0], sh[1]
 		stride := 2 * rows
 		f.buf = nanFloats(f.buf, iters*stride)
+		f.med = nanFloats(f.med, stride)
 		f.fits = make([]iterFit, iters)
 		for it := range f.fits {
 			buf := f.buf[it*stride : (it+1)*stride]
@@ -66,7 +68,7 @@ func poisonPools() {
 
 // poisonUnit poisons one unit working set in place at a rows × cols
 // design, with its NaN leverages marked present, NaN control designs and
-// NaN finishing buffers.
+// NaN finishing buffers (forecast differences of two windows of rows).
 func poisonUnit(s *unitScratch, rows, cols int) {
 	poisonMatrix(&s.xb, rows, cols)
 	poisonMatrix(&s.xa, rows, cols)
@@ -77,6 +79,7 @@ func poisonUnit(s *unitScratch, rows, cols int) {
 	s.lev, s.work, s.beta = nanFloats(s.lev, rows), nanFloats(s.work, rows), nanFloats(s.beta, cols)
 	s.hs = s.lev
 	s.col, s.cleanB, s.cleanA = nanFloats(s.col, rows), nanFloats(s.cleanB, rows), nanFloats(s.cleanA, rows)
+	s.diff = nanFloats(s.diff, 2*rows)
 	s.rank = nanFloats(s.rank, 4*rows)
 	s.rows = append(s.rows[:0], s.col, s.cleanB, s.cleanA)
 }
@@ -135,34 +138,44 @@ func poolCases() []poolCase {
 }
 
 // groupText renders a group assessment (or its error) exactly: every
-// field of every element (renderElement). Plain %v would print each
-// element through its promoted Verdict.String, which rounds and omits
-// the forecasts.
-func groupText(g GroupResult, err error) string {
+// field of every element and its series from log (renderElement). Plain
+// %v would print each element through its promoted Verdict.String,
+// which rounds and omits the forecasts.
+func groupText(log *seriesLog, g GroupResult, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "group kpi %v overall %v votes %v failures %v\n", g.KPI, g.Overall, g.Votes, g.Failures)
 	for _, r := range g.PerElement {
-		renderElement(&b, r)
+		renderElement(&b, log.of(r))
 	}
 	return b.String()
 }
 
 // elementText is groupText for one element assessment.
-func elementText(r ElementResult, err error) string {
+func elementText(log *seriesLog, r ElementResult, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
 	var b strings.Builder
-	renderElement(&b, r)
+	renderElement(&b, log.of(r))
 	return b.String()
+}
+
+// assessElementText assesses one study through AssessElement and
+// renders the result.
+func assessElementText(a *Assessor, id string, study timeseries.Series, controls *timeseries.Panel, changeAt time.Time) string {
+	ctx, log := recordSeries(context.Background())
+	r, err := a.AssessElementContext(ctx, id, study, controls, changeAt, kpi.VoiceRetainability)
+	return elementText(log, r, err)
 }
 
 // assess runs the case through AssessGroup.
 func (c poolCase) assess(a *Assessor) string {
-	return groupText(a.AssessGroup(c.studies, c.controls, c.changeAt, kpi.VoiceRetainability))
+	ctx, log := recordSeries(context.Background())
+	g, err := a.AssessGroupContext(ctx, c.studies, c.controls, c.changeAt, kpi.VoiceRetainability)
+	return groupText(log, g, err)
 }
 
 // assessElements runs every study of the case through AssessElement:
@@ -171,7 +184,7 @@ func (c poolCase) assess(a *Assessor) string {
 func (c poolCase) assessElements(a *Assessor) string {
 	var b strings.Builder
 	for _, id := range c.studies.IDs() {
-		b.WriteString(elementText(a.AssessElement(id, c.studies.MustSeries(id), c.controls, c.changeAt, kpi.VoiceRetainability)))
+		b.WriteString(assessElementText(a, id, c.studies.MustSeries(id), c.controls, c.changeAt))
 	}
 	return b.String()
 }
@@ -309,7 +322,7 @@ func TestPoolTwinElementsMatchAlone(t *testing.T) {
 			a := MustNewAssessor(c.cfg)
 			var want strings.Builder
 			for _, id := range studies.IDs() {
-				want.WriteString(elementText(a.AssessElement(id, studies.MustSeries(id), c.controls, c.changeAt, kpi.VoiceRetainability)))
+				want.WriteString(assessElementText(a, id, studies.MustSeries(id), c.controls, c.changeAt))
 			}
 			for _, workers := range []int{1, 4} {
 				cfg := c.cfg
@@ -317,7 +330,8 @@ func TestPoolTwinElementsMatchAlone(t *testing.T) {
 				a := MustNewAssessor(cfg)
 				for rep := 0; rep < 3; rep++ {
 					poisonPools()
-					elems, results, _, err := a.assessGroup(context.Background(), c.controls, c.changeAt, []GroupMember{{Studies: studies, KPI: kpi.VoiceRetainability}})
+					ctx, log := recordSeries(context.Background())
+					elems, results, _, err := a.assessGroup(ctx, c.controls, c.changeAt, []GroupMember{{Studies: studies, KPI: kpi.VoiceRetainability}})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -331,7 +345,7 @@ func TestPoolTwinElementsMatchAlone(t *testing.T) {
 						if twin != wantTwin[e.id] {
 							t.Fatalf("workers %d: element %s is a twin of %q, want %q", workers, e.id, twin, wantTwin[e.id])
 						}
-						got.WriteString(elementText(results[i], e.err))
+						got.WriteString(elementText(log, results[i], e.err))
 					}
 					if got.String() != want.String() {
 						t.Fatalf("workers %d rep %d: group with twins differs from assessing each element alone:\n got %s\nwant %s", workers, rep, got.String(), want.String())

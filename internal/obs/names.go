@@ -179,6 +179,16 @@ const (
 	// SpanWorld covers a serve job's world-slot lookup, and the world
 	// build on a miss (internal/serve/world.go).
 	SpanWorld = "world"
+	// SpanBatchSetup covers a batch job's entry setup before its
+	// assess-batch span: each entry's change and series provider.
+	SpanBatchSetup = "batch-setup"
+	// SpanBatchMarshal covers a batch job's marshal of every entry it
+	// computed into its assessment document.
+	SpanBatchMarshal = "batch-marshal"
+	// SpanBatchRecord covers a batch job's journal appends and done
+	// records of its computed entries, and the batch document's
+	// encoding.
+	SpanBatchRecord = "batch-record"
 )
 
 // Batch-assessment span names.

@@ -307,6 +307,13 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 			return ar, &permanentError{err: err}
 		}
 
+		// A batch job spans its own steps around the assessment: the
+		// entries' setup, their documents and their records. A bare
+		// job's tree stays world and assess-change.
+		var setup *obs.Scope
+		if !j.bare {
+			setup = scope.Child(obs.SpanBatchSetup)
+		}
 		var entries []litmus.BatchEntry
 		var digests []string
 		for _, pe := range bs.pending {
@@ -327,6 +334,7 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 			entries = append(entries, litmus.BatchEntry{Change: change, Provider: w.provider(change, base.kpis)})
 			digests = append(digests, pe.digest)
 		}
+		setup.End()
 		if j.bare {
 			p.Provider = entries[0].Provider
 			res, err := p.AssessChangeContext(ctx, entries[0].Change, base.kpis, base.window)
@@ -348,6 +356,7 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 			if err != nil {
 				return ar, err
 			}
+			marshal := scope.Child(obs.SpanBatchMarshal)
 			for i, d := range digests {
 				if res.Errors[i] != nil {
 					outcomes[d] = batchOutcome{errText: res.Errors[i].Error()}
@@ -355,15 +364,19 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 				}
 				b, err := litmus.MarshalAssessment(res.Results[i])
 				if err != nil {
+					marshal.End()
 					return ar, err
 				}
 				outcomes[d] = batchOutcome{result: b, degraded: res.Results[i].Degraded}
 			}
+			marshal.End()
 		}
 		// Record each computed entry, in submission order, so future
 		// singles and batches hit it, journaling it first: if the batch
 		// job itself is later cut short, the entries it finished still
 		// survive replay. An entry record joins the batch job's trace.
+		rec := scope.Child(obs.SpanBatchRecord)
+		defer rec.End() // through the batch document below
 		now := time.Now()
 		s.mu.Lock()
 		for _, d := range digests {

@@ -588,8 +588,10 @@ func scrubTraceJSON(v any) any {
 // committed fixture: the per-entry identity list and the attempt span
 // tree with one assess-batch span fanning out into per-entry
 // batch-entry spans, which cover only their entry's setup, and one
-// assess-group span per factor group — not a single opaque span. Run
-// with -update-batch-trace to rewrite the fixture.
+// assess-group span per factor group — not a single opaque span —
+// between the job's batch-setup span and its batch-marshal and
+// batch-record spans. Run with -update-batch-trace to rewrite the
+// fixture.
 func TestBatchTraceGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	g := goldenRequest(t)
@@ -624,7 +626,7 @@ func TestBatchTraceGolden(t *testing.T) {
 	}
 	names := map[string]bool{}
 	collectSpanNames(root, names)
-	for _, want := range []string{obs.SpanServeJob, obs.SpanAssessBatch, obs.SpanBatchEntry, obs.SpanSampling} {
+	for _, want := range []string{obs.SpanServeJob, obs.SpanBatchSetup, obs.SpanAssessBatch, obs.SpanBatchEntry, obs.SpanSampling, obs.SpanBatchMarshal, obs.SpanBatchRecord} {
 		if !names[want] {
 			t.Errorf("batch trace is missing span %q", want)
 		}

@@ -192,6 +192,25 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeAPIError(resp)
 	}
+	return readBody(resp)
+}
+
+// maxSizedBody bounds the body readBody reads into one buffer of its
+// announced length; a longer one is read as if of unknown length.
+const maxSizedBody = 64 << 20
+
+// readBody reads resp's body whole. A body of known length (the service
+// sets Content-Length on results) up to maxSizedBody is read into one
+// buffer of exactly that size, and a shorter body is an error; any
+// other is read by io.ReadAll, whose buffer grows as it reads.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxSizedBody {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, fmt.Errorf("reading %d-byte result: %w", n, err)
+		}
+		return buf, nil
+	}
 	return io.ReadAll(resp.Body)
 }
 

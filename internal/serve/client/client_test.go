@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +129,77 @@ func TestSubmitAndPollPrimitives(t *testing.T) {
 	}
 	if _, err := c.Result(ctx, sub.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResultBodySizes: the service announces the length of a result,
+// here a batch document larger than the server's 2 KiB response buffer,
+// which it would otherwise send in chunks; a body of announced length
+// reads the same bytes as the same body sent chunked, without one; and
+// a body shorter than announced is an error.
+func TestResultBodySizes(t *testing.T) {
+	c, _ := newService(t, serve.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	other := goldenRequest(t).Change
+	other.ID = "CHG-OTHER"
+	other.At = "2012-03-16T00:00:00Z"
+	req := goldenBatch(t, goldenRequest(t).Change, other)
+	if _, err := c.AssessBatch(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.SubmitBatch(ctx, req) // the done batch job's ID
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := c.Result(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(c.BaseURL() + "/v1/jobs/" + sub.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.ContentLength != int64(len(doc)) {
+		t.Errorf("service announced a %d-byte result, sent %d bytes", resp.ContentLength, len(doc))
+	}
+
+	serveAs := func(write func(w http.ResponseWriter)) *Client {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { write(w) }))
+		t.Cleanup(srv.Close)
+		return New(srv.URL, srv.Client())
+	}
+	sized := serveAs(func(w http.ResponseWriter) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
+		_, _ = w.Write(doc)
+	})
+	chunked := serveAs(func(w http.ResponseWriter) {
+		_, _ = w.Write(doc)
+	})
+	short := serveAs(func(w http.ResponseWriter) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(doc)+10))
+		_, _ = w.Write(doc)
+	})
+	resp, err = http.Get(chunked.BaseURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.ContentLength != -1 {
+		t.Fatalf("chunked server announced %d bytes, want no length", resp.ContentLength)
+	}
+	for name, c := range map[string]*Client{"sized": sized, "chunked": chunked} {
+		got, err := c.Result(ctx, "j")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, doc) {
+			t.Errorf("%s: read %d bytes that differ from the %d served", name, len(got), len(doc))
+		}
+	}
+	if got, err := short.Result(ctx, "j"); err == nil {
+		t.Errorf("a body 10 bytes short of its announced length read as %d bytes, want an error", len(got))
 	}
 }
 

@@ -521,7 +521,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case !ok:
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 	case state == stateDone:
+		// The length lets a client read the body into one buffer of
+		// its exact size.
 		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(result)))
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(result)
 	case state == stateFailed:
