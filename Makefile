@@ -58,8 +58,9 @@ race-pools:
 	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core ./internal/stats ./internal/timeseries . ./internal/seedmix ./internal/gen ./internal/netsim
 
 # Focused race run over the observability layer: the concurrent
-# metrics-registry and scope tests plus the instrumented pipeline, then
-# the span-freezing and trace-endpoint tests (frozen trees read by
+# metrics-registry and scope tests plus the instrumented pipeline (its
+# registry scraped by another goroutine while it runs), then the
+# span-freezing and trace-endpoint tests (frozen trees read by
 # concurrent GETs while jobs finish) ten times each.
 race-obs:
 	$(GO) test -race ./internal/obs
@@ -147,13 +148,11 @@ bench-smoke:
 # End-to-end smoke test of the assessment service binary: builds
 # cmd/litmus-serve, boots it on an ephemeral port, submits the golden
 # scenario through the typed client and asserts the decision (and exact
-# bytes) match testdata/golden_assessment.json, then SIGTERMs and
-# requires a clean drain.
-# The smoke run records flight segments into flight-smoke/ (decoded and
-# asserted by the test itself, uploaded as a CI artifact) — inspect a
-# local run with `go run ./cmd/litmus-rec -dir flight-smoke`.
+# bytes) match testdata/golden_assessment.json, requires /metrics to
+# show the request, cache and job series the run moved, then SIGTERMs
+# and requires a clean drain.
 serve-smoke:
-	LITMUS_SERVE_SMOKE=1 LITMUS_SERVE_SMOKE_FLIGHT_DIR=$(CURDIR)/flight-smoke $(GO) test -run TestServeSmoke -count=1 -v ./cmd/litmus-serve
+	LITMUS_SERVE_SMOKE=1 $(GO) test -run TestServeSmoke -count=1 -v ./cmd/litmus-serve
 
 # Kill -9 crash-recovery smoke: boots litmus-serve with -journal-dir,
 # pours in concurrent requests, SIGKILLs mid-run, restarts on the same

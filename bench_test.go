@@ -21,7 +21,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/kpi"
 	"repro/internal/netsim"
-	"repro/internal/obs/flightrec"
 	"repro/internal/timeseries"
 )
 
@@ -127,43 +126,6 @@ func BenchmarkAssessGroupInstrumented(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAssessGroupFlightRecorded quantifies the flight recorder's
-// cost on an instrumented group-assessment workload. Three rows:
-// instrumentation without a recorder (the baseline), a recorder created
-// but never started (must be free — nothing references it between
-// samples), and a recorder ticking at the serve tier's default 1s
-// interval. The recorder only reads the registry via atomic loads on
-// its own goroutine, so the enabled delta is the acceptance number for
-// keeping recording always-on (<3% is the budget).
-func BenchmarkAssessGroupFlightRecorded(b *testing.B) {
-	studies, controls, changeAt := benchGroupWorld(b, 6, 30)
-	// mode: 0 no recorder, 1 recorder created but never started (must be
-	// free — nothing touches it between samples), 2 recorder ticking.
-	run := func(b *testing.B, mode int) {
-		scope := NewScope("bench", NewMetricsRegistry())
-		if mode > 0 {
-			rec, err := flightrec.New(scope.Registry(), flightrec.Options{Dir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode == 2 {
-				rec.Start()
-			}
-			b.Cleanup(func() { rec.Close() })
-		}
-		assessor := MustNewAssessor(Config{}).WithObserver(scope)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := assessor.AssessGroup(studies, controls, changeAt, kpi.VoiceRetainability); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("no-recorder", func(b *testing.B) { run(b, 0) })
-	b.Run("recorder-idle", func(b *testing.B) { run(b, 1) })
-	b.Run("recorder-1s", func(b *testing.B) { run(b, 2) })
 }
 
 // BenchmarkAssessElementWorkers isolates the iteration-level fan-out of

@@ -12,7 +12,7 @@
 //	litmus-eval -table 4          # Table 4 (full 8010 cases; minutes)
 //	litmus-eval -table 4 -scale 0.1   # Table 4 at 10% volume (seconds)
 //	litmus-eval -table all
-//	litmus-eval -sweep -scale 0.05    # fault sweep, writes EVAL_6.json
+//	litmus-eval -sweep -scale 0.05 -sweep-out sweep.json   # fault sweep, writes sweep.json
 //	litmus-eval -sweep -sweep-rates 0,0.1 -faults gap,dropcol
 //
 // The shared observability flags -trace, -metrics and -pprof (see
@@ -67,7 +67,7 @@ func registerOptions(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.workers, "workers", 0, "assessment worker pool size (0 = GOMAXPROCS; results are identical for any value)")
 	fs.BoolVar(&o.sweep, "sweep", false, "run the fault sweep: the synthetic grid plus adversarial families across corruption rates")
 	fs.StringVar(&o.sweepRates, "sweep-rates", "0,0.01,0.05,0.1,0.2", "comma-separated fault rates for -sweep, each in [0, 1]")
-	fs.StringVar(&o.sweepOut, "sweep-out", "EVAL_6.json", "path for the machine-readable sweep result (empty = don't write)")
+	fs.StringVar(&o.sweepOut, "sweep-out", "", "path for the machine-readable sweep result (empty = don't write)")
 	fs.StringVar(&o.faultSpec, "faults", "all", "fault injector spec for -sweep (internal/faults syntax)")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the per-case fault streams")
 	return o

@@ -28,7 +28,7 @@ func TestDefaults(t *testing.T) {
 	if o.table != "all" || o.scale != 1.0 || o.sweep || o.ablation || o.rows {
 		t.Errorf("defaults wrong: %+v", o)
 	}
-	if o.sweepOut != "EVAL_6.json" || o.faultSpec != "all" || o.faultSeed != 1 {
+	if o.sweepOut != "" || o.faultSpec != "all" || o.faultSeed != 1 {
 		t.Errorf("sweep defaults wrong: %+v", o)
 	}
 }

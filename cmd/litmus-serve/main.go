@@ -15,9 +15,6 @@
 // the journal is replayed — completed results come back as done
 // records, unfinished jobs are re-enqueued, and /readyz serves 503
 // "replaying" until replay lands.
-// -flight-record turns on the flight recorder: the full
-// metrics registry is snapshotted every -flight-interval into rotating
-// binary segments under -flight-dir (decode them with litmus-rec).
 // Diagnostics are structured log/slog records on stderr — JSON by
 // default, -log-format text for human reading. The effective listen
 // address is printed on stdout as
@@ -41,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 	"repro/internal/obscli"
 	"repro/internal/serve"
 	"repro/internal/serve/journal"
@@ -49,19 +45,16 @@ import (
 
 func main() {
 	var (
-		addr           = flag.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-		queueDepth     = flag.Int("queue", 0, "submission queue depth (0 = default 64)")
-		workers        = flag.Int("workers", 0, "concurrent assessment jobs (0 = default 2)")
-		cacheSize      = flag.Int("cache", 0, "finished records kept, the result cache: jobs, batch entries and replayed results, least recently used forgotten first (0 = default 1024)")
-		jobTimeout     = flag.Duration("job-timeout", 0, "per-job execution deadline (0 = default 5m)")
-		retryAfter     = flag.Duration("retry-after", 0, "backoff hint sent with 429 responses (0 = default 1s)")
-		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
-		enablePprof    = flag.Bool("pprof", false, "mount /debug/pprof on the service listener")
-		journalDir     = flag.String("journal-dir", "", "durable job journal directory (empty = no journal)")
-		journalMaxSeg  = flag.Int64("journal-max-bytes", 0, "journal segment rotation threshold in bytes (0 = default 4MiB)")
-		flightRecord   = flag.Bool("flight-record", false, "snapshot the metrics registry into rotating binary segments")
-		flightDir      = flag.String("flight-dir", "flight", "flight-recorder segment directory")
-		flightInterval = flag.Duration("flight-interval", 0, "flight-recorder snapshot interval (0 = default 1s)")
+		addr          = flag.String("addr", ":8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
+		queueDepth    = flag.Int("queue", 0, "submission queue depth (0 = default 64)")
+		workers       = flag.Int("workers", 0, "concurrent assessment jobs (0 = default 2)")
+		cacheSize     = flag.Int("cache", 0, "finished records kept, the result cache: jobs, batch entries and replayed results, least recently used forgotten first (0 = default 1024)")
+		jobTimeout    = flag.Duration("job-timeout", 0, "per-job execution deadline (0 = default 5m)")
+		retryAfter    = flag.Duration("retry-after", 0, "backoff hint sent with 429 responses (0 = default 1s)")
+		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
+		enablePprof   = flag.Bool("pprof", false, "mount /debug/pprof on the service listener")
+		journalDir    = flag.String("journal-dir", "", "durable job journal directory (empty = no journal)")
+		journalMaxSeg = flag.Int64("journal-max-bytes", 0, "journal segment rotation threshold in bytes (0 = default 4MiB)")
 	)
 	logFlags := obscli.RegisterLog("json")
 	flag.Parse()
@@ -105,16 +98,6 @@ func main() {
 		Journal:     jr,
 	})
 
-	var rec *flightrec.Recorder
-	if *flightRecord {
-		rec, err = flightrec.New(s.Registry(), flightrec.Options{Dir: *flightDir, Interval: *flightInterval})
-		if err != nil {
-			fatal(log, "starting flight recorder", err)
-		}
-		rec.Start()
-		log.Info("flight recorder started", "dir", rec.Dir(), "interval", rec.Interval().String())
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(log, "listen", err)
@@ -123,7 +106,7 @@ func main() {
 	// The listen address is program output (smoke tests and scripts parse
 	// it), not a diagnostic: it stays on stdout in a fixed format.
 	fmt.Printf("litmus-serve: listening on http://%s\n", ln.Addr())
-	log.Info("serving", "addr", ln.Addr().String(), "flightRecord", *flightRecord)
+	log.Info("serving", "addr", ln.Addr().String())
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.Serve(ln) }()
@@ -154,15 +137,6 @@ func main() {
 			log.Error("closing journal", "error", err.Error())
 		} else {
 			log.Info("journal closed", "dir", jr.Dir())
-		}
-	}
-	if rec != nil {
-		// Closed after the drain so the final sample records the drained
-		// state; Close itself appends that last snapshot.
-		if err := rec.Close(); err != nil {
-			log.Error("closing flight recorder", "error", err.Error())
-		} else {
-			log.Info("flight recorder closed", "samples", rec.Samples(), "dir", rec.Dir())
 		}
 	}
 	if drainErr != nil {

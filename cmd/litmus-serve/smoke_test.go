@@ -15,16 +15,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/obs/flightrec"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
@@ -40,18 +42,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("building litmus-serve: %v\n%s", err, out)
 	}
 
-	// The recording survives in LITMUS_SERVE_SMOKE_FLIGHT_DIR when set
-	// (CI uploads it as an artifact); otherwise it lives and dies with
-	// the test.
-	flightDir := os.Getenv("LITMUS_SERVE_SMOKE_FLIGHT_DIR")
-	if flightDir == "" {
-		flightDir = filepath.Join(t.TempDir(), "flight")
-	} else if err := os.RemoveAll(flightDir); err != nil {
-		t.Fatal(err)
-	}
-
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "2",
-		"-flight-record", "-flight-dir", flightDir, "-flight-interval", "100ms")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "2")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +135,22 @@ func TestServeSmoke(t *testing.T) {
 		}
 	}
 
+	// /metrics must carry a positive series of every metric the workload
+	// moved: each counter's total, each latency histogram's _count.
+	positive := scrapePositive(t, baseURL)
+	for _, series := range []string{
+		"litmus_http_requests_total",
+		"litmus_cache_misses_total",
+		"litmus_jobs_total",
+		"litmus_job_seconds_count",
+		"litmus_job_queue_seconds_count",
+		"litmus_job_run_seconds_count",
+	} {
+		if !positive[series] {
+			t.Errorf("/metrics has no positive %s series", series)
+		}
+	}
+
 	// SIGTERM: the server must drain and exit zero.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -158,50 +165,34 @@ func TestServeSmoke(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("litmus-serve did not exit within 30s of SIGTERM")
 	}
+}
 
-	// The drained process left a decodable flight recording behind, with
-	// at least one sample for every metric the workload must have moved.
-	segs, err := flightrec.DecodeDir(flightDir)
+// scrapePositive GETs /metrics and returns the base names (labels cut)
+// of the series whose value is positive.
+func scrapePositive(t *testing.T, baseURL string) map[string]bool {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
 	if err != nil {
-		t.Fatalf("decoding flight recording: %v", err)
+		t.Fatal(err)
 	}
-	samplesPerBase := map[string]int{}
-	for _, s := range flightrec.Samples(segs) {
-		for _, p := range s.Points {
-			base := p.Name
-			if i := strings.IndexByte(base, '{'); i >= 0 {
-				base = base[:i]
-			}
-			samplesPerBase[base]++
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d, %v", resp.StatusCode, err)
+	}
+	positive := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		// Label values may hold spaces; the value follows the last one.
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil && v > 0 {
+			base, _, _ := strings.Cut(line[:i], "{")
+			positive[base] = true
 		}
 	}
-	for _, base := range []string{
-		"litmus_http_requests_total",
-		"litmus_cache_misses_total",
-		"litmus_jobs_total",
-		"litmus_job_seconds",
-		"litmus_job_queue_seconds",
-		"litmus_job_run_seconds",
-	} {
-		if samplesPerBase[base] < 1 {
-			t.Errorf("flight recording has no samples of %s; recorded bases: %v", base, samplesPerBase)
-		}
-	}
-
-	// litmus-rec, the operator's decoder, renders the same recording.
-	recBin := filepath.Join(t.TempDir(), "litmus-rec")
-	if out, err := exec.Command("go", "build", "-o", recBin, "../litmus-rec").CombinedOutput(); err != nil {
-		t.Fatalf("building litmus-rec: %v\n%s", err, out)
-	}
-	out, err := exec.Command(recBin, "-dir", flightDir).CombinedOutput()
-	if err != nil {
-		t.Fatalf("litmus-rec: %v\n%s", err, out)
-	}
-	for _, want := range []string{"Flight recording —", "litmus_jobs_total", "litmus_job_run_seconds"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("litmus-rec output lacks %q:\n%s", want, out)
-		}
-	}
+	return positive
 }
 
 func smokeRequest(t *testing.T) *serve.AssessRequest {

@@ -19,19 +19,27 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // renderCounters writes every counter of reg, name-sorted, one
 // "name value" line each. Histograms are left out: span timings vary.
+// Snapshot holds counters as int64, gauges as float64 and histograms
+// as maps.
 func renderCounters(w *bytes.Buffer, reg *MetricsRegistry) {
-	for _, p := range reg.Export() {
-		if p.Kind == obs.KindCounter {
-			fmt.Fprintf(w, "%s %d\n", p.Name, p.Counter)
+	snap := reg.Snapshot()
+	names := make([]string, 0, len(snap))
+	for name, v := range snap {
+		if _, ok := v.(int64); ok {
+			names = append(names, name)
 		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "%s %d\n", name, snap[name])
 	}
 }
 

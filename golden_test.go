@@ -13,10 +13,12 @@ package litmus
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,7 +28,6 @@ import (
 	"repro/internal/kpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/obs/flightrec"
 	"repro/internal/timeseries"
 )
 
@@ -131,7 +132,10 @@ func TestAssessChangeGolden(t *testing.T) {
 // observability layer: the pipeline must serialize to the committed
 // golden fixture with instrumentation off and on, at every worker
 // count — attaching a *obs.Scope is strictly observational and cannot
-// perturb the (Seed, iteration) RNG contract. It also sanity-checks
+// perturb the (Seed, iteration) RNG contract. While an instrumented
+// assessment runs, another goroutine scrapes its registry as a /metrics
+// client would, so (under -race, in make race-obs) concurrent reads of
+// the registry must not change a result either. It also sanity-checks
 // that the live scope actually recorded a trace and metrics.
 func TestAssessChangeInstrumentedEquivalence(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_assessment.json"))
@@ -141,10 +145,13 @@ func TestAssessChangeInstrumentedEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, instrumented := range []bool{false, true} {
 			var scope *Scope
+			stopScraping := func() {}
 			if instrumented {
 				scope = NewScope("golden", NewMetricsRegistry())
+				stopScraping = scrapeLoop(scope.Registry())
 			}
 			res, err := goldenPipelineObserved(workers, scope)
+			stopScraping()
 			if err != nil {
 				t.Fatalf("workers=%d instrumented=%v: %v", workers, instrumented, err)
 			}
@@ -171,6 +178,30 @@ func TestAssessChangeInstrumentedEquivalence(t *testing.T) {
 				t.Errorf("workers=%d: single change recorded %s", workers, obs.MetricBatchEntries)
 			}
 		}
+	}
+}
+
+// scrapeLoop renders reg as Prometheus text, over and over, on another
+// goroutine until the returned func is called; that func returns once
+// the last scrape has finished.
+func scrapeLoop(reg *MetricsRegistry) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			_ = reg.WritePrometheus(io.Discard) // io.Discard never fails
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
 	}
 }
 
@@ -202,66 +233,6 @@ func spanNames(spans []*obs.Span) []string {
 		names[i] = sp.Name
 	}
 	return names
-}
-
-// TestAssessChangeFlightRecordedEquivalence extends the instrumented
-// gate to the flight recorder: an assessment whose registry is being
-// concurrently snapshotted to disk must still serialize to the committed
-// golden fixture at every worker count — the recorder only *reads*
-// (atomic loads via Export), so recording can stay always-on in the
-// serve tier without perturbing results. The recorded segments must
-// also decode and carry the run's metrics.
-func TestAssessChangeFlightRecordedEquivalence(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_assessment.json"))
-	if err != nil {
-		t.Fatalf("%v (run TestAssessChangeGolden with -update to create the fixture)", err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		scope := NewScope("golden", NewMetricsRegistry())
-		rec, err := flightrec.New(scope.Registry(), flightrec.Options{
-			Dir:      t.TempDir(),
-			Interval: time.Millisecond, // aggressive tick: maximize read/write overlap
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Start()
-		res, runErr := goldenPipelineObserved(workers, scope)
-		scope.End()
-		if err := rec.Close(); err != nil {
-			t.Fatalf("workers=%d: closing recorder: %v", workers, err)
-		}
-		if runErr != nil {
-			t.Fatalf("workers=%d: %v", workers, runErr)
-		}
-		ser, err := serializeAssessment(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := append(ser, '\n'); !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: recorded assessment deviates from the golden fixture", workers)
-		}
-		if rec.Samples() < 1 {
-			t.Fatalf("workers=%d: recorder wrote no samples", workers)
-		}
-		segs, err := flightrec.DecodeDir(rec.Dir())
-		if err != nil {
-			t.Fatalf("workers=%d: decoding recording: %v", workers, err)
-		}
-		last := segs[len(segs)-1].Samples
-		if len(last) == 0 {
-			t.Fatalf("workers=%d: empty final segment", workers)
-		}
-		var sawIterations bool
-		for _, p := range last[len(last)-1].Points {
-			if p.Name == obs.MetricIterations && p.Counter > 0 {
-				sawIterations = true
-			}
-		}
-		if !sawIterations {
-			t.Errorf("workers=%d: recording's final sample lacks a positive %s", workers, obs.MetricIterations)
-		}
-	}
 }
 
 // TestAssessChangeEquivalenceAcrossWorkers is the pipeline-level half of

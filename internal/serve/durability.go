@@ -11,14 +11,14 @@ package serve
 // batch cut short by a crash or hard stop keeps the entries it
 // finished.
 //
-// Read path (boot): replayJournal folds the journal down to each
-// digest's final state, then (1) restores every completed result as a
-// done record, and (2) re-enqueues every submission that never reached
-// a terminal result. Restoring runs first so re-enqueued batches
-// resolve their entries against the replayed records. /readyz serves
-// 503 "replaying" until both passes finish. By the determinism contract
-// a replayed result is bit-identical to a recomputed one, so replay
-// only ever skips work.
+// Read path (boot): replayJournal reads each digest's final state from
+// the journal (Journal.Finals, the fold compaction also uses), then (1)
+// restores every completed result as a done record, and (2) re-enqueues
+// every submission that never reached a terminal result. Restoring runs
+// first so re-enqueued batches resolve their entries against the
+// replayed records. /readyz serves 503 "replaying" until both passes
+// finish. By the determinism contract a replayed result is
+// bit-identical to a recomputed one, so replay only ever skips work.
 //
 // Append errors are logged and otherwise ignored: durability is
 // best-effort, serving is not — a full disk degrades the journal, never
@@ -58,16 +58,6 @@ func (s *Server) journalAppendLocked(rec journal.Record) {
 	}
 }
 
-// replayFinal is one digest's folded journal state.
-type replayFinal struct {
-	submit   []byte // newest submit payload, valid when pending
-	batch    bool   // submit is a batch request
-	pending  bool   // submitted, no terminal result yet
-	result   []byte // newest completed result, valid when done
-	degraded bool
-	done     bool
-}
-
 // replayJournal rebuilds server state from the journal on boot, then
 // closes replayDone. It runs concurrently with the HTTP handlers:
 // /readyz gates external traffic, and both passes re-check live state
@@ -77,33 +67,7 @@ func (s *Server) replayJournal() {
 	defer s.wg.Done()
 	defer close(s.replayDone)
 
-	// Fold the record stream down to each digest's final state, exactly
-	// like the journal's own compactor: a later submit re-pends a digest,
-	// a cancellation keeps it pending, a failure drops it (deterministic
-	// failures are neither restored nor re-run), a completed result
-	// supersedes everything before it.
-	states := map[string]*replayFinal{}
-	var order []string // first-seen digest order
-	err := s.journal.Replay(func(rec journal.Record) error {
-		st := states[rec.Digest]
-		if st == nil {
-			st = &replayFinal{}
-			states[rec.Digest] = st
-			order = append(order, rec.Digest)
-		}
-		switch {
-		case rec.Kind == journal.KindSubmit || rec.Kind == journal.KindBatchSubmit:
-			st.submit, st.batch, st.pending = rec.Payload, rec.Kind == journal.KindBatchSubmit, true
-		case rec.Canceled:
-			// The work is still pending; the marker itself folds away.
-		case rec.Failed:
-			st.pending = false
-		default:
-			st.result, st.degraded, st.done = rec.Payload, rec.Degraded, true
-			st.pending = false
-		}
-		return nil
-	})
+	finals, err := s.journal.Finals()
 	if err != nil && s.cfg.Logger != nil {
 		s.cfg.Logger.Error("journal replay failed", "error", err)
 	}
@@ -113,13 +77,12 @@ func (s *Server) replayJournal() {
 	// wins.
 	now := time.Now()
 	var replayed int
-	for _, d := range order {
-		st := states[d]
-		if !st.done {
+	for _, st := range finals {
+		if st.Done == nil {
 			continue
 		}
 		s.mu.Lock()
-		if !s.storeDoneLocked(d, st.result, st.degraded, newTraceID(), now) {
+		if !s.storeDoneLocked(st.Digest, st.Done.Payload, st.Done.Degraded, newTraceID(), now) {
 			s.mu.Unlock()
 			continue
 		}
@@ -131,12 +94,11 @@ func (s *Server) replayJournal() {
 
 	// Pass 2: re-enqueue unfinished work.
 	var requeued int
-	for _, d := range order {
-		st := states[d]
-		if !st.pending {
+	for _, st := range finals {
+		if st.Submit == nil {
 			continue
 		}
-		if s.replayEnqueue(st.submit, st.batch, now) {
+		if s.replayEnqueue(st.Submit.Payload, st.Submit.Kind == journal.KindBatchSubmit, now) {
 			requeued++
 		}
 	}

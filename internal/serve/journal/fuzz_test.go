@@ -36,7 +36,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(full)                                        // clean segment
 	f.Add(full[:len(full)-3])                          // torn tail
 	f.Add(full[:len(Magic)])                           // empty segment
-	f.Add([]byte("LFR1whatever"))                      // foreign magic (flight recorder)
+	f.Add([]byte("LFR1whatever"))                      // foreign magic (another format)
 	f.Add([]byte{})                                    // empty file
 	f.Add(append(bytes.Clone(full), 0xff, 0xff, 0xff)) // trailing garbage
 	flipped := bytes.Clone(full)

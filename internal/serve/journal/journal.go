@@ -242,21 +242,76 @@ func (j *Journal) Replay(fn func(Record) error) error {
 	return nil
 }
 
+// Final is one digest's state once its records are folded in journal
+// order. A submit (single or batch) makes the digest pending, a
+// canceled complete keeps it pending, a failed complete ends it
+// (deterministic failures are neither restored nor re-run), and a done
+// complete supersedes every earlier record of the digest. A later
+// submit re-pends a done digest without dropping its result.
+type Final struct {
+	Digest string
+	// Submit is the newest submit while the digest is pending, nil once
+	// a done or failed complete follows it.
+	Submit *Record
+	// Done is the newest done complete, nil if there is none.
+	Done *Record
+	// submitAt and doneAt are Submit's and Done's positions in the
+	// folded stream.
+	submitAt, doneAt int
+}
+
+// fold reduces a record stream to each digest's Final, kept in order
+// of the digest's first record.
+type fold struct {
+	index  map[string]int
+	finals []Final
+	n      int // records folded so far
+}
+
+func (f *fold) add(rec Record) {
+	i, ok := f.index[rec.Digest]
+	if !ok {
+		if f.index == nil {
+			f.index = map[string]int{}
+		}
+		i = len(f.finals)
+		f.index[rec.Digest] = i
+		f.finals = append(f.finals, Final{Digest: rec.Digest})
+	}
+	st := &f.finals[i]
+	switch {
+	case rec.Kind == KindSubmit || rec.Kind == KindBatchSubmit:
+		st.Submit, st.submitAt = &rec, f.n
+	case rec.Canceled:
+		// Still pending; the marker itself folds away.
+	case rec.Failed:
+		st.Submit = nil
+	default: // done
+		st.Done, st.doneAt, st.Submit = &rec, f.n, nil
+	}
+	f.n++
+}
+
+// Finals replays every surviving record, as Replay does, and returns
+// each digest's final state in order of the digest's first record. On
+// a read error it returns the states folded so far with the error.
+func (j *Journal) Finals() ([]Final, error) {
+	var f fold
+	err := j.Replay(func(rec Record) error {
+		f.add(rec)
+		return nil
+	})
+	return f.finals, err
+}
+
 // Compact rewrites the sealed segments (every segment but the active
-// one) into a single segment, folding each digest's history down to its
-// final state:
-//
-//   - pending (last event is a submit, or a submit whose newest complete
-//     is a cancellation): the submit survives, so the job is re-enqueued
-//     on the next boot; the canceled-complete marker is dropped.
-//   - done: only the newest done complete survives, and only for the
-//     newest RetainResults completed digests overall — the journal
-//     mirrors the serve tier's bound on finished records instead of
-//     growing without limit.
-//   - failed: nothing survives. Replay neither restores nor
-//     re-enqueues deterministic failures, so their records carry no
-//     information past compaction; a later resubmit re-pends the digest
-//     (the fold is order-aware).
+// one) into a single segment holding the records of each digest's
+// Final: its pending submit and its newest done complete. Done results
+// are kept only for the newest RetainResults done digests overall, so
+// the journal mirrors the serve tier's bound on finished records
+// instead of growing without limit. Cancellation markers, failures and
+// superseded records carry no information past the fold and are
+// dropped.
 //
 // Record order is preserved, the temporary is fsynced and renamed into
 // place, and the replaced segments are deleted afterwards; a crash at
@@ -286,88 +341,47 @@ func (j *Journal) Compact() error {
 	}
 
 	// Sealed segments are immutable, so reading them needs no lock.
-	type ref struct{ seg, idx int }
-	var all [][]Record
+	var f fold
 	for _, name := range sealed {
 		data, err := os.ReadFile(name)
 		if err != nil {
 			return fmt.Errorf("journal: reading segment: %w", err)
 		}
-		recs, _, derr := DecodeSegment(data)
-		if derr == ErrBadMagic {
-			recs = nil
-		}
-		all = append(all, recs)
-	}
-
-	// Fold each digest's events in order down to its final state.
-	type state struct {
-		pending                     ref // last submit, valid when hasPending
-		done                        ref // newest done complete, valid when hasDone
-		hasPending, hasDone, failed bool
-	}
-	states := map[string]*state{}
-	var doneOrder []string // digests in order of their newest done complete
-	for si, recs := range all {
-		for ri, rec := range recs {
-			st := states[rec.Digest]
-			if st == nil {
-				st = &state{}
-				states[rec.Digest] = st
-			}
-			switch {
-			case rec.Kind == KindSubmit || rec.Kind == KindBatchSubmit:
-				st.pending, st.hasPending, st.failed = ref{si, ri}, true, false
-			case rec.Canceled:
-				// Cancellation keeps the digest pending; the marker itself
-				// never survives compaction.
-			case rec.Failed:
-				st.hasPending, st.failed = false, true
-			default: // done
-				st.done, st.hasDone = ref{si, ri}, true
-				st.hasPending, st.failed = false, false
-				doneOrder = append(doneOrder, rec.Digest)
-			}
-		}
-	}
-	// Expire all but the newest RetainResults done digests. doneOrder
-	// lists every done complete in append order; ranking by a digest's
-	// last appearance ranks by its newest result.
-	lastPos := map[string]int{}
-	for i, d := range doneOrder {
-		lastPos[d] = i
-	}
-	var doneDigests []string
-	for d, st := range states {
-		if st.hasDone {
-			doneDigests = append(doneDigests, d)
-		}
-	}
-	sort.Slice(doneDigests, func(a, b int) bool { return lastPos[doneDigests[a]] < lastPos[doneDigests[b]] })
-	expired := map[string]bool{}
-	if drop := len(doneDigests) - j.opts.RetainResults; drop > 0 {
-		for _, d := range doneDigests[:drop] {
-			expired[d] = true
+		recs, _, _ := DecodeSegment(data) // a torn segment yields its clean prefix, a foreign one nothing
+		for _, rec := range recs {
+			f.add(rec)
 		}
 	}
 
-	keep := map[ref]bool{}
-	for d, st := range states {
-		if st.hasPending {
-			keep[st.pending] = true
-		}
-		if st.hasDone && !expired[d] {
-			keep[st.done] = true
-		}
-	}
-	var out []Record
-	for si, recs := range all {
-		for ri, rec := range recs {
-			if keep[ref{si, ri}] {
-				out = append(out, rec)
-			}
+	// Expire all but the newest RetainResults done digests, ranked by
+	// the position of their newest result.
+	var done []*Final
+	for i := range f.finals {
+		if f.finals[i].Done != nil {
+			done = append(done, &f.finals[i])
 		}
 	}
+	sort.Slice(done, func(a, b int) bool { return done[a].doneAt < done[b].doneAt })
+	if drop := len(done) - j.opts.RetainResults; drop > 0 {
+		for _, st := range done[:drop] {
+			st.Done = nil
+		}
+	}
+
+	type kept struct {
+		at  int
+		rec *Record
+	}
+	var out []kept
+	for _, st := range f.finals {
+		if st.Submit != nil {
+			out = append(out, kept{st.submitAt, st.Submit})
+		}
+		if st.Done != nil {
+			out = append(out, kept{st.doneAt, st.Done})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].at < out[b].at })
 
 	tmpPath := filepath.Join(j.opts.Dir, compactTmp)
 	tmp, err := os.Create(tmpPath)
@@ -375,8 +389,8 @@ func (j *Journal) Compact() error {
 		return fmt.Errorf("journal: creating compaction temp: %w", err)
 	}
 	buf := []byte(Magic)
-	for i := range out {
-		if buf, err = appendFrame(buf, &out[i]); err != nil {
+	for _, k := range out {
+		if buf, err = appendFrame(buf, k.rec); err != nil {
 			tmp.Close()
 			os.Remove(tmpPath)
 			return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -333,4 +334,126 @@ func counterVal(t *testing.T, reg *obs.Registry, name string) int64 {
 	t.Helper()
 	v, _ := reg.Snapshot()[name].(int64)
 	return v
+}
+
+// TestFinalsSurviveCompaction folds seeded random streams of submits,
+// batch submits and done, failed and canceled completes over a few
+// digests through a journal whose tiny segments rotate (and compact in
+// the background) every few records, then compacts what is sealed. The
+// final states it replays must equal those of the same stream in an
+// uncompacted journal, except for done results RetainResults expired:
+// those must be the oldest, and at least RetainResults must survive.
+func TestFinalsSurviveCompaction(t *testing.T) {
+	const retain = 2
+	var expiredTotal int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		compacted, err := Open(Options{Dir: t.TempDir(), MaxSegmentBytes: 96, RetainResults: retain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := Open(Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			rec := Record{Digest: fmt.Sprintf("j%d", rng.Intn(5)), Payload: []byte(fmt.Sprintf("p%d", i))}
+			switch rng.Intn(5) {
+			case 0:
+				rec.Kind = KindSubmit
+			case 1:
+				rec.Kind = KindBatchSubmit
+			case 2:
+				rec.Kind = KindComplete
+				rec.Degraded = rng.Intn(2) == 0
+			case 3:
+				rec.Kind, rec.Failed = KindComplete, true
+			default:
+				rec.Kind, rec.Canceled = KindComplete, true
+			}
+			mustAppend(t, compacted, rec)
+			mustAppend(t, whole, rec)
+		}
+		compacted.compactWG.Wait()
+		if err := compacted.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		before := finalsByDigest(t, whole)
+		after := finalsByDigest(t, compacted)
+		if names, _ := segmentFiles(compacted.Dir()); len(names) > 2 {
+			t.Errorf("seed %d: %d segments after Compact, want the compacted one and the active one", seed, len(names))
+		}
+		for _, j := range []*Journal{compacted, whole} {
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if len(after) > len(before) {
+			t.Errorf("seed %d: %d digests after Compact, %d before", seed, len(after), len(before))
+		}
+		oldestKept, newestExpired, kept, withDone := -1, -1, 0, 0
+		for d, b := range before {
+			a := after[d]
+			if !sameRecord(a.Submit, b.Submit) {
+				t.Errorf("seed %d, %s: pending submit %s after Compact, %s before", seed, d, describe(a.Submit), describe(b.Submit))
+			}
+			if b.Done == nil {
+				if a.Done != nil {
+					t.Errorf("seed %d, %s: done %s after Compact, none before", seed, d, describe(a.Done))
+				}
+				continue
+			}
+			withDone++
+			switch {
+			case a.Done == nil: // expired
+				expiredTotal++
+				newestExpired = max(newestExpired, b.doneAt)
+			case sameRecord(a.Done, b.Done):
+				kept++
+				if oldestKept < 0 || b.doneAt < oldestKept {
+					oldestKept = b.doneAt
+				}
+			default:
+				t.Errorf("seed %d, %s: done %s after Compact, %s before", seed, d, describe(a.Done), describe(b.Done))
+			}
+		}
+		if kept < min(retain, withDone) {
+			t.Errorf("seed %d: %d done results kept of %d, want at least %d", seed, kept, withDone, retain)
+		}
+		if kept > 0 && newestExpired > oldestKept {
+			t.Errorf("seed %d: a done result at %d expired while an older one at %d was kept", seed, newestExpired, oldestKept)
+		}
+	}
+	if expiredTotal == 0 {
+		t.Error("no seed expired a done result: RetainResults went unexercised")
+	}
+}
+
+func finalsByDigest(t *testing.T, j *Journal) map[string]Final {
+	t.Helper()
+	finals, err := j.Finals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]Final{}
+	for _, f := range finals {
+		out[f.Digest] = f
+	}
+	return out
+}
+
+func sameRecord(a, b *Record) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Kind == b.Kind && a.Digest == b.Digest && a.Degraded == b.Degraded &&
+		a.Failed == b.Failed && a.Canceled == b.Canceled && bytes.Equal(a.Payload, b.Payload)
+}
+
+func describe(r *Record) string {
+	if r == nil {
+		return "none"
+	}
+	return fmt.Sprintf("%s %q", r.Kind, r.Payload)
 }

@@ -13,8 +13,8 @@
 // A journal is a directory of segment files named journal-<seq>.ljr
 // with a monotonically increasing, zero-padded sequence number
 // (lexicographic order is chronological). A segment is a 4-byte magic
-// "LJR1" followed by zero or more frames, in the spirit of the LFR1
-// flight-recorder encoding (compact varints, self-describing segments):
+// "LJR1" followed by zero or more frames: compact varints, and each
+// segment decodes on its own.
 //
 //	frame:
 //	  bodyLen  uvarint      length of body in bytes
@@ -39,11 +39,11 @@
 //
 // Append rotates to a fresh segment when the active one exceeds
 // Options.MaxSegmentBytes, then kicks the background compactor: sealed
-// segments are rewritten into one, dropping superseded entries (every
-// complete for a digest but the newest; every submit whose digest has a
-// terminal complete) and expiring all but the newest
-// Options.RetainResults completed results — mirroring the serve tier's
-// bound on finished records. Compaction writes a temporary file and
+// segments are rewritten into one holding only the records of each
+// digest's Final (its pending submit and its newest done complete, the
+// same fold boot replay reads through Finals), and all but the newest
+// Options.RetainResults completed results expire — mirroring the serve
+// tier's bound on finished records. Compaction writes a temporary file and
 // renames it into place, so a crash mid-compaction leaves either the
 // old segments or the compacted one, never a mix; stale temporaries are
 // removed on Open.

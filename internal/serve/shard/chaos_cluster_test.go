@@ -23,8 +23,9 @@ package shard
 //
 //	LITMUS_CLUSTER_CHAOS=1 go test -race -run TestClusterChaos ./internal/serve/shard
 //
-// The suite writes a per-scenario stats artifact (CHAOS_CLUSTER.json,
-// path overridable via LITMUS_CLUSTER_CHAOS_OUT) that CI uploads.
+// With LITMUS_CLUSTER_CHAOS_OUT set to a path, the suite writes its
+// per-scenario stats artifact there (make chaos-cluster writes
+// out/CHAOS_CLUSTER.json, which CI uploads); unset, it writes nothing.
 
 import (
 	"context"
@@ -427,7 +428,7 @@ func TestClusterChaos(t *testing.T) {
 
 	out := os.Getenv("LITMUS_CLUSTER_CHAOS_OUT")
 	if out == "" {
-		out = "CHAOS_CLUSTER.json"
+		return
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -47,19 +47,16 @@ func hash64(key string) uint64 {
 }
 
 // NewRing builds a ring over the given distinct node names with
-// replicas virtual points each (DefaultReplicas when <= 0). Node order
-// does not affect ownership — only the names themselves do.
-func NewRing(nodes []string, replicas int) (*Ring, error) {
+// DefaultReplicas virtual points each. Node order does not affect
+// ownership — only the names themselves do.
+func NewRing(nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("shard: ring needs at least one node")
 	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
 	seen := map[string]bool{}
 	r := &Ring{
-		points: make([]uint64, 0, len(nodes)*replicas),
-		owner:  make([]int, 0, len(nodes)*replicas),
+		points: make([]uint64, 0, len(nodes)*DefaultReplicas),
+		owner:  make([]int, 0, len(nodes)*DefaultReplicas),
 	}
 	for _, n := range nodes {
 		if seen[n] {
@@ -72,9 +69,9 @@ func NewRing(nodes []string, replicas int) (*Ring, error) {
 		h   uint64
 		idx int
 	}
-	pts := make([]point, 0, len(nodes)*replicas)
+	pts := make([]point, 0, len(nodes)*DefaultReplicas)
 	for i, n := range r.nodes {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < DefaultReplicas; v++ {
 			pts = append(pts, point{h: hash64(fmt.Sprintf("%s#%d", n, v)), idx: i})
 		}
 	}

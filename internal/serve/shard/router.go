@@ -43,11 +43,11 @@ import (
 	"repro/internal/serve/client"
 )
 
-// Hedging defaults: back up the owner when it exceeds the observed p95,
-// but never hedge sooner than the floor (which also serves as the delay
+// Hedging: back up the owner when it exceeds the observed p95, but
+// never hedge sooner than the floor (which also serves as the delay
 // until enough latency samples exist).
 const (
-	defaultHedgeQuantile = 0.95
+	hedgeQuantile        = 0.95
 	defaultHedgeMinDelay = 20 * time.Millisecond
 	hedgeWindow          = 512 // latency samples kept for the adaptive percentile
 	hedgeMinSamples      = 8   // below this, the floor alone decides
@@ -58,9 +58,6 @@ type RouterOptions struct {
 	// HTTPClient is shared by every per-node client (default
 	// http.DefaultClient).
 	HTTPClient *http.Client
-	// Replicas is the ring's virtual points per node (default
-	// DefaultReplicas).
-	Replicas int
 	// PollInterval is each node client's job-status polling cadence
 	// (default: the client package's own default).
 	PollInterval time.Duration
@@ -83,13 +80,10 @@ type RouterOptions struct {
 	// negative disables failover entirely.
 	RetryBudget int
 	// Hedge enables hedged Assess calls: when the first answer takes
-	// longer than the adaptive HedgeQuantile of recent latencies, a
-	// backup fires to the next node in the digest's sequence and the
-	// first result wins.
+	// longer than the 95th percentile of recent latencies, a backup
+	// fires to the next node in the digest's sequence and the first
+	// result wins.
 	Hedge bool
-	// HedgeQuantile is the latency quantile that arms the hedge timer
-	// (default 0.95).
-	HedgeQuantile float64
 	// HedgeMinDelay floors the hedge delay (default 20ms) and stands in
 	// for the percentile until enough samples exist.
 	HedgeMinDelay time.Duration
@@ -106,7 +100,6 @@ type Router struct {
 	retryBudget    int
 
 	hedge         bool
-	hedgeQuantile float64
 	hedgeMinDelay time.Duration
 
 	// Fixed by NewRouter and read without the lock.
@@ -153,17 +146,13 @@ type RouteStats struct {
 // node names: every router configured with the same set — in any order —
 // routes every digest identically.
 func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
-	ring, err := NewRing(endpoints, opts.Replicas)
+	ring, err := NewRing(endpoints)
 	if err != nil {
 		return nil, err
 	}
 	httpc := opts.HTTPClient
 	if httpc == nil {
 		httpc = http.DefaultClient
-	}
-	hedgeQ := opts.HedgeQuantile
-	if hedgeQ <= 0 || hedgeQ >= 1 {
-		hedgeQ = defaultHedgeQuantile
 	}
 	hedgeMin := opts.HedgeMinDelay
 	if hedgeMin <= 0 {
@@ -174,7 +163,6 @@ func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 		attemptTimeout: opts.AttemptTimeout,
 		retryBudget:    opts.RetryBudget,
 		hedge:          opts.Hedge,
-		hedgeQuantile:  hedgeQ,
 		hedgeMinDelay:  hedgeMin,
 		ring:           ring,
 		clients:        make(map[string]*client.Client, len(endpoints)),
@@ -358,7 +346,7 @@ func (rt *Router) noteLatency(d time.Duration) {
 }
 
 // hedgeDelay returns how long the primary may run before the backup
-// fires: the HedgeQuantile of recent successful latencies, floored at
+// fires: the hedgeQuantile of recent successful latencies, floored at
 // HedgeMinDelay (which stands alone until enough samples exist).
 func (rt *Router) hedgeDelay() time.Duration {
 	rt.mu.Lock()
@@ -369,7 +357,7 @@ func (rt *Router) hedgeDelay() time.Duration {
 		return rt.hedgeMinDelay
 	}
 	sort.Float64s(samples)
-	i := int(float64(n)*rt.hedgeQuantile+0.5) - 1
+	i := int(float64(n)*hedgeQuantile+0.5) - 1
 	if i < 0 {
 		i = 0
 	}

@@ -19,9 +19,9 @@ import (
 	"repro/internal/serve"
 )
 
-func mustRing(t *testing.T, nodes []string, replicas int) *Ring {
+func mustRing(t *testing.T, nodes []string) *Ring {
 	t.Helper()
-	r, err := NewRing(nodes, replicas)
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func mustRing(t *testing.T, nodes []string, replicas int) *Ring {
 
 func TestRingOwnershipDeterministic(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c"}
-	r1 := mustRing(t, nodes, 0)
-	r2 := mustRing(t, []string{"http://c", "http://a", "http://b"}, 0) // order must not matter
+	r1 := mustRing(t, nodes)
+	r2 := mustRing(t, []string{"http://c", "http://a", "http://b"}) // order must not matter
 
 	for i := 0; i < 500; i++ {
 		key := "j" + strconv.Itoa(i)
@@ -55,17 +55,17 @@ func TestRingOwnershipDeterministic(t *testing.T) {
 		}
 	}
 
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"x", "x"}, 0); err == nil {
+	if _, err := NewRing([]string{"x", "x"}); err == nil {
 		t.Fatal("duplicate node accepted")
 	}
 }
 
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c"}
-	r := mustRing(t, nodes, 0)
+	r := mustRing(t, nodes)
 	counts := map[string]int{}
 	const keys = 10_000
 	for i := 0; i < keys; i++ {
@@ -83,8 +83,8 @@ func TestRingBalance(t *testing.T) {
 // node only moves keys onto the new node; no key moves between two
 // surviving nodes.
 func TestRingMinimalRemapping(t *testing.T) {
-	old := mustRing(t, []string{"http://a", "http://b", "http://c"}, 0)
-	grown := mustRing(t, []string{"http://a", "http://b", "http://c", "http://d"}, 0)
+	old := mustRing(t, []string{"http://a", "http://b", "http://c"})
+	grown := mustRing(t, []string{"http://a", "http://b", "http://c", "http://d"})
 	moved := 0
 	const keys = 10_000
 	for i := 0; i < keys; i++ {

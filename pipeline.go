@@ -14,8 +14,9 @@ import (
 
 // SeriesProvider supplies KPI time-series per network element — the
 // interface between Litmus and whatever performance-measurement pipeline
-// feeds it. internal/gen's Generator satisfies it via ProviderFromGenerator
-// in deployments without a live feed.
+// feeds it. Without a live feed, a synthetic internal/gen Generator
+// serves through ProviderFunc, as the assessment service's worlds do
+// (internal/serve/world.go).
 type SeriesProvider interface {
 	// Series returns the KPI series for the element, or false if the
 	// element has no data for that KPI.
