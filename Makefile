@@ -59,12 +59,12 @@ race-pools:
 
 # Focused race run over the observability layer: the concurrent
 # metrics-registry and scope tests plus the instrumented pipeline (its
-# registry scraped by another goroutine while it runs), then the
-# span-freezing and trace-endpoint tests (frozen trees read by
+# registry scraped or snapshotted by another goroutine while it runs),
+# then the span-freezing and trace-endpoint tests (frozen trees read by
 # concurrent GETs while jobs finish) ten times each.
 race-obs:
 	$(GO) test -race ./internal/obs
-	$(GO) test -race -run 'TestAssessChangeInstrumentedEquivalence' .
+	$(GO) test -race -run 'TestAssessChange(Instrumented|FlightRecorded)Equivalence' .
 	$(GO) test -race -count=10 -run 'Freeze|Trace' ./internal/obs ./internal/serve
 
 # Every allocation-bound test, twenty runs each: the span, selection,

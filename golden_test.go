@@ -148,7 +148,10 @@ func TestAssessChangeInstrumentedEquivalence(t *testing.T) {
 			stopScraping := func() {}
 			if instrumented {
 				scope = NewScope("golden", NewMetricsRegistry())
-				stopScraping = scrapeLoop(scope.Registry())
+				reg := scope.Registry()
+				stopScraping = readLoop(func() {
+					_ = reg.WritePrometheus(io.Discard) // io.Discard never fails
+				})
 			}
 			res, err := goldenPipelineObserved(workers, scope)
 			stopScraping()
@@ -181,17 +184,68 @@ func TestAssessChangeInstrumentedEquivalence(t *testing.T) {
 	}
 }
 
-// scrapeLoop renders reg as Prometheus text, over and over, on another
-// goroutine until the returned func is called; that func returns once
-// the last scrape has finished.
-func scrapeLoop(reg *MetricsRegistry) (stop func()) {
+// TestAssessChangeFlightRecordedEquivalence pins the read path of an
+// always-on sampler of the registry, as the retired flight recorder
+// was: while an instrumented assessment runs, another goroutine takes
+// Registry.Snapshot over and over, and the assessment must still
+// serialize to the committed golden fixture at every worker count. The
+// samples must carry the run's metrics: the iterations counter never
+// goes backwards from one sample to the next, and a snapshot taken
+// after the run holds it positive and no lower than the last sample.
+func TestAssessChangeFlightRecordedEquivalence(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_assessment.json"))
+	if err != nil {
+		t.Fatalf("%v (run TestAssessChangeGolden with -update to create the fixture)", err)
+	}
+	iterations := func(reg *MetricsRegistry) int64 {
+		n, _ := reg.Snapshot()[obs.MetricIterations].(int64)
+		return n
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		scope := NewScope("golden", NewMetricsRegistry())
+		var samples []int64
+		stopSampling := readLoop(func() {
+			samples = append(samples, iterations(scope.Registry()))
+		})
+		res, runErr := goldenPipelineObserved(workers, scope)
+		stopSampling()
+		scope.End()
+		if runErr != nil {
+			t.Fatalf("workers=%d: %v", workers, runErr)
+		}
+		ser, err := serializeAssessment(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := append(ser, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: sampled assessment deviates from the golden fixture", workers)
+		}
+		for i := 1; i < len(samples); i++ {
+			if samples[i] < samples[i-1] {
+				t.Fatalf("workers=%d: sample %d reads %s %d after %d", workers, i, obs.MetricIterations, samples[i], samples[i-1])
+			}
+		}
+		final := iterations(scope.Registry())
+		if final <= 0 {
+			t.Fatalf("workers=%d: run left %s at %d", workers, obs.MetricIterations, final)
+		}
+		if last := samples[len(samples)-1]; last > final {
+			t.Errorf("workers=%d: last sample reads %s %d, above the final %d", workers, obs.MetricIterations, last, final)
+		}
+	}
+}
+
+// readLoop calls read over and over on another goroutine, at least
+// once, until the returned func is called; that func returns once the
+// last read has finished.
+func readLoop(read func()) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for {
-			_ = reg.WritePrometheus(io.Discard) // io.Discard never fails
+			read()
 			select {
 			case <-done:
 				return
