@@ -3,12 +3,11 @@ package main
 // Changelog mode (-changelog): assess every entry of a JSON changelog
 // against the same study/controls CSV pair. Each entry contributes one
 // change time; the study series is split at that time and regressed
-// against the control panel exactly as in single-change mode, but
-// through the pipeline so -changelog-batch can route the whole file
-// through Pipeline.AssessChangelog — the batch path that shares control
-// selection, panel assembly and before-window factorizations across
-// entries with equal signatures. Batch and loop results are identical;
-// only the cost differs.
+// against the control panel exactly as in single-change mode, but the
+// whole file goes through Pipeline.AssessChangelog — the batch path
+// that shares control selection, panel assembly and before-window
+// factorizations across entries with equal signatures. Its results are
+// identical to assessing each entry alone; only the cost differs.
 
 import (
 	"bytes"
@@ -131,40 +130,24 @@ func runChangelog(o *options, scope *obs.Scope, metric litmus.KPI, assessor *lit
 		MaxControls:      controls.Len(),
 		Obs:              scope,
 	}
-	kpis := []litmus.KPI{metric}
-	ctx := context.Background()
 
-	mode := "per-entry loop"
-	if o.changelogBatch {
-		mode = "batch (shared panels and factorizations)"
-	}
-	fmt.Printf("changelog: %d entries, %s, window %d days\n", len(changes), mode, o.windowDays)
+	fmt.Printf("changelog: %d entries, window %d days\n", len(changes), o.windowDays)
 
-	results := make([]*litmus.ChangeAssessment, len(changes))
-	errs := make([]error, len(changes))
-	if o.changelogBatch {
-		batch, err := p.AssessChangelog(ctx, changes, kpis, o.windowDays)
-		if err != nil {
-			fatalf("batch assessment: %v", err)
-		}
-		copy(results, batch.Results)
-		copy(errs, batch.Errors)
-		fmt.Printf("  amortization: %d panel assemblies shared, %d factorizations reused\n",
-			batch.PanelsShared, batch.FactorizationsReused)
-	} else {
-		for i, c := range changes {
-			results[i], errs[i] = p.AssessChangeContext(ctx, c, kpis, o.windowDays)
-		}
+	batch, err := p.AssessChangelog(context.Background(), changes, []litmus.KPI{metric}, o.windowDays)
+	if err != nil {
+		fatalf("batch assessment: %v", err)
 	}
+	fmt.Printf("  amortization: %d panel assemblies shared, %d factorizations reused\n",
+		batch.PanelsShared, batch.FactorizationsReused)
 
 	for i, c := range changes {
 		at := c.At.UTC().Format(time.RFC3339)
-		if errs[i] != nil {
-			fmt.Printf("%-16s @ %s  error: %v\n", c.ID, at, errs[i])
+		if err := batch.Errors[i]; err != nil {
+			fmt.Printf("%-16s @ %s  error: %v\n", c.ID, at, err)
 			failed = true
 			continue
 		}
-		res := results[i]
+		res := batch.Results[i]
 		verdict := "unassessed"
 		if gr, ok := res.PerKPI[metric]; ok {
 			if len(gr.PerElement) > 0 {

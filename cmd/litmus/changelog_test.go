@@ -40,7 +40,6 @@ func TestFlagValidation(t *testing.T) {
 	valid := [][]string{
 		{"-study", "s.csv", "-controls", "c.csv", "-change", "2012-06-15T00:00:00Z"},
 		{"-study", "s.csv", "-controls", "c.csv", "-changelog", "log.json"},
-		{"-study", "s.csv", "-controls", "c.csv", "-changelog", "log.json", "-changelog-batch"},
 		{"-study", "s.csv", "-controls", "c.csv", "-changelog", "log.json", "-window-days", "7"},
 		{"-study", "s.csv", "-controls", "c.csv", "-change", "2012-06-15T00:00:00Z", "-diagnose"},
 	}
@@ -56,8 +55,6 @@ func TestFlagValidation(t *testing.T) {
 		{"-study", "s.csv", "-controls", "c.csv"},
 		{"-study", "s.csv", "-controls", "c.csv", "-change", "2012-06-15T00:00:00Z", "-changelog", "log.json"},
 		{"-study", "s.csv", "-controls", "c.csv", "-change", "not-a-time"},
-		{"-study", "s.csv", "-controls", "c.csv", "-changelog-batch"},
-		{"-study", "s.csv", "-controls", "c.csv", "-change", "2012-06-15T00:00:00Z", "-changelog-batch"},
 		{"-study", "s.csv", "-controls", "c.csv", "-changelog", "log.json", "-diagnose"},
 		{"-study", "s.csv", "-controls", "c.csv", "-changelog", "log.json", "-window-days", "1"},
 	}

@@ -15,11 +15,11 @@
 //
 // Changelog mode: -changelog changes.json assesses every entry of a
 // JSON changelog (one change time per entry) against the same
-// study/controls pair — one verdict line per entry. Adding
-// -changelog-batch routes the entries through the engine's batch path
-// (Pipeline.AssessChangelog), which shares control selection, panel
-// assembly and before-window factorizations across entries with equal
-// signatures; results are bit-identical to the per-entry loop.
+// study/controls pair — one verdict line per entry. The entries go
+// through the engine's batch path (Pipeline.AssessChangelog), which
+// shares control selection, panel assembly and before-window
+// factorizations across entries with equal signatures and prints what
+// it shared; results are bit-identical to assessing each entry alone.
 //
 // Observability: -trace out.json writes the assessment's span tree as
 // JSON, -metrics prints a flame summary, per-stage timing table and a
@@ -52,22 +52,21 @@ var logger *slog.Logger
 // main so tests can drive parsing and validation on a private FlagSet
 // (same pattern as cmd/litmus-eval).
 type options struct {
-	studyPath      string
-	controlsPath   string
-	changeStr      string
-	changelogPath  string
-	changelogBatch bool
-	kpiName        string
-	alpha          float64
-	floor          float64
-	iterations     int
-	fraction       float64
-	workers        int
-	windowDays     int
-	diagnose       bool
-	faultSpec      string
-	faultSeed      int64
-	faultRate      float64
+	studyPath     string
+	controlsPath  string
+	changeStr     string
+	changelogPath string
+	kpiName       string
+	alpha         float64
+	floor         float64
+	iterations    int
+	fraction      float64
+	workers       int
+	windowDays    int
+	diagnose      bool
+	faultSpec     string
+	faultSeed     int64
+	faultRate     float64
 
 	// changeAt is the parsed form of changeStr, filled by validate in
 	// single-change mode.
@@ -80,7 +79,6 @@ func registerOptions(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.controlsPath, "controls", "", "CSV file with control series (timestamp,id1,id2,...)")
 	fs.StringVar(&o.changeStr, "change", "", "change time, RFC 3339 (single-change mode)")
 	fs.StringVar(&o.changelogPath, "changelog", "", "JSON changelog file: assess every entry against the same study/controls pair")
-	fs.BoolVar(&o.changelogBatch, "changelog-batch", false, "route -changelog entries through the batch path (shared panels and factorizations) instead of a per-entry loop; results are identical")
 	fs.StringVar(&o.kpiName, "kpi", "voice-retainability", "KPI name (controls direction semantics)")
 	fs.Float64Var(&o.alpha, "alpha", 0.05, "two-sided significance level")
 	fs.Float64Var(&o.floor, "floor", 0, "practical-significance floor in KPI units (0 disables)")
@@ -107,9 +105,6 @@ func (o *options) validate() error {
 		return fmt.Errorf("need -change (single-change mode) or -changelog (changelog mode)")
 	case o.changeStr != "" && o.changelogPath != "":
 		return fmt.Errorf("-change and -changelog are mutually exclusive")
-	}
-	if o.changelogBatch && o.changelogPath == "" {
-		return fmt.Errorf("-changelog-batch requires -changelog")
 	}
 	if o.diagnose && o.changelogPath != "" {
 		return fmt.Errorf("-diagnose applies to single-change mode only")

@@ -103,8 +103,6 @@ func ReasonOf(err error) Reason {
 
 // IsDegradation reports whether err is an expected data-caused failure —
 // one the engine degrades through rather than a bug or a cancellation.
-// Service retry policies use it: degradations are deterministic and must
-// not be retried.
 func IsDegradation(err error) bool {
 	switch ReasonOf(err) {
 	case ReasonUnknown, ReasonCanceled, ReasonPanic:

@@ -143,7 +143,7 @@ func TestWritePrometheusHelp(t *testing.T) {
 		MetricHTTPRequests, MetricQueueDepth, MetricQueueRejected,
 		MetricCacheHits, MetricCacheMisses, MetricJobSeconds,
 		MetricJobQueueSeconds, MetricJobRunSeconds, MetricJobs,
-		MetricJobRetries, MetricJobPanics,
+		MetricJobPanics,
 		MetricWorldCacheHits, MetricWorldCacheMisses,
 		MetricJournalAppends, MetricJournalReplayed, MetricJournalCompactions,
 		MetricRouterBreakerTransitions, MetricRouterHedges, MetricRouterHedgeWins,

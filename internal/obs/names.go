@@ -134,16 +134,12 @@ const (
 	// jobs: submission to the moment a worker dequeues the job.
 	MetricJobQueueSeconds = "litmus_job_queue_seconds"
 	// MetricJobRunSeconds is the execution-latency histogram of
-	// assessment jobs: dequeue to terminal state, retries and backoff
-	// sleeps included.
+	// assessment jobs: dequeue to terminal state.
 	MetricJobRunSeconds = "litmus_job_run_seconds"
 	// MetricJobs counts finished assessment jobs, labeled
 	// status="done|failed|canceled|degraded" (degraded = completed with a
 	// partial, Degraded-flagged assessment).
 	MetricJobs = "litmus_jobs_total"
-	// MetricJobRetries counts worker-side retries of transiently failed
-	// assessment jobs (exponential backoff + jitter between attempts).
-	MetricJobRetries = "litmus_job_retries_total"
 	// MetricJobPanics counts per-job panics recovered by the worker; the
 	// job fails with a stack-annotated error, the worker survives.
 	MetricJobPanics = "litmus_job_panics_total"
@@ -240,9 +236,8 @@ var helpText = map[string]string{
 	MetricCacheMisses:     "Submissions that enqueued a fresh assessment job.",
 	MetricJobSeconds:      "Submission-to-completion latency of assessment jobs.",
 	MetricJobQueueSeconds: "Queue wait of assessment jobs: submission until a worker dequeues.",
-	MetricJobRunSeconds:   "Execution latency of assessment jobs: dequeue to terminal state, retries included.",
+	MetricJobRunSeconds:   "Execution latency of assessment jobs: dequeue to terminal state.",
 	MetricJobs:            "Finished assessment jobs, labeled by terminal status.",
-	MetricJobRetries:      "Worker-side retries of transiently failed assessment jobs.",
 	MetricJobPanics:       "Per-job panics recovered by a worker.",
 
 	MetricWorldCacheHits:   "Serve jobs whose synthetic world was already resident in the world slot.",

@@ -29,11 +29,6 @@
 // fan-outs of the parallel engine do exactly that).
 package obs
 
-import (
-	"context"
-	"time"
-)
-
 // Scope is a handle on one position in a trace tree plus the metrics
 // registry recording the run. The zero value is not useful; a nil *Scope
 // is the documented no-op fast path.
@@ -106,14 +101,6 @@ func (s *Scope) Counter(name string) *Counter {
 	return s.reg.Counter(name)
 }
 
-// Gauge returns the named gauge from the scope's registry (nil-safe).
-func (s *Scope) Gauge(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	return s.reg.Gauge(name)
-}
-
 // Histogram returns the named histogram from the scope's registry
 // (nil-safe). bounds are the inclusive upper bucket bounds, ascending; a
 // +Inf overflow bucket is implicit.
@@ -122,42 +109,4 @@ func (s *Scope) Histogram(name string, bounds []float64) *Histogram {
 		return nil
 	}
 	return s.reg.Histogram(name, bounds)
-}
-
-// Elapsed returns the time since the scope's span started (0 for nil).
-func (s *Scope) Elapsed() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Since(s.span.Start)
-}
-
-// ctxKey keys the Scope stored in a context.
-type ctxKey struct{}
-
-// WithScope returns a context carrying the scope.
-func WithScope(ctx context.Context, s *Scope) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// FromContext returns the scope carried by ctx, or nil — so code written
-// against FromContext keeps the nil fast path when no scope was
-// attached.
-func FromContext(ctx context.Context) *Scope {
-	s, _ := ctx.Value(ctxKey{}).(*Scope)
-	return s
-}
-
-// StartSpan starts a child span under the scope carried by ctx and
-// returns the derived context plus the child scope (nil if ctx carries
-// no scope):
-//
-//	ctx, span := obs.StartSpan(ctx, "control-select")
-//	defer span.End()
-func StartSpan(ctx context.Context, name string) (context.Context, *Scope) {
-	child := FromContext(ctx).Child(name)
-	if child == nil {
-		return ctx, nil
-	}
-	return WithScope(ctx, child), child
 }

@@ -16,9 +16,9 @@ type Attr struct {
 }
 
 // Span is one timed node of a trace tree. Spans are created through
-// Scope.Child (or StartSpan) and closed by Scope.End; readers use the
-// exported accessors after the run. A span may be written to (children
-// appended, attrs set) from multiple goroutines.
+// Scope.Child and closed by Scope.End; readers use the exported
+// accessors after the run. A span may be written to (children appended,
+// attrs set) from multiple goroutines.
 type Span struct {
 	// Name is the stage name (one of the Span* constants for engine
 	// stages).

@@ -18,9 +18,8 @@
 //	GET  /v1/jobs/{id}/result    canonical assessment document (200 when
 //	                             done, 409 while pending, 500 when failed)
 //	GET  /v1/jobs/{id}/trace     execution trace: queue-wait vs run
-//	                             timings, attempts and retries, the
-//	                             degradations of a partial result, and
-//	                             the per-attempt span trees
+//	                             timings, the degradations of a partial
+//	                             result, and the run's span tree
 //	GET  /healthz                liveness
 //	GET  /readyz                 readiness (503 while draining)
 //	GET  /metrics                Prometheus text exposition

@@ -286,15 +286,15 @@ type batchOutcome struct {
 	errText  string
 }
 
-// execute runs one attempt of j: its pending entries go through the
-// engine in the world slot's world, each reading its own change's
-// provider. A bare job assesses its one change with AssessChangeContext:
-// the assessment document is the job's result and a failure is the
-// job's failure. A batch job runs AssessBatch; each computed entry
-// becomes a done record under its digest — the id a single submission
-// of the change gets — and the entries resolved at submit time are
-// spliced back into its result document.
-func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar attemptResult, err error) {
+// execute runs j: its pending entries go through the engine in the
+// world slot's world, each reading its own change's provider. A bare
+// job assesses its one change with AssessChangeContext: the assessment
+// document is the job's result and a failure is the job's failure. A
+// batch job runs AssessBatch; each computed entry becomes a done record
+// under its digest — the id a single submission of the change gets —
+// and the entries resolved at submit time are spliced back into its
+// result document.
+func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (rr runResult, err error) {
 	bs := j.batch
 	outcomes := map[string]batchOutcome{}
 	if len(bs.pending) > 0 {
@@ -304,7 +304,7 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 		w := worldFor(scope, base)
 		p, err := base.pipeline(w.net, scope)
 		if err != nil {
-			return ar, &permanentError{err: err}
+			return rr, err
 		}
 
 		// A batch job spans its own steps around the assessment: the
@@ -324,9 +324,7 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 			if err != nil {
 				err = fmt.Errorf("change does not fit the requested topology: %w", err)
 				if j.bare {
-					// World generation is seeded and deterministic: rebuilding
-					// the same request cannot succeed where this attempt failed.
-					return ar, &permanentError{err: err}
+					return rr, err
 				}
 				outcomes[pe.digest] = batchOutcome{errText: err.Error()}
 				continue
@@ -339,22 +337,22 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 			p.Provider = entries[0].Provider
 			res, err := p.AssessChangeContext(ctx, entries[0].Change, base.kpis, base.window)
 			if err != nil {
-				return ar, err
+				return rr, err
 			}
-			ar.result, err = litmus.MarshalAssessment(res)
-			ar.degraded = res.Degraded
+			rr.result, err = litmus.MarshalAssessment(res)
+			rr.degraded = res.Degraded
 			for _, f := range res.Failures {
-				ar.failures = append(ar.failures, litmus.AssessmentFailureDoc{
+				rr.failures = append(rr.failures, litmus.AssessmentFailureDoc{
 					KPI: f.KPI.String(), Element: f.Element,
 					Reason: string(f.Reason), Detail: f.Detail,
 				})
 			}
-			return ar, err
+			return rr, err
 		}
 		if len(entries) > 0 {
 			res, err := p.AssessBatch(ctx, entries, base.kpis, base.window)
 			if err != nil {
-				return ar, err
+				return rr, err
 			}
 			marshal := scope.Child(obs.SpanBatchMarshal)
 			for i, d := range digests {
@@ -365,7 +363,7 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 				b, err := litmus.MarshalAssessment(res.Results[i])
 				if err != nil {
 					marshal.End()
-					return ar, err
+					return rr, err
 				}
 				outcomes[d] = batchOutcome{result: b, degraded: res.Results[i].Degraded}
 			}
@@ -407,10 +405,10 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (ar atte
 			}
 		}
 		if ent.Degraded {
-			ar.degraded = true
+			rr.degraded = true
 		}
 		doc.Entries = append(doc.Entries, ent)
 	}
-	ar.result, err = json.Marshal(&doc)
-	return ar, err
+	rr.result, err = json.Marshal(&doc)
+	return rr, err
 }

@@ -514,7 +514,7 @@ func TestEntryReplacesFailedJob(t *testing.T) {
 	// Bare jobs fail; batch jobs run the real executor.
 	s.testExecute = func(ctx context.Context, j *job) ([]byte, bool, []litmus.AssessmentFailureDoc, error) {
 		if j.bare {
-			return nil, false, nil, &permanentError{err: errors.New("bare job broken")}
+			return nil, false, nil, errors.New("bare job broken")
 		}
 		ar, err := s.execute(ctx, nil, j)
 		return ar.result, ar.degraded, ar.failures, err

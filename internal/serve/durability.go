@@ -13,12 +13,13 @@ package serve
 //
 // Read path (boot): replayJournal reads each digest's final state from
 // the journal (Journal.Finals, the fold compaction also uses), then (1)
-// restores every completed result as a done record, and (2) re-enqueues
-// every submission that never reached a terminal result. Restoring runs
-// first so re-enqueued batches resolve their entries against the
-// replayed records. /readyz serves 503 "replaying" until both passes
-// finish. By the determinism contract a replayed result is
-// bit-identical to a recomputed one, so replay only ever skips work.
+// restores every completed result as a done record, oldest result
+// first, and (2) re-enqueues every submission that never reached a
+// terminal result. Restoring runs first so re-enqueued batches resolve
+// their entries against the replayed records. /readyz serves 503
+// "replaying" until both passes finish. By the determinism contract a
+// replayed result is bit-identical to a recomputed one, so replay only
+// ever skips work.
 //
 // Append errors are logged and otherwise ignored: durability is
 // best-effort, serving is not — a full disk degrades the journal, never
@@ -26,6 +27,7 @@ package serve
 
 import (
 	"encoding/json"
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -72,15 +74,20 @@ func (s *Server) replayJournal() {
 		s.cfg.Logger.Error("journal replay failed", "error", err)
 	}
 
-	// Pass 1: restore completed results, oldest first so recency ends
-	// up matching journal order. A record a racing submission created
-	// wins.
+	// Pass 1: restore completed results in the order of their newest
+	// done record, so recency ends up matching journal order and the
+	// CacheSize bound keeps the newest results. A record a racing
+	// submission created wins.
+	var done []journal.Final
+	for _, st := range finals {
+		if st.Done != nil {
+			done = append(done, st)
+		}
+	}
+	sort.Slice(done, func(a, b int) bool { return done[a].DoneAt < done[b].DoneAt })
 	now := time.Now()
 	var replayed int
-	for _, st := range finals {
-		if st.Done == nil {
-			continue
-		}
+	for _, st := range done {
 		s.mu.Lock()
 		if !s.storeDoneLocked(st.Digest, st.Done.Payload, st.Done.Degraded, newTraceID(), now) {
 			s.mu.Unlock()

@@ -346,6 +346,45 @@ func TestReplayBacklogRunsEveryJob(t *testing.T) {
 	}
 }
 
+// TestReplayKeepsNewestResults: boot replay restores results in the
+// order of each digest's newest done record, so a CacheSize smaller
+// than the replayed results keeps the newest. The journal is submit A,
+// done B, done A; with CacheSize 1 only A's result survives. Restoring
+// in order of each digest's first record would keep B instead.
+func TestReplayKeepsNewestResults(t *testing.T) {
+	dir := t.TempDir()
+	jr := openJournal(t, dir)
+	a := journalSubmits(t, jr, 4201)[0]
+	b := mustHash(t, requestWithSeed(t, 4202))
+	resultA, resultB := []byte(`{"stub":"`+a+`"}`), []byte(`{"stub":"`+b+`"}`)
+	for _, rec := range []journal.Record{
+		{Kind: journal.KindComplete, Digest: b, Payload: resultB},
+		{Kind: journal.KindComplete, Digest: a, Payload: resultA},
+	} {
+		if err := jr.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var calls atomic.Int64
+	s, ts, jr2 := journalServer(t, dir, Config{CacheSize: 1}, &calls, false)
+	defer stopServer(t, s, ts, jr2)
+	<-s.ReplayDone()
+
+	if body, code := fetchResult(t, ts, a); code != http.StatusOK || string(body) != string(resultA) {
+		t.Errorf("newest result %s: status %d body %s, want 200 %s", a, code, body, resultA)
+	}
+	if _, code := fetchResult(t, ts, b); code != http.StatusNotFound {
+		t.Errorf("older result %s: status %d, want 404 (evicted by the bound)", b, code)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("executor ran %d times, want 0", n)
+	}
+}
+
 // TestShutdownDuringBatchJournal: a hard-stop Shutdown cutting an
 // in-flight batch short must leave the journal consistent — the entries
 // an earlier batch completed survive replay byte-identically, and the

@@ -1,8 +1,7 @@
 package serve
 
-// Tests of the job-execution hardening: per-attempt panic recovery,
-// retry classification, bounded transient retries, and the degraded
-// status surface.
+// Tests of the job-execution hardening: panic recovery, one run per
+// job whatever its failure, and the degraded status surface.
 
 import (
 	"context"
@@ -21,8 +20,8 @@ import (
 )
 
 // newHookedServer builds a server whose assessment body is replaced by
-// exec; panic recovery and retry classification still apply. Hooks that
-// also inject degradation failures set s.testExecute directly.
+// exec; panic recovery still applies. Hooks that also inject
+// degradation failures set s.testExecute directly.
 func newHookedServer(t *testing.T, cfg Config, exec func(ctx context.Context, j *job) ([]byte, bool, error)) (*Server, *httptest.Server) {
 	t.Helper()
 	s := newServer(cfg)
@@ -43,7 +42,7 @@ func newHookedServer(t *testing.T, cfg Config, exec func(ctx context.Context, j 
 
 // TestJobPanicRecovered: a panicking job must fail with a
 // stack-annotated error — and must not kill its worker, so the next job
-// still runs. Panics are never retried.
+// still runs.
 func TestJobPanicRecovered(t *testing.T) {
 	var calls atomic.Int64
 	s, ts := newHookedServer(t, Config{Workers: 1}, func(context.Context, *job) ([]byte, bool, error) {
@@ -67,9 +66,6 @@ func TestJobPanicRecovered(t *testing.T) {
 	if n := counterValue(t, s.Registry(), obs.MetricJobPanics); n != 1 {
 		t.Errorf("panic counter = %d, want 1", n)
 	}
-	if n := counterValue(t, s.Registry(), obs.MetricJobRetries); n != 0 {
-		t.Errorf("retry counter = %d, want 0 (panics are not retried)", n)
-	}
 
 	// The single worker survived the panic: a second job completes.
 	sub2, _ := submit(t, ts, requestWithSeed(t, 8102))
@@ -78,73 +74,65 @@ func TestJobPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestTransientFailureRetried: attempts that fail with an unclassified
-// error are retried with backoff until one succeeds, within
-// MaxJobAttempts.
-func TestTransientFailureRetried(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newHookedServer(t, Config{}, func(context.Context, *job) ([]byte, bool, error) {
-		if calls.Add(1) < 3 {
-			return nil, false, errors.New("transient weather")
-		}
-		return []byte(`{}`), false, nil
-	})
+// TestDeterministicFailureNotRetried: a job runs once. Its request is
+// self-contained and the engine deterministic, so whatever the failure —
+// data-caused (degradation-typed) or unclassified — a second run would
+// fail the same way: the job fails after exactly one executor call.
+func TestDeterministicFailureNotRetried(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"degradation", fmt.Errorf("%w: element vanished", litmus.ErrNoData)},
+		{"unclassified", errors.New("transient weather")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var calls atomic.Int64
+			s, ts := newHookedServer(t, Config{}, func(context.Context, *job) ([]byte, bool, error) {
+				calls.Add(1)
+				return nil, false, c.err
+			})
 
-	sub, _ := submit(t, ts, requestWithSeed(t, 8201))
-	if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
-		t.Fatalf("job finished %s, want done after retries", st.Status)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Errorf("attempts = %d, want 3", n)
-	}
-	if n := counterValue(t, s.Registry(), obs.MetricJobRetries); n != 2 {
-		t.Errorf("retry counter = %d, want 2", n)
+			sub, _ := submit(t, ts, requestWithSeed(t, 8401))
+			st := waitDone(t, ts, sub.ID)
+			if st.Status != stateFailed {
+				t.Fatalf("job finished %s, want failed", st.Status)
+			}
+			if st.Error != c.err.Error() {
+				t.Errorf("job error %q, want %q", st.Error, c.err)
+			}
+			if n := calls.Load(); n != 1 {
+				t.Errorf("executor calls = %d, want 1", n)
+			}
+			if n := counterValue(t, s.Registry(), obs.Labeled(obs.MetricJobs, "status", stateFailed)); n != 1 {
+				t.Errorf(`jobs{status="failed"} = %d, want 1`, n)
+			}
+		})
 	}
 }
 
-// TestRetriesExhausted: a persistently failing job stops at
-// MaxJobAttempts and surfaces the last attempt's error.
-func TestRetriesExhausted(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newHookedServer(t, Config{MaxJobAttempts: 2}, func(context.Context, *job) ([]byte, bool, error) {
-		return nil, false, fmt.Errorf("still broken (attempt %d)", calls.Add(1))
-	})
+// TestSelectionFailureNotRetried: a real request whose control
+// predicates match no candidate fails in control selection, and its
+// one serve-job run is the only one: the span's stage histogram counts
+// 1.
+func TestSelectionFailureNotRetried(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	req := goldenRequest(t)
+	req.Controls = &ControlsSpec{Predicates: []string{
+		"same-kind", "same-zip", "same-software", "same-vendor", "same-model", "same-terrain", "same-traffic",
+	}}
 
-	sub, _ := submit(t, ts, requestWithSeed(t, 8301))
+	sub, _ := submit(t, ts, req)
 	st := waitDone(t, ts, sub.ID)
 	if st.Status != stateFailed {
 		t.Fatalf("job finished %s, want failed", st.Status)
 	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("attempts = %d, want MaxJobAttempts = 2", n)
+	if !strings.Contains(st.Error, "control selection") {
+		t.Errorf("job error %q, want the control-selection failure", st.Error)
 	}
-	if !strings.Contains(st.Error, "attempt 2") {
-		t.Errorf("error %q is not the last attempt's", st.Error)
-	}
-	if n := counterValue(t, s.Registry(), obs.MetricJobRetries); n != 1 {
-		t.Errorf("retry counter = %d, want 1", n)
-	}
-}
-
-// TestDeterministicFailureNotRetried: degradation-typed errors are
-// data-caused and deterministic — retrying cannot help, so the job
-// fails on the first attempt.
-func TestDeterministicFailureNotRetried(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newHookedServer(t, Config{}, func(context.Context, *job) ([]byte, bool, error) {
-		calls.Add(1)
-		return nil, false, fmt.Errorf("%w: element vanished", litmus.ErrNoData)
-	})
-
-	sub, _ := submit(t, ts, requestWithSeed(t, 8401))
-	if st := waitDone(t, ts, sub.ID); st.Status != stateFailed {
-		t.Fatalf("job finished %s, want failed", st.Status)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Errorf("attempts = %d, want 1 (no retry on deterministic failure)", n)
-	}
-	if n := counterValue(t, s.Registry(), obs.MetricJobRetries); n != 0 {
-		t.Errorf("retry counter = %d, want 0", n)
+	runs := s.Registry().Histogram(obs.Labeled(obs.MetricStageSeconds, "stage", obs.SpanServeJob), nil).Count()
+	if runs != 1 {
+		t.Errorf("serve-job runs = %d, want 1", runs)
 	}
 }
 
@@ -217,64 +205,5 @@ func TestDegradedJobSurfaced(t *testing.T) {
 	}
 	if n := counterValue(t, s.Registry(), obs.Labeled(obs.MetricJobs, "status", "degraded")); n != 2 {
 		t.Errorf(`jobs{status="degraded"} = %d, want 2 (the job and the batch; no recompute)`, n)
-	}
-}
-
-// TestRetryableClassification pins the failure taxonomy the retry loop
-// dispatches on.
-func TestRetryableClassification(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil-wrapped transient", errors.New("io weather"), true},
-		{"panic", &panicError{val: "boom"}, false},
-		{"permanent build error", &permanentError{err: errors.New("bad world")}, false},
-		{"canceled", context.Canceled, false},
-		{"deadline", fmt.Errorf("assess: %w", context.DeadlineExceeded), false},
-		{"degradation", fmt.Errorf("%w: too few", litmus.ErrInsufficientControls), false},
-		{"rank deficiency", litmus.ErrRankDeficient, false},
-	}
-	for _, c := range cases {
-		if got := retryable(c.err); got != c.want {
-			t.Errorf("retryable(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestRetryBackoffBounds: exponential growth from 100ms, capped at 5s,
-// jitter below +50%.
-func TestRetryBackoffBounds(t *testing.T) {
-	for attempt := 0; attempt < 12; attempt++ {
-		base := 100 * time.Millisecond
-		for i := 0; i < attempt && base < 5*time.Second; i++ {
-			base *= 2
-		}
-		if base > 5*time.Second {
-			base = 5 * time.Second
-		}
-		for trial := 0; trial < 32; trial++ {
-			d := retryBackoff(attempt)
-			if d < base || d > base+base/2 {
-				t.Fatalf("retryBackoff(%d) = %v outside [%v, %v]", attempt, d, base, base+base/2)
-			}
-		}
-	}
-}
-
-// TestSleepCtx: a canceled context wakes the sleep early.
-func TestSleepCtx(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	if sleepCtx(ctx, time.Hour) {
-		t.Error("sleepCtx reported a full sleep under a canceled context")
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("canceled sleep took %v", elapsed)
-	}
-	if !sleepCtx(context.Background(), time.Millisecond) {
-		t.Error("sleepCtx reported early wake on an uncanceled sleep")
 	}
 }

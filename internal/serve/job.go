@@ -51,20 +51,17 @@ type job struct {
 	// submitter's traceparent header or generated at submit time, echoed
 	// on every response that names the job.
 	traceID string
-	// attempts/retries count the last run's executions and backoff
-	// retries; spans holds a frozen copy of each attempt's span tree
-	// (oldest first), set only when the job reaches its terminal state,
-	// and failures the isolated degradations of the attempt that
-	// concluded the job — the substance of GET /v1/jobs/{id}/trace.
-	attempts int
-	retries  int
-	spans    []*obs.FrozenSpan
+	// span holds a frozen copy of the last run's span tree, set only
+	// when the job reaches its terminal state, and failures the isolated
+	// degradations of that run — the substance of GET
+	// /v1/jobs/{id}/trace.
+	span     *obs.FrozenSpan
 	failures []litmus.AssessmentFailureDoc
 
 	// finishedElem is this job's node in the server's recency list of
 	// finished records, nil while the job has never finished or is back
-	// in flight after a retry. Tracking the element keeps the list
-	// duplicate-free, so the bound evicts by true recency.
+	// in flight after a resubmission. Tracking the element keeps the
+	// list duplicate-free, so the bound evicts by true recency.
 	finishedElem *list.Element
 }
 

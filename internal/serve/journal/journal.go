@@ -255,9 +255,11 @@ type Final struct {
 	Submit *Record
 	// Done is the newest done complete, nil if there is none.
 	Done *Record
-	// submitAt and doneAt are Submit's and Done's positions in the
-	// folded stream.
-	submitAt, doneAt int
+	// DoneAt is Done's position in the folded stream: ordering by it
+	// ranks digests by the recency of their results.
+	DoneAt int
+	// submitAt is Submit's position in the folded stream.
+	submitAt int
 }
 
 // fold reduces a record stream to each digest's Final, kept in order
@@ -287,7 +289,7 @@ func (f *fold) add(rec Record) {
 	case rec.Failed:
 		st.Submit = nil
 	default: // done
-		st.Done, st.doneAt, st.Submit = &rec, f.n, nil
+		st.Done, st.DoneAt, st.Submit = &rec, f.n, nil
 	}
 	f.n++
 }
@@ -361,7 +363,7 @@ func (j *Journal) Compact() error {
 			done = append(done, &f.finals[i])
 		}
 	}
-	sort.Slice(done, func(a, b int) bool { return done[a].doneAt < done[b].doneAt })
+	sort.Slice(done, func(a, b int) bool { return done[a].DoneAt < done[b].DoneAt })
 	if drop := len(done) - j.opts.RetainResults; drop > 0 {
 		for _, st := range done[:drop] {
 			st.Done = nil
@@ -378,7 +380,7 @@ func (j *Journal) Compact() error {
 			out = append(out, kept{st.submitAt, st.Submit})
 		}
 		if st.Done != nil {
-			out = append(out, kept{st.doneAt, st.Done})
+			out = append(out, kept{st.DoneAt, st.Done})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].at < out[b].at })

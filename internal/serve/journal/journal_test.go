@@ -408,11 +408,11 @@ func TestFinalsSurviveCompaction(t *testing.T) {
 			switch {
 			case a.Done == nil: // expired
 				expiredTotal++
-				newestExpired = max(newestExpired, b.doneAt)
+				newestExpired = max(newestExpired, b.DoneAt)
 			case sameRecord(a.Done, b.Done):
 				kept++
-				if oldestKept < 0 || b.doneAt < oldestKept {
-					oldestKept = b.doneAt
+				if oldestKept < 0 || b.DoneAt < oldestKept {
+					oldestKept = b.DoneAt
 				}
 			default:
 				t.Errorf("seed %d, %s: done %s after Compact, %s before", seed, d, describe(a.Done), describe(b.Done))

@@ -45,11 +45,6 @@ type Config struct {
 	JobTimeout time.Duration
 	// RetryAfter is the backoff hint returned with 429 (default 1s).
 	RetryAfter time.Duration
-	// MaxJobAttempts bounds how many times one job is executed when its
-	// attempts keep failing transiently (default 3; 1 disables retries).
-	// Deterministic failures — panics, request-build errors, data-caused
-	// degradations, context expiry — are never retried.
-	MaxJobAttempts int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Journal, when non-nil, makes jobs durable: every submission and
@@ -84,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.MaxJobAttempts < 1 {
-		c.MaxJobAttempts = 3
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -128,9 +120,8 @@ type Server struct {
 	// id on it and then blocks on testRelease before executing — tests
 	// use this to hold workers and fill the queue deterministically.
 	// When testExecute is non-nil it replaces execute, the assessment
-	// body of executeJob (panic recovery and retry classification still
-	// apply) — tests use it to inject panics and transient failures.
-	// Set between newServer and start only.
+	// body of executeJob (panic recovery still applies) — tests use it to
+	// inject panics and failures. Set between newServer and start only.
 	testStarted chan string
 	testRelease chan struct{}
 	testExecute func(ctx context.Context, j *job) (result []byte, degraded bool, failures []litmus.AssessmentFailureDoc, err error)
@@ -358,8 +349,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, id string, sub *
 		if known {
 			j.started, j.finished = time.Time{}, time.Time{}
 			j.result, j.degraded = nil, false
-			j.attempts, j.retries = 0, 0
-			j.spans, j.failures = nil, nil
+			j.span, j.failures = nil, nil
 			if j.finishedElem != nil {
 				s.finished.Remove(j.finishedElem)
 				j.finishedElem = nil
@@ -602,31 +592,12 @@ func (s *Server) runJob(j *job) {
 		<-s.testRelease
 	}
 
-	// Attempt loop: panics are recovered per attempt, deterministic
-	// failures terminate immediately, transient failures earn bounded
-	// retries with exponential backoff (see retry.go). Every attempt's
-	// span tree is retained on the job for the trace endpoint, frozen
-	// as soon as the attempt returns: the job keeps the compact copy,
-	// not the live tree.
-	var ar attemptResult
-	var err error
-	var attempts, retries int
-	var spans []*obs.FrozenSpan
-	for attempt := 0; ; attempt++ {
-		ar, err = s.executeJob(ctx, j)
-		attempts++
-		if ar.span != nil {
-			spans = append(spans, ar.span.Freeze())
-		}
-		if err == nil || !retryable(err) || attempt+1 >= s.cfg.MaxJobAttempts {
-			break
-		}
-		retries++
-		s.reg.Counter(obs.MetricJobRetries).Add(1)
-		if !sleepCtx(ctx, retryBackoff(attempt)) {
-			break // deadline or shutdown; report the attempt's error
-		}
-	}
+	// The job runs once: it is deterministic, so a failure would repeat
+	// (see hardening.go). Its span tree is retained on the job for the
+	// trace endpoint, frozen as soon as the run returns: the job keeps
+	// the compact copy, not the live tree.
+	rr, err := s.executeJob(ctx, j)
+	span := rr.span.Freeze()
 
 	statusLabel := stateDone
 	switch {
@@ -635,7 +606,7 @@ func (s *Server) runJob(j *job) {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			statusLabel = "canceled"
 		}
-	case ar.degraded:
+	case rr.degraded:
 		statusLabel = "degraded"
 	}
 
@@ -645,10 +616,8 @@ func (s *Server) runJob(j *job) {
 
 	s.mu.Lock()
 	j.finished = time.Now()
-	j.attempts = attempts
-	j.retries = retries
-	j.spans = spans
-	j.failures = ar.failures
+	j.span = span
+	j.failures = rr.failures
 	// Only execution reads the compiled entries; a resubmit after a
 	// failure and journal replay both rebuild them.
 	j.batch.pending = nil
@@ -667,10 +636,10 @@ func (s *Server) runJob(j *job) {
 		j.state = stateFailed
 		j.err = err.Error()
 	} else {
-		s.journalAppendLocked(journal.Record{Kind: journal.KindComplete, Digest: j.id, Degraded: ar.degraded, Payload: ar.result})
+		s.journalAppendLocked(journal.Record{Kind: journal.KindComplete, Digest: j.id, Degraded: rr.degraded, Payload: rr.result})
 		j.state = stateDone
-		j.degraded = ar.degraded
-		j.result = ar.result
+		j.degraded = rr.degraded
+		j.result = rr.result
 	}
 	s.keepLocked(j)
 	latency := j.finished.Sub(j.submitted)
@@ -686,8 +655,6 @@ func (s *Server) runJob(j *job) {
 			"job", j.id,
 			"traceId", traceID,
 			"status", statusLabel,
-			"attempts", attempts,
-			"retries", retries,
 			"queueSeconds", queueWait.Seconds(),
 			"runSeconds", run.Seconds(),
 		}

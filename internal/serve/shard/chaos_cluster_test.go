@@ -208,6 +208,10 @@ func TestClusterChaos(t *testing.T) {
 		}
 		// Drive traffic until every circuit has re-closed via its
 		// half-open probe, so scenarios start from a healthy cluster.
+		// Each node's own keys are driven too: only a request whose
+		// sequence starts at a node probes that node's circuit, and the
+		// ring (placed by the proxies' random ports) may give a node
+		// none of the mixed seeds.
 		deadline := time.Now().Add(30 * time.Second)
 		for len(rt.Stats().BreakerOpen) > 0 {
 			if time.Now().After(deadline) {
@@ -215,6 +219,9 @@ func TestClusterChaos(t *testing.T) {
 			}
 			for _, seed := range seeds {
 				_, _ = rt.Assess(ctx, testRequest(t, seed))
+			}
+			for _, set := range owned {
+				_, _ = rt.Assess(ctx, testRequest(t, set[0]))
 			}
 			time.Sleep(100 * time.Millisecond)
 		}

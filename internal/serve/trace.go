@@ -2,9 +2,8 @@ package serve
 
 // Request-scoped tracing: every job carries a W3C trace identity from
 // submission to terminal state, and GET /v1/jobs/{id}/trace replays the
-// job's execution — queue wait vs run duration, attempt and retry
-// counts, the degradations of a partial result, and the full span tree
-// of every attempt.
+// job's execution — queue wait vs run duration, the degradations of a
+// partial result, and the full span tree of its run.
 //
 // Trace propagation contract:
 //
@@ -111,47 +110,43 @@ func setTraceparent(w http.ResponseWriter, traceID string) {
 	}
 }
 
-// TraceAttempt is one execution attempt in a job trace: its ordinal
-// (1-based) and the attempt's span tree in the obs trace-JSON schema
-// (name, start, durationMs, attrs, children).
+// TraceAttempt is a job's run in a job trace: its ordinal, always 1
+// because a job runs once, and the run's span tree in the obs
+// trace-JSON schema (name, start, durationMs, attrs, children).
 type TraceAttempt struct {
 	Attempt int             `json:"attempt"`
 	Span    json.RawMessage `json:"span"`
 }
 
 // JobTrace is the GET /v1/jobs/{id}/trace response body: the job's
-// trace identity and lifecycle timings, the attempt/retry history, the
-// degradations of a partial result, and the per-attempt span trees.
+// trace identity and lifecycle timings, the degradations of a partial
+// result, and the span tree of its run.
 type JobTrace struct {
-	ID       string `json:"id"`
-	TraceID  string `json:"traceId"`
-	Status   string `json:"status"`
-	Cached   bool   `json:"cached,omitempty"`
-	Degraded bool   `json:"degraded,omitempty"`
-	// Attempts and Retries describe the last run: how many times the
-	// job body executed and how many of those executions were backoff
-	// retries after transient failures.
-	Attempts    int        `json:"attempts"`
-	Retries     int        `json:"retries"`
+	ID          string     `json:"id"`
+	TraceID     string     `json:"traceId"`
+	Status      string     `json:"status"`
+	Cached      bool       `json:"cached,omitempty"`
+	Degraded    bool       `json:"degraded,omitempty"`
 	SubmittedAt time.Time  `json:"submittedAt"`
 	StartedAt   *time.Time `json:"startedAt,omitempty"`
 	FinishedAt  *time.Time `json:"finishedAt,omitempty"`
 	// QueueSeconds is submission→dequeue wait; RunSeconds is
-	// dequeue→terminal-state execution time (retries included). Each is
-	// present once the respective boundary has been crossed.
+	// dequeue→terminal-state execution time. Each is present once the
+	// respective boundary has been crossed.
 	QueueSeconds *float64 `json:"queueSeconds,omitempty"`
 	RunSeconds   *float64 `json:"runSeconds,omitempty"`
 	Error        string   `json:"error,omitempty"`
 	// Degradations lists the isolated per-KPI/per-element failures of a
 	// degraded assessment, in the result document's order.
 	Degradations []litmus.AssessmentFailureDoc `json:"degradations,omitempty"`
-	// Spans holds one entry per execution attempt, oldest first.
+	// Spans holds the run's span tree, one entry once the job is
+	// terminal; a record born done has none.
 	Spans []TraceAttempt `json:"spans,omitempty"`
 	// Entries is present for batch jobs: the submitted changelog in
 	// order, each entry's canonical digest and submit-time disposition.
-	// The per-entry queue-wait and run detail lives in the attempt span
-	// trees above as "batch-entry" children of the assess-batch span —
-	// cached entries never enter the engine, so they have no span.
+	// The per-entry queue-wait and run detail lives in the span tree
+	// above as "batch-entry" children of the assess-batch span — cached
+	// entries never enter the engine, so they have no span.
 	Entries []BatchTraceEntry `json:"entries,omitempty"`
 }
 
@@ -161,7 +156,7 @@ type BatchTraceEntry struct {
 	ID       string `json:"id,omitempty"`
 	ChangeID string `json:"changeId,omitempty"`
 	// Cached marks entries resolved from the result cache at submit
-	// time — they carry no engine span in the attempt trees.
+	// time — they carry no engine span in the job's span tree.
 	Cached bool `json:"cached,omitempty"`
 	// Error is the entry's compile-time validation error.
 	Error string `json:"error,omitempty"`
@@ -172,7 +167,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var tr JobTrace
-	var spans []*obs.FrozenSpan
+	var span *obs.FrozenSpan
 	if ok {
 		tr = JobTrace{
 			ID:          j.id,
@@ -180,8 +175,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			Status:      j.state,
 			Cached:      j.cached,
 			Degraded:    j.degraded,
-			Attempts:    j.attempts,
-			Retries:     j.retries,
 			SubmittedAt: j.submitted,
 			Error:       j.err,
 		}
@@ -198,7 +191,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			tr.RunSeconds = &d
 		}
 		tr.Degradations = append(tr.Degradations, j.failures...)
-		spans = append(spans, j.spans...)
+		span = j.span
 		if !j.bare && j.batch != nil {
 			for _, e := range j.batch.entries {
 				_, cached := j.batch.resolved[e.digest]
@@ -218,14 +211,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	// Span rendering happens outside the server mutex: frozen trees are
 	// immutable. A job that has not reached its terminal state has no
-	// span trees yet.
-	for i, sp := range spans {
+	// span tree yet.
+	if span != nil {
 		var buf bytes.Buffer
-		if err := sp.WriteJSON(&buf); err != nil {
+		if err := span.WriteJSON(&buf); err != nil {
 			writeError(w, http.StatusInternalServerError, "rendering span tree: %v", err)
 			return
 		}
-		tr.Spans = append(tr.Spans, TraceAttempt{Attempt: i + 1, Span: bytes.TrimRight(buf.Bytes(), "\n")})
+		tr.Spans = []TraceAttempt{{Attempt: 1, Span: bytes.TrimRight(buf.Bytes(), "\n")}}
 	}
 	setTraceparent(w, tr.TraceID)
 	writeJSON(w, http.StatusOK, tr)

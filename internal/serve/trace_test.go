@@ -1,14 +1,13 @@
 package serve
 
 // Tests of request-scoped tracing: traceparent propagation in and out,
-// the trace endpoint's timings and attempt history, degradation surfacing
-// and span-tree capture.
+// the trace endpoint's timings, degradation surfacing and span-tree
+// capture.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,7 +15,6 @@ import (
 	"regexp"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,9 +124,6 @@ func TestTraceparentPropagation(t *testing.T) {
 	if tr.TraceID != wantTrace || tr.Status != stateDone {
 		t.Errorf("trace identity/status = %q/%q, want %q/done", tr.TraceID, tr.Status, wantTrace)
 	}
-	if tr.Attempts != 1 || tr.Retries != 0 {
-		t.Errorf("attempts/retries = %d/%d, want 1/0", tr.Attempts, tr.Retries)
-	}
 	if tr.QueueSeconds == nil || *tr.QueueSeconds < 0 {
 		t.Error("trace missing queueSeconds")
 	}
@@ -136,7 +131,7 @@ func TestTraceparentPropagation(t *testing.T) {
 		t.Error("trace missing runSeconds")
 	}
 	if len(tr.Spans) != 1 {
-		t.Fatalf("trace has %d attempt span trees, want 1", len(tr.Spans))
+		t.Fatalf("trace has %d span trees, want 1", len(tr.Spans))
 	}
 	var root traceNode
 	if err := json.Unmarshal(tr.Spans[0].Span, &root); err != nil {
@@ -244,14 +239,11 @@ func TestTraceDegradedJob(t *testing.T) {
 			t.Errorf("degradation %d = %+v, want %+v", i, tr.Degradations[i], want)
 		}
 	}
-	if tr.Attempts != 1 || tr.Retries != 0 {
-		t.Errorf("attempts/retries = %d/%d, want 1/0", tr.Attempts, tr.Retries)
-	}
 	if tr.QueueSeconds == nil || tr.RunSeconds == nil {
 		t.Error("degraded trace missing queue/run timings")
 	}
 	if len(tr.Spans) != 1 {
-		t.Fatalf("trace has %d span trees, want 1 (hook attempts trace too)", len(tr.Spans))
+		t.Fatalf("trace has %d span trees, want 1 (hook runs trace too)", len(tr.Spans))
 	}
 	var root traceNode
 	if err := json.Unmarshal(tr.Spans[0].Span, &root); err != nil {
@@ -259,44 +251,6 @@ func TestTraceDegradedJob(t *testing.T) {
 	}
 	if root.Name != obs.SpanServeJob {
 		t.Errorf("span root = %q, want %q", root.Name, obs.SpanServeJob)
-	}
-}
-
-// TestTraceRetryHistory: every retried attempt leaves its own span tree
-// and the attempt/retry counters add up.
-func TestTraceRetryHistory(t *testing.T) {
-	var calls atomic.Int64
-	s := newServer(Config{})
-	s.testExecute = func(context.Context, *job) ([]byte, bool, []litmus.AssessmentFailureDoc, error) {
-		if calls.Add(1) < 3 {
-			return nil, false, nil, errors.New("transient weather")
-		}
-		return []byte(`{}`), false, nil, nil
-	}
-	s.start()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-
-	sub, _ := submitTraced(t, ts, requestWithSeed(t, 9301), "")
-	if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
-		t.Fatalf("job finished %s, want done after retries", st.Status)
-	}
-	tr, _ := getTrace(t, ts, sub.ID)
-	if tr.Attempts != 3 || tr.Retries != 2 {
-		t.Errorf("attempts/retries = %d/%d, want 3/2", tr.Attempts, tr.Retries)
-	}
-	if len(tr.Spans) != 3 {
-		t.Fatalf("trace has %d span trees, want one per attempt = 3", len(tr.Spans))
-	}
-	for i, at := range tr.Spans {
-		if at.Attempt != i+1 {
-			t.Errorf("span %d labeled attempt %d, want %d", i, at.Attempt, i+1)
-		}
 	}
 }
 
