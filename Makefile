@@ -75,7 +75,7 @@ race-obs:
 # and a marginal one flakes rarely, so twenty runs show it before it
 # fails on main.
 alloc-bounds:
-	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestBatchAmortization)$$' \
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestBatchAmortization)$$' \
 		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen ./internal/serve/client
 
 # Chaos suite under the race detector: every fault injector through the

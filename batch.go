@@ -450,10 +450,11 @@ func panelContentHash(p *Panel, at time.Time) uint64 {
 	w64(uint64(idx.Step))
 	w64(uint64(idx.N))
 	w64(uint64(at.UnixNano()))
-	for _, id := range p.IDs() {
+	for j := 0; j < p.Len(); j++ {
+		id, s := p.Column(j)
 		h.Write([]byte(id))
 		h.Write([]byte{0})
-		for _, v := range p.MustSeries(id).Values {
+		for _, v := range s.Values {
 			w64(math.Float64bits(v))
 		}
 	}
@@ -468,19 +469,14 @@ func panelsEqual(a, b *Panel) bool {
 	if !a.Index().Equal(b.Index()) || a.Len() != b.Len() {
 		return false
 	}
-	aIDs, bIDs := a.IDs(), b.IDs()
-	for i := range aIDs {
-		if aIDs[i] != bIDs[i] {
+	for j := 0; j < a.Len(); j++ {
+		aID, as := a.Column(j)
+		bID, bs := b.Column(j)
+		if aID != bID || len(as.Values) != len(bs.Values) {
 			return false
 		}
-	}
-	for _, id := range aIDs {
-		av, bv := a.MustSeries(id).Values, b.MustSeries(id).Values
-		if len(av) != len(bv) {
-			return false
-		}
-		for j := range av {
-			if math.Float64bits(av[j]) != math.Float64bits(bv[j]) {
+		for i, v := range as.Values {
+			if math.Float64bits(v) != math.Float64bits(bs.Values[i]) {
 				return false
 			}
 		}

@@ -75,14 +75,13 @@ func main() {
 	if !found {
 		fatalf("unknown KPI %q; known: %v", *kpiName, kpi.All())
 	}
-	reg := netsim.Region(*region)
-	validRegion := false
+	var reg netsim.Region
 	for _, r := range netsim.Regions() {
-		if r == reg {
-			validRegion = true
+		if r.String() == *region {
+			reg = r
 		}
 	}
-	if !validRegion {
+	if reg == 0 {
 		fatalf("unknown region %q; known: %v", *region, netsim.Regions())
 	}
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
@@ -196,10 +197,18 @@ const (
 	DefaultMaxSize = 100
 )
 
+// tooFewError is a selection that matched fewer candidates than it needs:
+// a failure the data causes, so it wraps core.ErrInsufficientControls.
+type tooFewError string
+
+func (e tooFewError) Error() string { return string(e) }
+func (tooFewError) Unwrap() error   { return core.ErrInsufficientControls }
+
 // Select returns the control group for the given study element IDs. The
 // result is deterministic: candidates are ordered by mean distance to the
-// study group with ID tie-breaks. It returns an error when fewer than
-// MinSize candidates qualify.
+// study group with ID tie-breaks. It returns an error wrapping
+// core.ErrInsufficientControls when fewer than MinSize candidates
+// qualify.
 func (s *Selector) Select(studyIDs []string) ([]string, error) {
 	sc := s.Obs.Child(obs.SpanControlSelect)
 	defer sc.End()
@@ -267,7 +276,7 @@ func (s *Selector) Select(studyIDs []string) ([]string, error) {
 		cands[i] = cand{id: id, dist: dsum / float64(len(study))}
 	}
 	if len(cands) < minSize {
-		return nil, fmt.Errorf("control: only %d candidates match %s, need >= %d", len(cands), s.Predicate.Name(), minSize)
+		return nil, tooFewError(fmt.Sprintf("control: only %d candidates match %s, need >= %d", len(cands), s.Predicate.Name(), minSize))
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].dist != cands[j].dist {

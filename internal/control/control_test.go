@@ -1,10 +1,12 @@
 package control
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
@@ -232,19 +234,26 @@ func TestSelectorMaxSizeKeepsNearest(t *testing.T) {
 func TestSelectorErrors(t *testing.T) {
 	net := testNet()
 	study := net.OfKind(netsim.NodeB)[0]
+	// Only too few candidates is a failure the data causes.
 	cases := []struct {
-		name string
-		sel  *Selector
-		ids  []string
+		name   string
+		sel    *Selector
+		ids    []string
+		tooFew bool
 	}{
-		{"empty study", &Selector{Net: net, Predicate: SameKind()}, nil},
-		{"no predicate", &Selector{Net: net}, []string{study}},
-		{"unknown study", &Selector{Net: net, Predicate: SameKind()}, []string{"ghost"}},
-		{"too few candidates", &Selector{Net: net, Predicate: NewPredicate("never", func(_, _ *netsim.Element) bool { return false })}, []string{study}},
+		{"empty study", &Selector{Net: net, Predicate: SameKind()}, nil, false},
+		{"no predicate", &Selector{Net: net}, []string{study}, false},
+		{"unknown study", &Selector{Net: net, Predicate: SameKind()}, []string{"ghost"}, false},
+		{"too few candidates", &Selector{Net: net, Predicate: NewPredicate("never", func(_, _ *netsim.Element) bool { return false })}, []string{study}, true},
 	}
 	for _, c := range cases {
-		if _, err := c.sel.Select(c.ids); err == nil {
+		_, err := c.sel.Select(c.ids)
+		if err == nil {
 			t.Errorf("%s: expected error", c.name)
+			continue
+		}
+		if got := errors.Is(err, core.ErrInsufficientControls); got != c.tooFew {
+			t.Errorf("%s: error %q wraps ErrInsufficientControls: %t, want %t", c.name, err, got, c.tooFew)
 		}
 	}
 }

@@ -178,6 +178,33 @@ func TestAssessIgnoresCommonModeFactor(t *testing.T) {
 	}
 }
 
+// TestCommonModeRate pins how often the default assessor reports an
+// impact in TestAssessIgnoresCommonModeFactor's world: a common-mode
+// shift of 1.2 and no change at the study element, over seeds 1–300.
+// The paper claims no impact; 121 of the 300 verdicts are one
+// (EXPERIMENTS.md, beside Table 4). It is a pin, not a bound: a change
+// that moves the count says why in CHANGES.md.
+func TestCommonModeRate(t *testing.T) {
+	a := defaultAssessor(t)
+	impacts := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		w := newSynthWorld(seed, 28, 14)
+		w.latentShift(1.2)
+		controls := w.controls(9, 0.8, 1.2)
+		study := w.series(10, 1.0, 0)
+		res, err := a.AssessElement("study", study, controls, w.changeAt, kpi.VoiceRetainability)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Impact != kpi.NoImpact {
+			impacts++
+		}
+	}
+	if impacts != 121 {
+		t.Errorf("%d of 300 common-mode worlds give a verdict other than no impact, want 121", impacts)
+	}
+}
+
 func TestAssessRelativeImprovementUnderSharedDegradation(t *testing.T) {
 	// Fig. 7(a): weather degrades everyone, but the change at the study
 	// element offsets part of it → relative improvement.

@@ -21,7 +21,8 @@ import (
 // Match with errors.Is; classify with ReasonOf.
 var (
 	// ErrInsufficientControls means the control group has fewer usable
-	// members than Config.MinControls.
+	// members than Config.MinControls, or a control selection matched
+	// fewer candidates than it needs.
 	ErrInsufficientControls = errors.New("core: control group too small")
 	// ErrShortWindow means a before/after window has too few observations
 	// to fit the regression or run the test.

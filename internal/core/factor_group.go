@@ -228,10 +228,10 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 	var designs []*design
 	i := 0
 	for _, m := range members {
-		for _, id := range m.Studies.IDs() {
+		for j := 0; j < m.Studies.Len(); j++ {
+			id, study := m.Studies.Column(j)
 			e := &elems[i]
 			i++
-			study := m.Studies.MustSeries(id)
 			e.id, e.change, e.metric = id, m.Change, m.KPI
 			e.yBefore, e.yAfter = study.SplitAt(changeAt)
 			rows, err := a.fitRows(study, e.yBefore, e.yAfter, controls)
@@ -473,8 +473,9 @@ func allFinite(xs []float64) bool {
 // The batch layer groups only such assessments across changes; any
 // other becomes a one-member group.
 func SharedEligible(studies *timeseries.Panel, changeAt time.Time) bool {
-	for _, id := range studies.IDs() {
-		yb, _ := studies.MustSeries(id).SplitAt(changeAt)
+	for j := 0; j < studies.Len(); j++ {
+		_, s := studies.Column(j)
+		yb, _ := s.SplitAt(changeAt)
 		if allFinite(yb.Values) {
 			return true
 		}

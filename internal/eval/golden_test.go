@@ -58,7 +58,7 @@ func goldenRun(t *testing.T, workers int) []byte {
 	for _, c := range res.Cases {
 		gc := goldenCase{
 			Scenario: c.Scenario.String(),
-			Region:   string(c.Region),
+			Region:   c.Region.String(),
 			KPI:      c.KPI.String(),
 			Expected: c.Expected.String(),
 		}

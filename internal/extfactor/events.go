@@ -86,7 +86,7 @@ func (w RegionWeatherEvent) Name() string {
 	if w.Label != "" {
 		return w.Label
 	}
-	return "weather-" + w.Kind.String() + "-" + string(w.Region)
+	return "weather-" + w.Kind.String() + "-" + w.Region.String()
 }
 
 // Stress implements Factor.

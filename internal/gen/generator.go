@@ -151,7 +151,7 @@ func (g *Generator) regionalStress(rng *rand.Rand, r netsim.Region) []float64 {
 	if path, ok := g.regional[r]; ok {
 		return path
 	}
-	g.stream(rng, "region", string(r))
+	g.stream(rng, "region", r.String())
 	n := g.cfg.Index.N
 	path := make([]float64, n)
 	// Stationary start.

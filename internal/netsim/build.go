@@ -54,13 +54,14 @@ func DefaultTopologyConfig() TopologyConfig {
 	}
 }
 
-// softwareVersions are the version pools per element class.
+// The build's label pools, as positions in labelNames: software versions
+// per element class, vendors and equipment models.
 var (
-	coreVersions       = []string{"CS12.1", "CS12.4", "CS13.0"}
-	controllerVersions = []string{"RN30.2", "RN31.0", "RN31.5"}
-	towerVersions      = []string{"NB7.1", "NB7.2", "NB8.0"}
-	vendors            = []string{"VendorA", "VendorB"}
-	models             = []string{"M100", "M200", "M300"}
+	coreVersions       = []Label{1, 2, 3}
+	controllerVersions = []Label{4, 5, 6}
+	towerVersions      = []Label{7, 8, 9}
+	vendors            = []Label{10, 11}
+	models             = []Label{12, 13, 14}
 )
 
 // Build generates a deterministic multi-technology network from cfg.
@@ -97,23 +98,14 @@ func regionSize(cfg TopologyConfig) int {
 	return max(cfg.MSCsPerRegion, 1) + 3 + radio + max(cfg.ENodeBsPerRegion, 0)*(1+cells)
 }
 
-// regionCode returns the unique short code embedded in generated element
-// IDs.
-func regionCode(r Region) string {
-	switch r {
-	case Northeast:
-		return "ne"
-	case Southeast:
-		return "se"
-	case West:
-		return "we"
-	case Southwest:
-		return "sw"
-	case Midwest:
-		return "mw"
-	default:
-		panic(fmt.Sprintf("netsim: unknown region %q", r))
-	}
+// regionCode holds the unique short code embedded in each region's
+// generated element IDs.
+var regionCode = [...]string{
+	Northeast: "ne",
+	Southeast: "se",
+	West:      "we",
+	Southwest: "sw",
+	Midwest:   "mw",
 }
 
 func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) {
@@ -124,7 +116,7 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 		dLon := (rng.Float64()*2 - 1) * cfg.ScatterKm / 85.0
 		return GeoPoint{Lat: center.Lat + dLat, Lon: center.Lon + dLon}
 	}
-	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
+	pick := func(pool []Label) Label { return pool[rng.Intn(len(pool))] }
 	terrains := []Terrain{TerrainUrban, TerrainSuburban, TerrainRural, TerrainMountain, TerrainCoastal}
 	profiles := []TrafficProfile{TrafficBusiness, TrafficResidential, TrafficRecreational, TrafficHighway, TrafficVenue}
 
@@ -137,9 +129,8 @@ func buildRegion(n *Network, rng *rand.Rand, cfg TopologyConfig, region Region) 
 		return f
 	}
 
-	short := regionCode(region)
 	// tag is the "-<region>-" infix of every generated ID.
-	tag := "-" + short + "-"
+	tag := "-" + regionCode[region] + "-"
 
 	// Core elements.
 	mscCount := cfg.MSCsPerRegion

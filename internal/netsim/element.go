@@ -15,9 +15,10 @@ package netsim
 import "fmt"
 
 // Technology identifies the radio access technology of an element.
-// Technology, Kind, Terrain and TrafficProfile are int8, so an Element
-// packs all four into one word. They are signed because %#v, which the
-// networks golden prints them with, shows unsigned values in hex.
+// Technology, Kind, Terrain, TrafficProfile, Region and Label are int8
+// and Zip is int16, so an Element packs them into two words. They are
+// signed because %#v, which the networks golden prints the first four
+// with, shows unsigned values in hex.
 type Technology int8
 
 // Radio access technologies covered by the paper.
@@ -101,18 +102,33 @@ func (k Kind) IsTower() bool {
 }
 
 // Region is a coarse geographic market, the granularity at which external
-// factors (foliage, storms) act in the paper's examples.
-type Region string
+// factors (foliage, storms) act in the paper's examples. It is one byte;
+// the zero Region is no region and prints as "".
+type Region int8
 
 // The four geographically diverse US regions the paper evaluates on
 // (§4.3), plus Midwest for storm scenarios (§2.5).
 const (
-	Northeast Region = "Northeast"
-	Southeast Region = "Southeast"
-	West      Region = "West"
-	Southwest Region = "Southwest"
-	Midwest   Region = "Midwest"
+	Northeast Region = iota + 1
+	Southeast
+	West
+	Southwest
+	Midwest
 )
+
+var regionNames = [...]string{"", "Northeast", "Southeast", "West", "Southwest", "Midwest"}
+
+// String returns the region's name, "" for the zero Region. Call it
+// wherever the name is wanted: string(r) converts the number to a rune.
+func (r Region) String() string {
+	if r >= 0 && int(r) < len(regionNames) {
+		return regionNames[r]
+	}
+	return fmt.Sprintf("Region(%d)", int(r))
+}
+
+// known reports whether r is one of the modeled regions.
+func (r Region) known() bool { return r > 0 && int(r) < len(regionNames) }
 
 // Regions lists all modeled regions in a stable order.
 func Regions() []Region {
@@ -161,12 +177,34 @@ func (p TrafficProfile) String() string {
 	return fmt.Sprintf("TrafficProfile(%d)", int(p))
 }
 
+// Label is a configuration value, a software version, vendor or
+// equipment model, held in one byte: its position in labelNames, the one
+// table of every value Build assigns. The zero Label is no value and
+// prints as "".
+type Label int8
+
+var labelNames = [...]string{
+	"",
+	"CS12.1", "CS12.4", "CS13.0", // core versions
+	"RN30.2", "RN31.0", "RN31.5", // controller versions
+	"NB7.1", "NB7.2", "NB8.0", // tower versions
+	"VendorA", "VendorB",
+	"M100", "M200", "M300",
+}
+
+// String returns the label's value, "" for the zero Label.
+func (l Label) String() string {
+	if l >= 0 && int(l) < len(labelNames) {
+		return labelNames[l]
+	}
+	return fmt.Sprintf("Label(%d)", int(l))
+}
+
 // Config holds the configurable attributes of an element that the paper's
 // change types touch and that control-group predicates match on (§3.3).
+// The three floats come first, so the three labels and SONEnabled share
+// the last word.
 type Config struct {
-	SoftwareVersion string
-	Vendor          string
-	EquipmentModel  string
 	// AntennaTiltDeg is the mechanical downtilt; positive tilts down,
 	// reducing coverage (paper §2.3). Zero for core elements.
 	AntennaTiltDeg float64
@@ -175,14 +213,19 @@ type Config struct {
 	TxPowerDBm float64
 	// FrequencyMHz is the carrier frequency. Zero for core elements.
 	FrequencyMHz float64
+
+	SoftwareVersion Label
+	Vendor          Label
+	EquipmentModel  Label
 	// SONEnabled marks elements with Self Optimizing Network features
 	// activated (paper §2.3, §5.3).
 	SONEnabled bool
 }
 
-// Element is one addressable network element. Its four one-byte
-// classifications sit together after ID, so they share one word and an
-// element fits the 176 B size class.
+// Element is one addressable network element, 96 B. Its one- and
+// two-byte fields sit together after ID, so the five classifications and
+// the zip code share one word, and Config's labels share its last word
+// with SONEnabled.
 type Element struct {
 	ID      string
 	Kind    Kind
@@ -190,13 +233,13 @@ type Element struct {
 	Terrain Terrain
 	Traffic TrafficProfile
 	Region  Region
+	ZipCode Zip
 	// Parent is the ID of the upstream element ("" for top-level core
 	// elements). Towers parent to controllers, controllers to core
 	// switches.
 	Parent string
 
 	Location GeoPoint
-	ZipCode  string
 	// FoliageExposure in [0,1] scales how strongly yearly foliage
 	// seasonality affects the element's KPIs; ~0 outside deciduous
 	// regions (paper Fig. 3: Northeast seasonal, Southeast not).

@@ -31,7 +31,7 @@ func DistanceKm(a, b GeoPoint) float64 {
 
 // regionCenter holds the anchor coordinate each region's elements scatter
 // around. Values approximate the paper's US regions.
-var regionCenter = map[Region]GeoPoint{
+var regionCenter = [...]GeoPoint{
 	Northeast: {42.7, -73.8},  // upstate NY / New England
 	Southeast: {33.7, -84.4},  // Atlanta area
 	West:      {37.4, -121.9}, // Bay Area
@@ -42,16 +42,20 @@ var regionCenter = map[Region]GeoPoint{
 // RegionCenter returns the anchor coordinate of a region. It panics for an
 // unknown region, which indicates a programming error in scenario setup.
 func RegionCenter(r Region) GeoPoint {
-	c, ok := regionCenter[r]
-	if !ok {
+	mustKnow(r)
+	return regionCenter[r]
+}
+
+// mustKnow panics unless r is a modeled region.
+func mustKnow(r Region) {
+	if !r.known() {
 		panic(fmt.Sprintf("netsim: unknown region %q", r))
 	}
-	return c
 }
 
 // regionZipPrefix gives each region a distinct zip-code prefix so that
 // generated zips never collide across regions.
-var regionZipPrefix = map[Region]string{
+var regionZipPrefix = [...]string{
 	Northeast: "12",
 	Southeast: "30",
 	West:      "95",
@@ -59,19 +63,36 @@ var regionZipPrefix = map[Region]string{
 	Midwest:   "60",
 }
 
+// Zip is a zip code held in two bytes: the region and the geographic
+// cell number modulo 1000 it was derived from, as region·zipSpan +
+// cell%1000 + 1000. Two Zips are equal exactly when their texts are. The
+// zero Zip is no zip code and prints as "".
+type Zip int16
+
+// zipSpan is the number of codes per region: cell%1000 spans −999…999.
+const zipSpan = 2000
+
 // ZipForCell derives a deterministic 5-digit zip code from a region and a
 // geographic cell number. Elements in the same geographic cell share a
 // zip, which is what the paper's same-zip-code predicate keys on.
-func ZipForCell(r Region, cell int) string {
-	prefix, ok := regionZipPrefix[r]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown region %q", r))
+func ZipForCell(r Region, cell int) Zip {
+	mustKnow(r)
+	return Zip(int(r)*zipSpan + cell%1000 + 1000)
+}
+
+// String returns the zip code's text: the region prefix, then cell%1000
+// as fmt's %03d writes it, zero-padded to three characters, a minus sign
+// included.
+func (z Zip) String() string {
+	if z == 0 {
+		return ""
 	}
-	// The prefix, then cell%1000 as fmt's %03d writes it: zero-padded to
-	// three characters, a minus sign included.
-	v := cell % 1000
+	r, v := Region(z/zipSpan), int(z%zipSpan)-1000
+	if !r.known() {
+		return fmt.Sprintf("Zip(%d)", int(z))
+	}
 	b := make([]byte, 0, 8)
-	b = append(b, prefix...)
+	b = append(b, regionZipPrefix[r]...)
 	switch {
 	case v < 0:
 		b = append(b, '-')
@@ -90,7 +111,7 @@ func ZipForCell(r Region, cell int) string {
 // regionFoliage is the baseline foliage exposure per region: deciduous
 // Northeast/Midwest see strong yearly seasonality, the Southeast does not
 // (paper Fig. 3 and §2.5).
-var regionFoliage = map[Region]float64{
+var regionFoliage = [...]float64{
 	Northeast: 0.9,
 	Midwest:   0.6,
 	West:      0.25,
@@ -100,9 +121,6 @@ var regionFoliage = map[Region]float64{
 
 // RegionFoliage returns the baseline foliage exposure for a region.
 func RegionFoliage(r Region) float64 {
-	f, ok := regionFoliage[r]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown region %q", r))
-	}
-	return f
+	mustKnow(r)
+	return regionFoliage[r]
 }

@@ -74,23 +74,25 @@ type elementField struct {
 // elementFields are the fields the dump prints, by name and in the order
 // Element declared them when the fixture was rendered, so each line
 // reads as %#v of that Element did then, whatever the struct's layout.
+// Region, ZipCode and Config's three labels were strings then, so they
+// print %#v of their String() forms.
 var elementFields = []elementField{
 	{"ID", func(e *Element) string { return fmt.Sprintf("%#v", e.ID) }},
 	{"Kind", func(e *Element) string { return fmt.Sprintf("%#v", e.Kind) }},
 	{"Tech", func(e *Element) string { return fmt.Sprintf("%#v", e.Tech) }},
-	{"Region", func(e *Element) string { return fmt.Sprintf("%#v", e.Region) }},
+	{"Region", func(e *Element) string { return fmt.Sprintf("%#v", e.Region.String()) }},
 	{"Parent", func(e *Element) string { return fmt.Sprintf("%#v", e.Parent) }},
 	{"Location", func(e *Element) string {
 		return fmt.Sprintf("netsim.GeoPoint{Lat:%#v, Lon:%#v}", e.Location.Lat, e.Location.Lon)
 	}},
-	{"ZipCode", func(e *Element) string { return fmt.Sprintf("%#v", e.ZipCode) }},
+	{"ZipCode", func(e *Element) string { return fmt.Sprintf("%#v", e.ZipCode.String()) }},
 	{"Terrain", func(e *Element) string { return fmt.Sprintf("%#v", e.Terrain) }},
 	{"Traffic", func(e *Element) string { return fmt.Sprintf("%#v", e.Traffic) }},
 	{"FoliageExposure", func(e *Element) string { return fmt.Sprintf("%#v", e.FoliageExposure) }},
 	{"Config", func(e *Element) string {
 		c := e.Config
 		return fmt.Sprintf("netsim.Config{SoftwareVersion:%#v, Vendor:%#v, EquipmentModel:%#v, AntennaTiltDeg:%#v, TxPowerDBm:%#v, FrequencyMHz:%#v, SONEnabled:%#v}",
-			c.SoftwareVersion, c.Vendor, c.EquipmentModel, c.AntennaTiltDeg, c.TxPowerDBm, c.FrequencyMHz, c.SONEnabled)
+			c.SoftwareVersion.String(), c.Vendor.String(), c.EquipmentModel.String(), c.AntennaTiltDeg, c.TxPowerDBm, c.FrequencyMHz, c.SONEnabled)
 	}},
 }
 

@@ -78,9 +78,9 @@ func diffConfig(id string, a, b Config) []ConfigDiff {
 			out = append(out, ConfigDiff{ID: id, Field: field, Before: before, After: after})
 		}
 	}
-	add("software", a.SoftwareVersion, b.SoftwareVersion)
-	add("vendor", a.Vendor, b.Vendor)
-	add("model", a.EquipmentModel, b.EquipmentModel)
+	add("software", a.SoftwareVersion.String(), b.SoftwareVersion.String())
+	add("vendor", a.Vendor.String(), b.Vendor.String())
+	add("model", a.EquipmentModel.String(), b.EquipmentModel.String())
 	add("tilt", fmt.Sprintf("%.2f", a.AntennaTiltDeg), fmt.Sprintf("%.2f", b.AntennaTiltDeg))
 	add("power", fmt.Sprintf("%.2f", a.TxPowerDBm), fmt.Sprintf("%.2f", b.TxPowerDBm))
 	add("frequency", fmt.Sprintf("%.0f", a.FrequencyMHz), fmt.Sprintf("%.0f", b.FrequencyMHz))

@@ -127,8 +127,8 @@ func TestSelectionFailureNotRetried(t *testing.T) {
 	if st.Status != stateFailed {
 		t.Fatalf("job finished %s, want failed", st.Status)
 	}
-	if !strings.Contains(st.Error, "control selection") {
-		t.Errorf("job error %q, want the control-selection failure", st.Error)
+	if want := "litmus: control selection: control: only 0 candidates match and(same-kind,same-zip,same-software,same-vendor,same-model,same-terrain,same-traffic-profile), need >= 4"; st.Error != want {
+		t.Errorf("job error %q, want %q", st.Error, want)
 	}
 	runs := s.Registry().Histogram(obs.Labeled(obs.MetricStageSeconds, "stage", obs.SpanServeJob), nil).Count()
 	if runs != 1 {

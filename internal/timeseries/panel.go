@@ -37,6 +37,14 @@ func (p *Panel) IDs() []string {
 // Len returns the number of elements (columns).
 func (p *Panel) Len() int { return len(p.ids) }
 
+// Column returns the ID and series of column j, 0 <= j < Len, in
+// insertion order. Nothing is copied: the values share storage with the
+// panel.
+func (p *Panel) Column(j int) (string, Series) {
+	id := p.ids[j]
+	return id, Series{Index: p.ix, Values: p.cols[id]}
+}
+
 // Add inserts the series for element id. It panics if the id already
 // exists or the series index differs from the panel's.
 func (p *Panel) Add(id string, s Series) {

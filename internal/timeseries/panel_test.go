@@ -35,6 +35,16 @@ func TestPanelAddAndSeries(t *testing.T) {
 	if _, ok := p.Series("zzz"); ok {
 		t.Error("Series of unknown id should report false")
 	}
+	// Column reads the same columns in the same order, without copying.
+	for j, want := range ids {
+		id, s := p.Column(j)
+		if ms := p.MustSeries(want); id != want || !s.Index.Equal(p.Index()) || &s.Values[0] != &ms.Values[0] {
+			t.Errorf("Column(%d) = %q, not column %q in place", j, id, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { p.Column(1) }); n != 0 {
+		t.Errorf("Column allocates %v times", n)
+	}
 }
 
 func TestPanelDuplicatePanics(t *testing.T) {

@@ -76,7 +76,8 @@ type (
 
 // Typed assessment errors, re-exported for errors.Is matching.
 var (
-	// ErrInsufficientControls: control group below MinControls.
+	// ErrInsufficientControls: control group below MinControls, or a
+	// control selection that matched too few candidates.
 	ErrInsufficientControls = core.ErrInsufficientControls
 	// ErrShortWindow: too few observations in a before/after window.
 	ErrShortWindow = core.ErrShortWindow

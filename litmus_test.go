@@ -1,11 +1,13 @@
 package litmus
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/changelog"
 	"repro/internal/control"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/kpi"
 	"repro/internal/netsim"
@@ -134,6 +136,35 @@ func TestPipelineValidation(t *testing.T) {
 	// A nil change is an error, not a panic.
 	if _, err := p.AssessChange(nil, []KPI{kpi.VoiceRetainability}, 14); err == nil {
 		t.Error("nil change accepted")
+	}
+}
+
+// TestPipelineTooFewControlsIsDegradation: a control selection that
+// matches fewer candidates than it needs is a data-caused failure. The
+// pipeline's error keeps its text and classifies as
+// insufficient-controls.
+func TestPipelineTooFewControlsIsDegradation(t *testing.T) {
+	net, change, provider := testWorld(t, 1)
+	p := &Pipeline{
+		Network:          net,
+		Provider:         provider,
+		ControlPredicate: control.NewPredicate("never", func(_, _ *netsim.Element) bool { return false }),
+	}
+	_, err := p.AssessChange(change, []KPI{kpi.VoiceRetainability}, 14)
+	if err == nil {
+		t.Fatal("a selection matching no candidate assessed")
+	}
+	if want := "litmus: control selection: control: only 0 candidates match never, need >= 4"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+	if !errors.Is(err, ErrInsufficientControls) {
+		t.Error("error does not wrap ErrInsufficientControls")
+	}
+	if got := ReasonOf(err); got != core.ReasonInsufficientControls {
+		t.Errorf("ReasonOf = %s, want %s", got, core.ReasonInsufficientControls)
+	}
+	if !IsDegradation(err) {
+		t.Error("IsDegradation = false for a selection that matched too few candidates")
 	}
 }
 
