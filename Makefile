@@ -53,7 +53,9 @@ race:
 # engine and the batch path, ten times each; then the process-wide free
 # list of generators (internal/seedmix): a recycled generator against a
 # fresh source, and concurrent network builds and series draws against
-# sequential ones.
+# sequential ones; and netsim's process-wide layout slot: builds of two
+# shapes, each twice in a row, on several goroutines, each missing,
+# adding IDs to or replaying the slot's layout, against sequential ones.
 race-pools:
 	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core ./internal/stats ./internal/timeseries . ./internal/seedmix ./internal/gen ./internal/netsim
 
@@ -69,13 +71,15 @@ race-obs:
 
 # Every allocation-bound test, twenty runs each: the span, selection,
 # per-iteration, per-element and per-element byte budgets of the engine,
-# the network build, generator and series synthesis budgets of the
+# the network build (replaying its shape's layout, and the miss and
+# second build, which must cost no more than a build did before layouts
+# were shared), generator and series synthesis budgets of the
 # world path, and the batch path's amortization against cold singles
 # (allocations and CPU time). The bounds are calibrated on one toolchain
 # and a marginal one flakes rarely, so twenty runs show it before it
 # fails on main.
 alloc-bounds:
-	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestBatchAmortization)$$' \
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestColdBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestBatchAmortization)$$' \
 		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen ./internal/serve/client
 
 # Chaos suite under the race detector: every fault injector through the

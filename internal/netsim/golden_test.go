@@ -139,23 +139,28 @@ func dumpNetwork(w io.Writer, n *Network, fields []elementField) {
 func renderGoldenNetworks(fields []elementField) []byte {
 	var doc bytes.Buffer
 	for _, gc := range goldenConfigs() {
-		n := Build(gc.cfg)
-		h := sha256.New()
-		bw := bufio.NewWriter(h)
-		dumpNetwork(bw, n, fields)
-		if err := bw.Flush(); err != nil {
-			panic(err) // a hash never fails to write
-		}
-		fmt.Fprintf(&doc, "%s %d %x\n", gc.name, n.Len(), h.Sum(nil))
+		doc.WriteString(goldenLine(gc.name, Build(gc.cfg), fields))
 	}
 	return doc.Bytes()
+}
+
+// goldenLine returns n's line of the fixture: name, element count and the
+// SHA-256 of n's dump.
+func goldenLine(name string, n *Network, fields []elementField) string {
+	h := sha256.New()
+	bw := bufio.NewWriter(h)
+	dumpNetwork(bw, n, fields)
+	if err := bw.Flush(); err != nil {
+		panic(err) // a hash never fails to write
+	}
+	return fmt.Sprintf("%s %d %x\n", name, n.Len(), h.Sum(nil))
 }
 
 // TestRegionSizeCountsBuild pins the count Build presizes its network
 // with against the elements it adds.
 func TestRegionSizeCountsBuild(t *testing.T) {
 	for _, gc := range goldenConfigs() {
-		if got, want := Build(gc.cfg).Len(), len(gc.cfg.Regions)*regionSize(gc.cfg); got != want {
+		if got, want := Build(gc.cfg).Len(), len(gc.cfg.Regions)*shapeOf(gc.cfg).regionSize(); got != want {
 			t.Errorf("%s: Build added %d elements, regionSize counts %d", gc.name, got, want)
 		}
 	}

@@ -306,32 +306,105 @@ func TestElementSize(t *testing.T) {
 	}
 }
 
-// TestBuildBytesPerElement pins what Build allocates per element of the
-// default topology (1970 elements): the 96 B element, its ID and an even
-// share of the presized index table and child links, with no map, no
-// slice growth, no fmt, no zip string and no new generator source. With
-// map growth and fmt IDs a build cost 497 B and 4.6 allocations per
-// element; with 200 B elements, a map index and its own source, 303 B;
-// with 176 B elements and zip strings, 221 B and 2.27.
+// buildCost returns what Build allocates per element, in bytes and
+// allocations, over twenty builds on one P. Before each build, prepare
+// returns its config; only the build itself is measured.
+func buildCost(prepare func(run int) TopologyConfig) (bytes, allocs float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	var b, a, elems uint64
+	for run := 0; run < 20; run++ {
+		cfg := prepare(run)
+		runtime.ReadMemStats(&before)
+		n := Build(cfg)
+		runtime.ReadMemStats(&after)
+		b += after.TotalAlloc - before.TotalAlloc
+		a += after.Mallocs - before.Mallocs
+		elems += uint64(n.Len())
+	}
+	return float64(b) / float64(elems), float64(a) / float64(elems)
+}
+
+// TestBuildBytesPerElement pins what a Build that replays its shape's
+// layout allocates per element of the default topology (1970 elements):
+// the 96 B element and an even share of the element slice, with no ID,
+// no index, no links, no map, no fmt, no zip string and no new generator
+// source. With map growth and fmt IDs a build cost 497 B and 4.6
+// allocations per element; with 200 B elements, a map index and its own
+// source, 303 B; with 176 B elements and zip strings, 221 B and 2.27;
+// with each build forming its IDs, index and links, 140 B and 2.00.
 func TestBuildBytesPerElement(t *testing.T) {
 	cfg := DefaultTopologyConfig()
-	elems := float64(Build(cfg).Len())
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		Build(cfg)
+	Build(cfg)
+	Build(cfg)
+	bytes, allocs := buildCost(func(int) TopologyConfig { return cfg })
+	t.Logf("replaying Build: %.0f B and %.2f allocations per element", bytes, allocs)
+	if bytes > 110 {
+		t.Errorf("replaying Build allocates %.0f B per element, want at most 110", bytes)
 	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / elems
-	allocs := float64(after.Mallocs-before.Mallocs) / runs / elems
-	t.Logf("Build: %.0f B and %.2f allocations per element", bytes, allocs)
-	if bytes > 150 {
-		t.Errorf("Build allocates %.0f B per element, want at most 150", bytes)
+	if allocs > 1.05 {
+		t.Errorf("replaying Build makes %.2f allocations per element, want at most 1.05", allocs)
 	}
-	if allocs > 2.1 {
-		t.Errorf("Build makes %.2f allocations per element, want at most 2.1", allocs)
+}
+
+// TestColdBuildBytesPerElement pins what the two builds of a shape that
+// do not replay allocate per element of the default topology, each under
+// the bound every build had before layouts were shared (150 B and 2.1
+// allocations). A miss, here on shapes that alternate, allocates the
+// element, its ID and an even share of the presized index and links
+// (140 B and 2.00). A shape's second build allocates the element, its ID
+// and a share of the layout's ID table, but no index or links.
+func TestColdBuildBytesPerElement(t *testing.T) {
+	shapes := [2]TopologyConfig{DefaultTopologyConfig(), DefaultTopologyConfig()}
+	slices.Reverse(shapes[1].Regions)
+	for _, c := range []struct {
+		name    string
+		prepare func(run int) TopologyConfig
+	}{
+		{"miss", func(run int) TopologyConfig { return shapes[run%2] }},
+		{"second build", func(int) TopologyConfig {
+			forgetLayout()
+			Build(shapes[0])
+			return shapes[0]
+		}},
+	} {
+		forgetLayout()
+		bytes, allocs := buildCost(c.prepare)
+		t.Logf("%s: %.0f B and %.2f allocations per element", c.name, bytes, allocs)
+		if bytes > 150 {
+			t.Errorf("%s allocates %.0f B per element, want at most 150", c.name, bytes)
+		}
+		if allocs > 2.1 {
+			t.Errorf("%s makes %.2f allocations per element, want at most 2.1", c.name, allocs)
+		}
+	}
+}
+
+// BenchmarkBuild times the three builds of the default topology: a
+// miss, a shape's second build and a replay.
+func BenchmarkBuild(b *testing.B) {
+	cfg := DefaultTopologyConfig()
+	for _, mode := range []struct {
+		name    string
+		prepare func()
+	}{
+		{"miss", forgetLayout},
+		{"second", func() { forgetLayout(); Build(cfg) }},
+		{"replay", func() {}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			Build(cfg)
+			Build(cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mode.prepare()
+				cfg.Seed = int64(i + 1)
+				b.StartTimer()
+				Build(cfg)
+			}
+		})
 	}
 }
 

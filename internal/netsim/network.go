@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/seedmix"
@@ -17,10 +18,15 @@ import (
 // position: an open-addressed table, a power of two at least twice the
 // element count, holding position + 1 (0 for an empty slot) and probed
 // linearly from the mixed FNV-1a hash of the ID.
+//
+// A built network shares its index and links with every network Build
+// makes of the same shape (their layout, see Build); they are read-only
+// while shared, and Add gives the network its own copy first.
 type Network struct {
 	elems             []*Element
 	index             []int32
 	first, last, next []int32
+	shared            bool // index and links belong to a layout
 }
 
 // NewNetwork returns an empty network.
@@ -49,10 +55,15 @@ func indexSize(size int) int {
 
 // Add inserts an element. It panics on a duplicate ID or (for non-root
 // elements) an unknown parent, both of which indicate broken topology
-// construction.
+// construction. On a network that shares its layout, it first copies the
+// index and links, so no other network sees the element.
 func (n *Network) Add(e *Element) {
 	if e.ID == "" {
 		panic("netsim: element with empty ID")
+	}
+	if n.shared {
+		n.index, n.first, n.last, n.next = slices.Clone(n.index), slices.Clone(n.first), slices.Clone(n.last), slices.Clone(n.next)
+		n.shared = false
 	}
 	if 2*(len(n.elems)+1) > len(n.index) {
 		n.rehash(indexSize(len(n.elems) + 1))

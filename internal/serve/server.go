@@ -583,7 +583,7 @@ func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	j.state = stateRunning
 	j.started = time.Now()
-	queueWait := j.started.Sub(j.submitted)
+	submitted, started := j.submitted, j.started
 	traceID := j.traceID
 	s.mu.Unlock()
 
@@ -610,12 +610,34 @@ func (s *Server) runJob(j *job) {
 		statusLabel = "degraded"
 	}
 
-	// Count the job before its terminal state becomes visible, so a
-	// client that reads the state also reads it counted.
+	// Count, time and log the job before its terminal state becomes
+	// visible, so a client that reads the state also finds the job in the
+	// counters, the histograms and the log.
+	finished := time.Now()
+	queueWait, run := started.Sub(submitted), finished.Sub(started)
 	s.reg.Counter(obs.Labeled(obs.MetricJobs, "status", statusLabel)).Add(1)
+	s.reg.Histogram(obs.MetricJobSeconds, obs.StageBuckets).Observe(finished.Sub(submitted).Seconds())
+	s.reg.Histogram(obs.MetricJobQueueSeconds, obs.StageBuckets).Observe(queueWait.Seconds())
+	s.reg.Histogram(obs.MetricJobRunSeconds, obs.StageBuckets).Observe(run.Seconds())
+	if s.cfg.Logger != nil {
+		attrs := []any{
+			"job", j.id,
+			"traceId", traceID,
+			"status", statusLabel,
+			"queueSeconds", queueWait.Seconds(),
+			"runSeconds", run.Seconds(),
+		}
+		if err != nil {
+			attrs = append(attrs, "error", err.Error())
+			s.cfg.Logger.Error("job finished", attrs...)
+		} else {
+			s.cfg.Logger.Info("job finished", attrs...)
+		}
+	}
 
 	s.mu.Lock()
-	j.finished = time.Now()
+	defer s.mu.Unlock()
+	j.finished = finished
 	j.span = span
 	j.failures = rr.failures
 	// Only execution reads the compiled entries; a resubmit after a
@@ -642,29 +664,6 @@ func (s *Server) runJob(j *job) {
 		j.result = rr.result
 	}
 	s.keepLocked(j)
-	latency := j.finished.Sub(j.submitted)
-	run := j.finished.Sub(j.started)
-	s.mu.Unlock()
-
-	s.reg.Histogram(obs.MetricJobSeconds, obs.StageBuckets).Observe(latency.Seconds())
-	s.reg.Histogram(obs.MetricJobQueueSeconds, obs.StageBuckets).Observe(queueWait.Seconds())
-	s.reg.Histogram(obs.MetricJobRunSeconds, obs.StageBuckets).Observe(run.Seconds())
-
-	if s.cfg.Logger != nil {
-		attrs := []any{
-			"job", j.id,
-			"traceId", traceID,
-			"status", statusLabel,
-			"queueSeconds", queueWait.Seconds(),
-			"runSeconds", run.Seconds(),
-		}
-		if err != nil {
-			attrs = append(attrs, "error", err.Error())
-			s.cfg.Logger.Error("job finished", attrs...)
-		} else {
-			s.cfg.Logger.Info("job finished", attrs...)
-		}
-	}
 }
 
 // Shutdown gracefully drains the service: submissions are rejected with

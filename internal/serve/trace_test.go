@@ -414,6 +414,77 @@ func TestStructuredLogging(t *testing.T) {
 	}
 }
 
+// holdHandler is a slog handler that, on a record with message msg,
+// signals held and waits for release before passing it on.
+type holdHandler struct {
+	slog.Handler
+	msg     string
+	held    chan<- struct{}
+	release <-chan struct{}
+}
+
+func (h holdHandler) Handle(ctx context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.held <- struct{}{}
+		<-h.release
+	}
+	return h.Handler.Handle(ctx, r)
+}
+
+// TestJobLoggedBeforeDone: a job is logged, timed and counted before its
+// terminal state becomes visible. While a handler holds the "job
+// finished" record, GET /v1/jobs/{id} must not read done, and the job
+// histograms must already hold the job.
+func TestJobLoggedBeforeDone(t *testing.T) {
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	logger := slog.New(holdHandler{slog.NewJSONHandler(io.Discard, nil), "job finished", held, release})
+
+	s := newServer(Config{Logger: logger})
+	s.testExecute = func(context.Context, *job) ([]byte, bool, []litmus.AssessmentFailureDoc, error) {
+		return []byte(`{}`), false, nil, nil
+	}
+	s.start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		releaseOnce.Do(func() { close(release) })
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+
+	sub, _ := submitTraced(t, ts, requestWithSeed(t, 9402), "")
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never logged \"job finished\"")
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status == stateDone {
+		t.Error("the job reads done before its \"job finished\" record is written")
+	}
+	for _, name := range []string{obs.MetricJobSeconds, obs.MetricJobQueueSeconds, obs.MetricJobRunSeconds} {
+		if n := s.reg.Histogram(name, obs.StageBuckets).Count(); n != 1 {
+			t.Errorf("%s holds %d observations while the job is being logged, want 1", name, n)
+		}
+	}
+	releaseOnce.Do(func() { close(release) })
+	if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
+		t.Fatalf("job finished %s", st.Status)
+	}
+}
+
 // writerFunc adapts a function to io.Writer for the log tests.
 type writerFunc func(p []byte) (int, error)
 

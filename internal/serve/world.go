@@ -16,7 +16,13 @@ package serve
 // 38.5–39.6 MiB. The slot holds exactly one world: a second entry added
 // 8 % peak RSS on distinct-world traffic and produced no extra hits on
 // any benchmark workload. Retained memory is therefore bounded by one
-// world under the topology caps of api.go.
+// world under the topology caps of api.go, plus the one network layout
+// netsim keeps for the shape it built last (see netsim.Build), which may
+// be another shape than this world's. At the caps (152,495 elements) a
+// layout is about 8.3 MB: a 2.4 MB ID table, a 2.1 MB index, 1.8 MB of
+// child links and 1.9 MB of ID strings; for the default shape it is
+// about 100 KB. A network of the layout's shape shares all of it but the
+// ID table.
 
 import (
 	"sync"
