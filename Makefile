@@ -53,11 +53,16 @@ race:
 # engine and the batch path, ten times each; then the process-wide free
 # list of generators (internal/seedmix): a recycled generator against a
 # fresh source, and concurrent network builds and series draws against
-# sequential ones; and netsim's process-wide layout slot: builds of two
+# sequential ones; netsim's process-wide layout slot: builds of two
 # shapes, each twice in a row, on several goroutines, each missing,
-# adding IDs to or replaying the slot's layout, against sequential ones.
+# adding IDs to or replaying the slot's layout, against sequential ones;
+# and the serve tier's free list of study-series buffers
+# (internal/serve/world.go): its bound, then, with every released buffer
+# NaN-filled, the golden request on a batch's buffer, a batch against
+# single submissions and concurrent jobs against worlds built from
+# scratch.
 race-pools:
-	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core ./internal/stats ./internal/timeseries . ./internal/seedmix ./internal/gen ./internal/netsim
+	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core ./internal/stats ./internal/timeseries . ./internal/seedmix ./internal/gen ./internal/netsim ./internal/serve
 
 # Focused race run over the observability layer: the concurrent
 # metrics-registry and scope tests plus the instrumented pipeline (its
@@ -73,14 +78,15 @@ race-obs:
 # per-iteration, per-element and per-element byte budgets of the engine,
 # the network build (replaying its shape's layout, and the miss and
 # second build, which must cost no more than a build did before layouts
-# were shared), generator and series synthesis budgets of the
-# world path, and the batch path's amortization against cold singles
-# (allocations and CPU time). The bounds are calibrated on one toolchain
-# and a marginal one flakes rarely, so twenty runs show it before it
-# fails on main.
+# were shared), generator (new and derived) and series synthesis budgets
+# of the world path, a panel sized once, a warm world's provider serving
+# a change's study series from a listed buffer, and the batch path's
+# amortization against cold singles (allocations and CPU time). The
+# bounds are calibrated on one toolchain and a marginal one flakes
+# rarely, so twenty runs show it before it fails on main.
 alloc-bounds:
-	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestColdBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestBatchAmortization)$$' \
-		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen ./internal/serve/client
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestColdBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestPanelBytes|TestProviderBytes|TestBatchAmortization)$$' \
+		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen ./internal/timeseries ./internal/serve ./internal/serve/client
 
 # Chaos suite under the race detector: every fault injector through the
 # pipeline (result or typed Degraded reason, clean inputs bit-identical

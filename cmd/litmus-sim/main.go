@@ -153,10 +153,12 @@ func main() {
 			fatalf("fault injection dropped every control element; raise -controls or lower the rate")
 		}
 	}
-	controls = panel.IDs()
+	controls = make([]string, panel.Len())
 	cols := map[string][]float64{}
-	for _, id := range controls {
-		cols[id] = panel.MustSeries(id).Values
+	for j := range controls {
+		id, s := panel.Column(j)
+		controls[j] = id
+		cols[id] = s.Values
 	}
 
 	writeScope := scope.Child("csv-write")

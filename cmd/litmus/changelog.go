@@ -115,8 +115,9 @@ func runChangelog(o *options, scope *obs.Scope, metric litmus.KPI, assessor *lit
 		fatalf("%v", err)
 	}
 	byID := map[string]litmus.Series{studyElementID: study}
-	for _, id := range controls.IDs() {
-		byID[id] = controls.MustSeries(id)
+	for j := 0; j < controls.Len(); j++ {
+		id, s := controls.Column(j)
+		byID[id] = s
 	}
 	provider := litmus.ProviderFunc(func(id string, _ litmus.KPI) (litmus.Series, bool) {
 		s, ok := byID[id]

@@ -6,6 +6,7 @@ package changelog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -90,8 +91,8 @@ type Change struct {
 	TrueLoadMult float64
 }
 
-// Validate checks the change against the network: elements must exist and
-// the change must carry an ID and timestamp.
+// Validate checks the change against the network: elements must exist,
+// each listed once, and the change must carry an ID and timestamp.
 func (c *Change) Validate(net *netsim.Network) error {
 	if c.ID == "" {
 		return fmt.Errorf("changelog: change without ID")
@@ -102,9 +103,12 @@ func (c *Change) Validate(net *netsim.Network) error {
 	if len(c.Elements) == 0 {
 		return fmt.Errorf("changelog: change %s with empty study group", c.ID)
 	}
-	for _, id := range c.Elements {
+	for i, id := range c.Elements {
 		if net.Element(id) == nil {
 			return fmt.Errorf("changelog: change %s references unknown element %q", c.ID, id)
+		}
+		if slices.Contains(c.Elements[:i], id) {
+			return fmt.Errorf("changelog: change %s lists element %q twice", c.ID, id)
 		}
 	}
 	return nil

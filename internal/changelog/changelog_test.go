@@ -46,9 +46,10 @@ func TestChangeValidate(t *testing.T) {
 	}
 	cases := []*Change{
 		{ID: "", Elements: []string{"x"}, At: epoch},
-		{ID: "a", Elements: []string{"x"}},                         // no time
-		{ID: "a", At: epoch},                                       // no elements
-		{ID: "a", Elements: []string{"does-not-exist"}, At: epoch}, // unknown element
+		{ID: "a", Elements: []string{"x"}},                                      // no time
+		{ID: "a", At: epoch},                                                    // no elements
+		{ID: "a", Elements: []string{"does-not-exist"}, At: epoch},              // unknown element
+		{ID: "a", Elements: append(good.Elements, good.Elements[0]), At: epoch}, // repeated element
 	}
 	for i, c := range cases {
 		if err := c.Validate(net); err == nil {

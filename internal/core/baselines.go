@@ -39,14 +39,14 @@ func StudyOnly(study timeseries.Series, changeAt time.Time, metric kpi.KPI, alph
 // StudyOnlyGroup applies StudyOnly to every element of a study panel and
 // majority-votes the outcome.
 func StudyOnlyGroup(studies *timeseries.Panel, changeAt time.Time, metric kpi.KPI, alpha float64) (GroupResult, error) {
-	ids := studies.IDs()
-	if len(ids) == 0 {
+	if studies.Len() == 0 {
 		return GroupResult{}, fmt.Errorf("core: empty study group")
 	}
-	results := make([]ElementResult, 0, len(ids))
+	results := make([]ElementResult, 0, studies.Len())
 	var firstErr error
-	for _, id := range ids {
-		v, err := StudyOnly(studies.MustSeries(id), changeAt, metric, alpha)
+	for j := 0; j < studies.Len(); j++ {
+		id, s := studies.Column(j)
+		v, err := StudyOnly(s, changeAt, metric, alpha)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("core: element %s: %w", id, err)
@@ -99,8 +99,9 @@ func DiD(study timeseries.Series, controls *timeseries.Panel, changeAt time.Time
 
 	pairs := make([]DiDStat, 0, controls.Len())
 	ds := make([]float64, 0, controls.Len())
-	for _, cid := range controls.IDs() {
-		diff := study.Sub(controls.MustSeries(cid))
+	for j := 0; j < controls.Len(); j++ {
+		cid, cs := controls.Column(j)
+		diff := study.Sub(cs)
 		before, after := diff.SplitAt(changeAt)
 		b := before.CleanValues()
 		a := after.CleanValues()
@@ -140,14 +141,14 @@ func DiD(study timeseries.Series, controls *timeseries.Panel, changeAt time.Time
 // DiDGroup applies DiD to every study element and majority-votes the
 // outcome across elements.
 func DiDGroup(studies *timeseries.Panel, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI, alpha float64) (GroupResult, error) {
-	ids := studies.IDs()
-	if len(ids) == 0 {
+	if studies.Len() == 0 {
 		return GroupResult{}, fmt.Errorf("core: empty study group")
 	}
-	results := make([]ElementResult, 0, len(ids))
+	results := make([]ElementResult, 0, studies.Len())
 	var firstErr error
-	for _, id := range ids {
-		v, _, err := DiD(studies.MustSeries(id), controls, changeAt, metric, alpha)
+	for j := 0; j < studies.Len(); j++ {
+		id, s := studies.Column(j)
+		v, _, err := DiD(s, controls, changeAt, metric, alpha)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("core: element %s: %w", id, err)

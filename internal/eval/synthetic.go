@@ -559,9 +559,10 @@ func runSyntheticCase(net *netsim.Network, assessor *core.Assessor, alpha float6
 		}
 		studySeries = cf.Series(study, studySeries)
 		kept := timeseries.NewPanel(controlPanel.Index())
-		for _, id := range controlPanel.IDs() {
-			if !cf.DropsElement(id) {
-				kept.Add(id, controlPanel.MustSeries(id))
+		kept.Grow(controlPanel.Len())
+		for j := 0; j < controlPanel.Len(); j++ {
+			if id, s := controlPanel.Column(j); !cf.DropsElement(id) {
+				kept.Add(id, s)
 			}
 		}
 		controlPanel = cf.Panel(kept)

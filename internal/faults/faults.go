@@ -355,41 +355,41 @@ func (s *Set) Panel(p *timeseries.Panel) *timeseries.Panel {
 	if s == nil || !s.Active() || p == nil {
 		return p
 	}
-	ids := p.IDs()
-	kept := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if !s.affected(DropCol, id) {
-			kept = append(kept, id)
+	// kept[i] names the surviving column cols[i].
+	kept := make([]string, 0, p.Len())
+	cols := make([][]float64, 0, p.Len())
+	for j := 0; j < p.Len(); j++ {
+		id, col := p.Column(j)
+		if s.affected(DropCol, id) {
+			continue
 		}
-	}
-	out := timeseries.NewPanel(p.Index())
-	cols := make(map[string][]float64, len(kept))
-	for _, id := range kept {
-		sr := s.Series(id, p.MustSeries(id))
-		v := sr.Values
+		v := s.Series(id, col).Values
 		if s.affected(ShortHist, id) {
 			v = append([]float64(nil), v...)
 			for i := 0; i < len(v)/2; i++ {
 				v[i] = math.NaN()
 			}
 		}
-		cols[id] = v
+		kept = append(kept, id)
+		cols = append(cols, v)
 	}
 	// Duplicate columns deterministically: each affected victim copies
 	// the donor chosen by its private stream from the other kept columns.
-	for _, id := range kept {
+	for i, id := range kept {
 		if len(kept) < 2 || !s.affected(DupCol, id) {
 			continue
 		}
 		rng := s.rng(DupCol, id)
-		donor := kept[rng.Intn(len(kept))]
-		for donor == id {
-			donor = kept[rng.Intn(len(kept))]
+		donor := rng.Intn(len(kept))
+		for donor == i {
+			donor = rng.Intn(len(kept))
 		}
-		cols[id] = cols[donor]
+		cols[i] = cols[donor]
 	}
-	for _, id := range kept {
-		out.Add(id, timeseries.NewSeries(p.Index(), cols[id]))
+	out := timeseries.NewPanel(p.Index())
+	out.Grow(len(kept))
+	for i, id := range kept {
+		out.Add(id, timeseries.NewSeries(p.Index(), cols[i]))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -85,12 +86,20 @@ func DefaultConfig(ix timeseries.Index) Config {
 // Generator produces KPI series and raw counters for network elements.
 // It is not safe for concurrent use: it caches what it synthesizes.
 // Generators on one network may draw concurrently.
+//
+// A regional stress path depends only on the seed, the region and the
+// index, never on effects, and is immutable once drawn. So a generator
+// derived with WithEffects starts with every path its parent has drawn
+// and shares them; each draws the paths it lacks into its own cache.
 type Generator struct {
 	net *netsim.Network
 	cfg Config
 
-	regional map[netsim.Region][]float64 // cached regional stress paths
-	counters map[string][]kpi.Counters   // cached per-element counters
+	// regional caches the regional stress paths by Region, so deriving a
+	// generator copies the cache by value. A Region beyond the modeled
+	// ones is drawn again on every use.
+	regional [netsim.Midwest + 1][]float64
+	counters map[string][]kpi.Counters // cached per-element counters, made by the first Counters call
 }
 
 // New returns a Generator for the network under cfg. Callers should
@@ -105,12 +114,19 @@ func New(net *netsim.Network, cfg Config) *Generator {
 	if cfg.RegionalAR < 0 || cfg.RegionalAR >= 1 || cfg.ElementNoiseAR < 0 || cfg.ElementNoiseAR >= 1 {
 		panic("gen: AR coefficients must lie in [0, 1)")
 	}
-	return &Generator{
-		net:      net,
-		cfg:      cfg,
-		regional: make(map[netsim.Region][]float64),
-		counters: make(map[string][]kpi.Counters),
-	}
+	return &Generator{net: net, cfg: cfg}
+}
+
+// WithEffects returns a generator on g's network and config with effects
+// in place of g's. It draws exactly what New with that config would, bit
+// for bit, but starts with every regional stress path g has drawn
+// instead of drawing them again. It reads g's caches, so it must not run
+// concurrently with a draw of g; the two generators are independent
+// afterwards.
+func (g *Generator) WithEffects(effects []Effect) *Generator {
+	d := &Generator{net: g.net, cfg: g.cfg, regional: g.regional}
+	d.cfg.Effects = effects
+	return d
 }
 
 // Network returns the underlying network.
@@ -148,8 +164,9 @@ func (g *Generator) stream(rng *rand.Rand, parts ...string) {
 // regionalStress returns (computing once, on rng) the shared AR(1)
 // stress path of a region.
 func (g *Generator) regionalStress(rng *rand.Rand, r netsim.Region) []float64 {
-	if path, ok := g.regional[r]; ok {
-		return path
+	cached := r >= 0 && int(r) < len(g.regional)
+	if cached && g.regional[r] != nil {
+		return g.regional[r]
 	}
 	g.stream(rng, "region", r.String())
 	n := g.cfg.Index.N
@@ -161,7 +178,9 @@ func (g *Generator) regionalStress(rng *rand.Rand, r netsim.Region) []float64 {
 	for i := 1; i < n; i++ {
 		path[i] = ar*path[i-1] + rng.NormFloat64()*sd
 	}
-	g.regional[r] = path
+	if cached {
+		g.regional[r] = path
+	}
 	return path
 }
 
@@ -238,6 +257,9 @@ func (g *Generator) Counters(id string) []kpi.Counters {
 	}
 	cs := make([]kpi.Counters, g.cfg.Index.N)
 	g.draw(id, func(i int, c kpi.Counters) { cs[i] = c })
+	if g.counters == nil {
+		g.counters = make(map[string][]kpi.Counters)
+	}
 	g.counters[id] = cs
 	return cs
 }
@@ -434,20 +456,36 @@ func (g *Generator) Series(id string, k kpi.KPI) timeseries.Series {
 }
 
 // SeriesFor returns element id's series for each KPI of ks, in order,
-// bit-identical to Series. It writes each bucket's KPIs straight into
-// the series and neither keeps nor caches the element's counters: it
-// serves callers that keep the series themselves.
+// bit-identical to Series. The series share one backing array, each
+// capped at its length, so an append to one cannot write into the next.
+// It neither keeps nor caches the element's counters: it serves callers
+// that keep the series themselves.
 func (g *Generator) SeriesFor(id string, ks []kpi.KPI) []timeseries.Series {
+	n := g.cfg.Index.N
+	vals := make([]float64, len(ks)*n)
+	g.SeriesInto(id, ks, vals)
 	out := make([]timeseries.Series, len(ks))
 	for i := range out {
-		out[i] = timeseries.NewZeroSeries(g.cfg.Index)
+		out[i] = timeseries.Series{Index: g.cfg.Index, Values: vals[i*n : (i+1)*n : (i+1)*n]}
+	}
+	return out
+}
+
+// SeriesInto writes element id's values for each KPI of ks into dst, KPI
+// i's at dst[i·N:(i+1)·N] for the index length N, bit-identical to
+// SeriesFor. It writes each bucket's KPIs straight into dst and keeps
+// nothing, so a caller that owns dst allocates nothing but the draw's
+// bookkeeping. It panics unless len(dst) is len(ks)·N.
+func (g *Generator) SeriesInto(id string, ks []kpi.KPI, dst []float64) {
+	n := g.cfg.Index.N
+	if len(dst) != len(ks)*n {
+		panic(fmt.Sprintf("gen: %d values for %d KPIs of %d points", len(dst), len(ks), n))
 	}
 	g.draw(id, func(b int, c kpi.Counters) {
 		for i, k := range ks {
-			out[i].Values[b] = c.Compute(k)
+			dst[i*n+b] = c.Compute(k)
 		}
 	})
-	return out
 }
 
 func (g *Generator) seriesOf(cs []kpi.Counters, k kpi.KPI) timeseries.Series {

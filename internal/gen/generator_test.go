@@ -3,6 +3,7 @@ package gen
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -393,24 +394,104 @@ func TestSeriesForBytes(t *testing.T) {
 // to the heap, as the serve tier's do.
 var generatorSink *Generator
 
-// TestNewGeneratorBytes pins what New allocates: the generator and its
-// two empty caches. The rand.Rand its draws need comes from the free list
-// per draw; a source per generator made New cost 5,728 B.
+// TestNewGeneratorBytes pins what New and WithEffects allocate: the
+// generator alone, its regional cache an array inside it and its counters
+// map made by the first Counters call. The rand.Rand its draws need comes
+// from the free list per draw; a source per generator made New cost
+// 5,728 B.
 func TestNewGeneratorBytes(t *testing.T) {
 	net := testNetwork()
 	cfg := DefaultConfig(timeseries.NewIndex(epoch, 6*time.Hour, 112))
+	base := New(net, cfg)
+	base.SeriesFor(net.OfKind(netsim.NodeB)[0], []kpi.KPI{kpi.VoiceRetainability}) // a drawn region to share
+	effects := []Effect{EffectOn("derived", net.OfKind(netsim.NodeB)[:3], epoch, time.Time{}, -1)}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const runs = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		generatorSink = New(net, cfg)
+	for _, tc := range []struct {
+		name string
+		make func() *Generator
+	}{
+		{"New", func() *Generator { return New(net, cfg) }},
+		{"WithEffects", func() *Generator { return base.WithEffects(effects) }},
+	} {
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			generatorSink = tc.make()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d B", tc.name, per)
+		if per > 1024 {
+			t.Errorf("%s allocates %d B, want at most 1024", tc.name, per)
+		}
 	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("New: %d B", per)
-	if per > 1024 {
-		t.Errorf("New allocates %d B, want at most 1024", per)
+}
+
+// TestWithEffectsMatchesNew pins a derived generator bit for bit against
+// New with the same effects, whatever its parent has drawn: no region,
+// one region, or every region of a five-region network. The derived
+// generator starts with its parent's paths, the same slices, and draws
+// the others into its own cache, never its parent's.
+func TestWithEffectsMatchesNew(t *testing.T) {
+	net := netsim.Build(netsim.DefaultTopologyConfig())
+	cfg := DefaultConfig(dailyIndex(30))
+	cfg.ElementNoiseAR = 0.4
+	byRegion := map[netsim.Region][]string{}
+	for _, id := range net.OfKind(netsim.NodeB) {
+		r := net.MustElement(id).Region
+		byRegion[r] = append(byRegion[r], id)
+	}
+	regions := netsim.Regions()
+	study := byRegion[regions[1]][:3]
+	start := epoch.Add(12 * 24 * time.Hour)
+	effect := EffectOn("derived", study, start, time.Time{}, -1.5)
+	effect.LoadMult = 1.4
+	coupled := EffectOn("coupled", byRegion[regions[2]][:1], start, time.Time{}, 0.8)
+	coupled.Coupling = map[string]float64{byRegion[regions[2]][1]: 0.5}
+	effects := []Effect{effect, coupled}
+	withEffects := cfg
+	withEffects.Effects = effects
+	ks := []kpi.KPI{kpi.VoiceRetainability, kpi.DataAccessibility, kpi.DroppedCallRatio}
+	var ids []string // the study, coupled and plain elements of every region
+	for _, r := range regions {
+		ids = append(ids, byRegion[r][:4]...)
+	}
+	for _, tc := range []struct {
+		name  string
+		drawn []netsim.Region
+	}{
+		{"no region", nil},
+		{"one region", regions[1:2]},
+		{"every region", regions},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := New(net, cfg)
+			for _, r := range tc.drawn {
+				base.SeriesFor(byRegion[r][5], ks)
+			}
+			d := base.WithEffects(effects)
+			ref := New(net, withEffects)
+			for _, id := range ids {
+				got, want := d.SeriesFor(id, ks), ref.SeriesFor(id, ks)
+				for i := range ks {
+					for b, v := range want[i].Values {
+						if math.Float64bits(got[i].Values[b]) != math.Float64bits(v) {
+							t.Fatalf("%s %v at %d: derived %v, New %v", id, ks[i], b, got[i].Values[b], v)
+						}
+					}
+				}
+			}
+			for _, r := range regions {
+				shared := slices.Contains(tc.drawn, r)
+				if shared && &d.regional[r][0] != &base.regional[r][0] {
+					t.Errorf("%v: the derived generator redrew its parent's path", r)
+				}
+				if !shared && base.regional[r] != nil {
+					t.Errorf("%v: the derived generator drew into its parent's cache", r)
+				}
+			}
+		})
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -259,6 +260,11 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 	}
 	if len(req.Change.Elements) > maxStudyElements {
 		return nil, fmt.Errorf("change.elements has %d entries, max %d", len(req.Change.Elements), maxStudyElements)
+	}
+	for i, id := range req.Change.Elements {
+		if slices.Contains(req.Change.Elements[:i], id) {
+			return nil, fmt.Errorf("change.elements lists %q twice", id)
+		}
 	}
 	at, err := time.Parse(time.RFC3339, req.Change.At)
 	if err != nil {

@@ -316,6 +316,7 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (rr runR
 		}
 		var entries []litmus.BatchEntry
 		var digests []string
+		need := 0 // values of the entries' study series
 		for _, pe := range bs.pending {
 			change, err := pe.req.buildChange()
 			if err == nil {
@@ -329,8 +330,28 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (rr runR
 				outcomes[pe.digest] = batchOutcome{errText: err.Error()}
 				continue
 			}
-			entries = append(entries, litmus.BatchEntry{Change: change, Provider: w.provider(change, base.kpis)})
+			entries = append(entries, litmus.BatchEntry{Change: change})
 			digests = append(digests, pe.digest)
+			need += len(change.Elements) * len(base.kpis) * w.ix.N
+		}
+		// The entries' study series share one buffer from the free list,
+		// released once every document is written. Nothing reads it by
+		// then: no result keeps a series, every engine fan-out returns
+		// before the assessment does, and the world memo never holds a
+		// slice of it.
+		study := takeStudyBuf(need)
+		defer func() {
+			if s.testReleaseStudy != nil {
+				s.testReleaseStudy(study[:cap(study)])
+			}
+			releaseStudyBuf(study)
+		}()
+		rest := study
+		for i := range entries {
+			change := entries[i].Change
+			n := len(change.Elements) * len(base.kpis) * w.ix.N
+			entries[i].Provider = w.provider(change, base.kpis, rest[:n:n])
+			rest = rest[n:]
 		}
 		setup.End()
 		if j.bare {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -226,6 +227,36 @@ func TestBatchValidation(t *testing.T) {
 	bad.Index.Step = "not-a-duration"
 	if code := post(bad); code != http.StatusBadRequest {
 		t.Errorf("bad shared field: status %d, want 400", code)
+	}
+}
+
+// TestBatchRepeatedElementFailsOnlyItsEntry: a changelog entry that
+// lists a study element twice fails at submit with its compile error,
+// and only that entry: the golden entry beside it carries the committed
+// fixture, and no job panics.
+func TestBatchRepeatedElementFailsOnlyItsEntry(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	golden := goldenRequest(t).Change
+	doubled := golden
+	doubled.ID = "CHG-DOUBLED"
+	doubled.Elements = append([]string{golden.Elements[0]}, golden.Elements...)
+	sub, _ := submitBatch(t, ts, goldenBatchRequest(t, []ChangeSpec{golden, doubled}))
+	want := fmt.Sprintf("change.elements lists %q twice", golden.Elements[0])
+	if e := sub.Entries[1]; e.Error != want || e.ID != "" {
+		t.Errorf("repeated-element entry at submit = %+v, want error %q and no digest", e, want)
+	}
+	if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
+		t.Fatalf("batch job finished %s: %s", st.Status, st.Error)
+	}
+	doc := fetchBatchResult(t, ts, sub.ID)
+	if got, want := []byte(doc.Entries[0].Assessment), compactJSON(t, goldenFixture(t)); !bytes.Equal(got, want) {
+		t.Errorf("golden entry beside a repeated-element entry differs from the fixture:\n%s", got)
+	}
+	if e := doc.Entries[1]; e.Error != want || e.Assessment != nil {
+		t.Errorf("repeated-element entry = %+v, want error %q only", e, want)
+	}
+	if n := counterValue(t, s.Registry(), obs.MetricJobPanics); n != 0 {
+		t.Errorf("%d job panics, want 0", n)
 	}
 }
 

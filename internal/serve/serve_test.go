@@ -201,6 +201,9 @@ func TestSubmitInvalidRequest(t *testing.T) {
 		"no change id":    func(r *AssessRequest) { r.Change.ID = "" },
 		"bad predicate":   func(r *AssessRequest) { r.Controls.Predicates = []string{"same-horoscope"} },
 		"huge topology":   func(r *AssessRequest) { r.Topology.CellsPerTower = 10_000 },
+		"repeated element": func(r *AssessRequest) {
+			r.Change.Elements = append([]string{r.Change.Elements[0]}, r.Change.Elements...)
+		},
 	} {
 		req := goldenRequest(t)
 		mutate(req)

@@ -121,10 +121,14 @@ type Server struct {
 	// use this to hold workers and fill the queue deterministically.
 	// When testExecute is non-nil it replaces execute, the assessment
 	// body of executeJob (panic recovery still applies) — tests use it to
-	// inject panics and failures. Set between newServer and start only.
-	testStarted chan string
-	testRelease chan struct{}
-	testExecute func(ctx context.Context, j *job) (result []byte, degraded bool, failures []litmus.AssessmentFailureDoc, err error)
+	// inject panics and failures. When testReleaseStudy is non-nil, each
+	// job's study-series buffer passes through it as the job releases the
+	// buffer to the free list (world.go) — tests poison it there. Set
+	// between newServer and start only.
+	testStarted      chan string
+	testRelease      chan struct{}
+	testExecute      func(ctx context.Context, j *job) (result []byte, degraded bool, failures []litmus.AssessmentFailureDoc, err error)
+	testReleaseStudy func([]float64)
 }
 
 // New returns a running server: workers are started immediately; the

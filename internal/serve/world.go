@@ -18,13 +18,15 @@ package serve
 // any benchmark workload. Retained memory is therefore bounded by one
 // world under the topology caps of api.go, plus the one network layout
 // netsim keeps for the shape it built last (see netsim.Build), which may
-// be another shape than this world's. At the caps (152,495 elements) a
+// be another shape than this world's, plus at most 1 MiB of study-series
+// buffers on the free list below. At the caps (152,495 elements) a
 // layout is about 8.3 MB: a 2.4 MB ID table, a 2.1 MB index, 1.8 MB of
 // child links and 1.9 MB of ID strings; for the default shape it is
 // about 100 KB. A network of the layout's shape shares all of it but the
 // ID table.
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/changelog"
@@ -32,6 +34,7 @@ import (
 	"repro/internal/kpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/timeseries"
 
 	litmus "repro"
 )
@@ -51,15 +54,16 @@ type seriesKey struct {
 }
 
 // world is a built network, its effect-free base generator and the base
-// series synthesized so far. The network is read-only once built.
+// series synthesized so far. The network is read-only once built. Every
+// series of a world lives on its index, so the memo keeps values only.
 type world struct {
-	key  worldKey
-	net  *netsim.Network
-	gcfg gen.Config // the base generator's config; jobs add their effect
+	key worldKey
+	net *netsim.Network
+	ix  timeseries.Index
 
 	mu     sync.Mutex // guards base (its lazily filled caches) and series
 	base   *gen.Generator
-	series map[seriesKey]litmus.Series
+	series map[seriesKey][]float64
 }
 
 // slot is the process-wide world slot.
@@ -113,7 +117,7 @@ func newWorld(key worldKey, c *compiledRequest) *world {
 	net := netsim.Build(c.topo)
 	gcfg := gen.DefaultConfig(c.index)
 	gcfg.Seed = c.genSeed
-	return &world{key: key, net: net, gcfg: gcfg, base: gen.New(net, gcfg), series: map[seriesKey]litmus.Series{}}
+	return &world{key: key, net: net, ix: c.index, base: gen.New(net, gcfg), series: map[seriesKey][]float64{}}
 }
 
 // provider returns the series provider of one change in w. Elements in
@@ -122,44 +126,129 @@ func newWorld(key worldKey, c *compiledRequest) *world {
 // generator consumes no randomness for elements outside an effect's
 // scope, so every series is bit-identical to a world generated with this
 // effect alone. kpis are the request's KPIs, the only metrics callers
-// ask for; both memos fill them together on an element's first touch.
-// The provider is for one sequential panel assembly, so its own memo of
-// the change's elements needs no lock; the base memo behind it is shared.
-func (w *world) provider(change *changelog.Change, kpis []kpi.KPI) litmus.SeriesProvider {
+// ask for; an element's first touch draws them all.
+//
+// study holds the change's study series: len(change.Elements) × len(kpis)
+// × N values, study element i's at the i-th run of len(kpis) × N. It is
+// a slice of the job's buffer from the free list (studyBufs), which the
+// job reuses after its documents are written, so nothing that outlives
+// the job may keep a slice of it: the world memo never does. The change's
+// generator is derived from the world's base generator at the first
+// study draw, so it shares every regional stress path the base has drawn
+// by then. The provider is for one sequential panel assembly, so its own
+// state needs no lock; the base memo behind it is shared.
+func (w *world) provider(change *changelog.Change, kpis []kpi.KPI, study []float64) litmus.SeriesProvider {
 	effect := change.Effect(w.net) // covers exactly change.ImpactScope
-	cfg := w.gcfg
-	cfg.Effects = []gen.Effect{effect}
-	eg := gen.New(w.net, cfg)
-	own := map[seriesKey]litmus.Series{}
+	var eg *gen.Generator
+	drawn := make([]bool, len(change.Elements))
+	per := len(kpis) * w.ix.N
 	return litmus.ProviderFunc(func(id string, metric kpi.KPI) (litmus.Series, bool) {
 		if w.net.Element(id) == nil {
 			return litmus.Series{}, false
 		}
-		if effect.Elements[id] {
-			return memoSeries(own, eg, id, metric, kpis), true
+		if !effect.Elements[id] {
+			return w.baseSeries(id, metric, kpis), true
 		}
-		return w.baseSeries(id, metric, kpis), true
+		k := slices.Index(kpis, metric)
+		if k < 0 {
+			return litmus.Series{}, false
+		}
+		if eg == nil {
+			w.mu.Lock()
+			eg = w.base.WithEffects([]gen.Effect{effect})
+			w.mu.Unlock()
+		}
+		var vals []float64
+		if i := slices.Index(change.Elements, id); i >= 0 {
+			vals = study[i*per : (i+1)*per]
+			if !drawn[i] {
+				eg.SeriesInto(id, kpis, vals)
+				drawn[i] = true
+			}
+		} else {
+			// Below a study element in a propagating change's scope:
+			// never a control, so panel assembly does not ask for it.
+			vals = make([]float64, per)
+			eg.SeriesInto(id, kpis, vals)
+		}
+		return w.seriesOf(vals, k), true
 	})
 }
 
 // baseSeries returns the effect-free series of (id, metric) from the
-// world's memo. The memo keeps only the series, not the generator's
-// counters: retaining the counters too measured +13 % peak RSS against
-// +3–7 % for the series alone.
+// world's memo. On a miss it draws the element's series for every KPI of
+// kpis into one array. The memo keeps only the series, not the
+// generator's counters: retaining the counters too measured +13 % peak
+// RSS against +3–7 % for the series alone.
 func (w *world) baseSeries(id string, metric kpi.KPI, kpis []kpi.KPI) litmus.Series {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return memoSeries(w.series, w.base, id, metric, kpis)
+	if v, ok := w.series[seriesKey{id, metric}]; ok {
+		return litmus.Series{Index: w.ix, Values: v}
+	}
+	vals := make([]float64, len(kpis)*w.ix.N)
+	w.base.SeriesInto(id, kpis, vals)
+	for i, k := range kpis {
+		w.series[seriesKey{id, k}] = w.seriesOf(vals, i).Values
+	}
+	return litmus.Series{Index: w.ix, Values: w.series[seriesKey{id, metric}]}
 }
 
-// memoSeries returns (id, metric) from memo. On a miss it synthesizes the
-// element's series for every KPI of kpis from one draw of g.
-func memoSeries(memo map[seriesKey]litmus.Series, g *gen.Generator, id string, metric kpi.KPI, kpis []kpi.KPI) litmus.Series {
-	if s, ok := memo[seriesKey{id, metric}]; ok {
-		return s
+// seriesOf returns the k-th KPI's series of an element's values drawn by
+// SeriesInto, capped at its length, so an append to it cannot write into
+// the next KPI's values.
+func (w *world) seriesOf(vals []float64, k int) litmus.Series {
+	n := w.ix.N
+	return litmus.Series{Index: w.ix, Values: vals[k*n : (k+1)*n : (k+1)*n]}
+}
+
+// studyBufBytes bounds the free list of study-series buffers, as the
+// engine's sample cache is bounded (internal/core/scratch.go).
+const studyBufBytes = 1 << 20
+
+// studyBufs is the process-wide free list of study-series buffers: the
+// buffers of finished jobs, at most studyBufBytes of them in total. It is
+// deliberately not a sync.Pool, which garbage collection empties between
+// batches (see DESIGN.md "Panel-assembly memory").
+var studyBufs struct {
+	mu    sync.Mutex
+	free  [][]float64
+	bytes int
+}
+
+// takeStudyBuf returns a buffer of n values: the smallest listed buffer
+// that holds n, or, when none does, a new one of exactly n. It does not
+// clear the buffer: the providers draw every value they hand out.
+func takeStudyBuf(n int) []float64 {
+	if n == 0 {
+		return nil
 	}
-	for i, s := range g.SeriesFor(id, kpis) {
-		memo[seriesKey{id, kpis[i]}] = s
+	studyBufs.mu.Lock()
+	defer studyBufs.mu.Unlock()
+	best := -1
+	for i, b := range studyBufs.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(studyBufs.free[best])) {
+			best = i
+		}
 	}
-	return memo[seriesKey{id, metric}]
+	if best < 0 {
+		return make([]float64, n)
+	}
+	b := studyBufs.free[best]
+	studyBufs.free = slices.Delete(studyBufs.free, best, best+1)
+	studyBufs.bytes -= 8 * cap(b)
+	return b[:n]
+}
+
+// releaseStudyBuf returns a buffer taken by takeStudyBuf to the list
+// once nothing reads it, or drops it when the list has no room for it.
+func releaseStudyBuf(buf []float64) {
+	size := 8 * cap(buf)
+	studyBufs.mu.Lock()
+	defer studyBufs.mu.Unlock()
+	if size == 0 || studyBufs.bytes+size > studyBufBytes {
+		return
+	}
+	studyBufs.free = append(studyBufs.free, buf)
+	studyBufs.bytes += size
 }

@@ -1,7 +1,13 @@
 package litmus
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -136,6 +142,50 @@ func TestPipelineValidation(t *testing.T) {
 	// A nil change is an error, not a panic.
 	if _, err := p.AssessChange(nil, []KPI{kpi.VoiceRetainability}, 14); err == nil {
 		t.Error("nil change accepted")
+	}
+}
+
+// TestPipelineRejectsRepeatedStudyElement: a change that lists a study
+// element twice is an invalid change, reported as an error like an
+// unknown element; the study panel's duplicate-column panic is not
+// reachable from it. In a changelog only that entry fails: the golden
+// change beside it still assesses to the committed fixture.
+func TestPipelineRejectsRepeatedStudyElement(t *testing.T) {
+	net, golden, provider := goldenWorld()
+	doubled := *golden
+	doubled.ID = "CHG-DOUBLED"
+	doubled.Elements = append([]string{golden.Elements[0]}, golden.Elements...)
+	p := &Pipeline{
+		Network:          net,
+		Provider:         provider,
+		ControlPredicate: control.And(control.SameKind(), control.SameParent()),
+		Assessor:         MustNewAssessor(Config{Seed: 9}),
+	}
+	kpis := []KPI{kpi.VoiceRetainability, kpi.DataAccessibility}
+	want := fmt.Sprintf("changelog: change CHG-DOUBLED lists element %q twice", golden.Elements[0])
+	if _, err := p.AssessChange(&doubled, kpis, 14); err == nil || err.Error() != want {
+		t.Errorf("AssessChange of a repeated element: error %v, want %q", err, want)
+	}
+	out, err := p.AssessChangelog(context.Background(), []*changelog.Change{&doubled, golden}, kpis, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Errors[0] == nil || !strings.Contains(out.Errors[0].Error(), "twice") {
+		t.Errorf("changelog entry with a repeated element: error %v, want the repeat reported", out.Errors[0])
+	}
+	if out.Errors[1] != nil {
+		t.Fatalf("golden entry beside it failed: %v", out.Errors[1])
+	}
+	got, err := MarshalAssessment(out.Results[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "golden_assessment.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), fixture) {
+		t.Errorf("golden entry beside a repeated-element entry differs from the fixture:\n%s", got)
 	}
 }
 

@@ -161,9 +161,11 @@ func (p *Pipeline) AssessChangeContext(ctx context.Context, change *changelog.Ch
 // ±windowDays around the change. Elements the provider has no data for,
 // or whose windowed series disagrees with the panel's time grid (e.g.
 // dropped timepoints in broken telemetry), are skipped and reported in
-// fails — the panel panics of a naive Add are never reachable from data.
-// The returned error is KPI-level: no usable study element, or no usable
-// control.
+// fails. The panel panics of a naive Add are never reachable from data:
+// Validate rejects a change that lists a study element twice, and the
+// selector never picks a study element or a control twice. Each panel is
+// sized once, for every column it may take. The returned error is
+// KPI-level: no usable study element, or no usable control.
 func (p *Pipeline) panels(change *changelog.Change, controls []string, metric KPI, windowDays int) (*Panel, *Panel, []AssessmentFailure, error) {
 	window := time.Duration(windowDays) * 24 * time.Hour
 	from := change.At.Add(-window)
@@ -192,6 +194,7 @@ func (p *Pipeline) panels(change *changelog.Change, controls []string, metric KP
 		}
 		if studies == nil {
 			studies = NewPanel(w.Index)
+			studies.Grow(len(change.Elements))
 		}
 		studies.Add(id, w)
 	}
@@ -199,6 +202,7 @@ func (p *Pipeline) panels(change *changelog.Change, controls []string, metric KP
 		return nil, nil, fails, fmt.Errorf("%w: no study element has usable %v data", core.ErrNoData, metric)
 	}
 	panel := NewPanel(studies.Index())
+	panel.Grow(len(controls))
 	for _, id := range controls {
 		w, err := fetch(id)
 		if err == nil && !w.Index.Equal(studies.Index()) {
