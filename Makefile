@@ -67,14 +67,18 @@ race-pools:
 # Focused race run over the observability layer: the concurrent
 # metrics-registry and scope tests plus the instrumented pipeline (its
 # registry scraped or snapshotted by another goroutine while it runs),
-# then the span-freezing and trace-endpoint tests (frozen trees read by
-# concurrent GETs while jobs finish) ten times each.
+# then the trace-store, span-freezing and trace-endpoint tests (siblings
+# recorded from several goroutines, stale scopes of a restarted
+# recorder, frozen trees read by concurrent GETs while jobs finish, two
+# workers reusing their recorders) ten times each.
 race-obs:
 	$(GO) test -race ./internal/obs
 	$(GO) test -race -run 'TestAssessChange(Instrumented|FlightRecorded)Equivalence' .
 	$(GO) test -race -count=10 -run 'Freeze|Trace' ./internal/obs ./internal/serve
 
-# Every allocation-bound test, twenty runs each: the span, selection,
+# Every allocation-bound test, twenty runs each: the span (a warm
+# Child+End, a warm labeled-counter lookup, the golden job's trace on a
+# warm recorder), a status document on a reused encoder, the selection,
 # per-iteration, per-element and per-element byte budgets of the engine,
 # the network build (replaying its shape's layout, and the miss and
 # second build, which must cost no more than a build did before layouts
@@ -85,7 +89,7 @@ race-obs:
 # bounds are calibrated on one toolchain and a marginal one flakes
 # rarely, so twenty runs show it before it fails on main.
 alloc-bounds:
-	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestColdBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestPanelBytes|TestProviderBytes|TestBatchAmortization)$$' \
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestLabeledCounterAllocs|TestTraceBytes|TestWriteJSONBytes|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestColdBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestPanelBytes|TestProviderBytes|TestBatchAmortization)$$' \
 		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen ./internal/timeseries ./internal/serve ./internal/serve/client
 
 # Chaos suite under the race detector: every fault injector through the
@@ -112,10 +116,11 @@ chaos-cluster:
 	@echo wrote out/CHAOS_CLUSTER.json
 
 # Replay the committed fuzz seed corpora as unit tests (no fuzzing
-# engine; catches regressions in the never-panic contracts). Use
+# engine; catches regressions in the never-panic contracts and in the
+# assessment writer's agreement with encoding/json). Use
 # `go test -fuzz=FuzzReadSeries ./cmd/litmus` etc. for real fuzzing.
 fuzz-seed:
-	$(GO) test ./cmd/litmus ./internal/stats ./internal/faults ./internal/serve/journal ./internal/netchaos -run '^Fuzz'
+	$(GO) test ./cmd/litmus ./internal/stats ./internal/faults ./internal/serve/journal ./internal/netchaos . -run '^Fuzz'
 
 # Scaled-down fault sweep under the race detector: the Table-4 grid
 # plus the adversarial scenario families at corruption rates

@@ -406,7 +406,7 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 		st.out.Failures = failures
 		st.out.Degraded = len(failures) > 0
 		st.out.Decision = decide(st.out.PerKPI)
-		st.esc.Counter(obs.Labeled(obs.MetricDecisions, "decision", st.out.Decision.String())).Add(1)
+		st.esc.Registry().LabeledCounter(obs.MetricDecisions, "decision", st.out.Decision.String()).Add(1)
 		out.Results[i] = st.out
 	}
 	return out, nil

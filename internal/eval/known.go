@@ -343,7 +343,7 @@ func RunKnownAssessments(cfg KnownConfig) (KnownResult, error) {
 		rowScope := run.Child("known-row")
 		rowScope.SetAttr("row", row.Name)
 		rr, err := runKnownRow(net, assessor.WithObserver(rowScope), cfg, row)
-		rowScope.Counter(obs.Labeled(obs.MetricEvalCases, "row", row.Name)).Add(int64(row.Cases()))
+		rowScope.Registry().LabeledCounter(obs.MetricEvalCases, "row", row.Name).Add(int64(row.Cases()))
 		rowScope.End()
 		if err != nil {
 			return KnownResult{}, fmt.Errorf("eval: row %q: %w", row.Name, err)

@@ -388,7 +388,7 @@ func RunSynthetic(cfg SyntheticConfig) (SyntheticResult, error) {
 				}
 			}
 			res.Cases = append(res.Cases, c)
-			scenarioScope.Counter(obs.Labeled(obs.MetricEvalCases, "scenario", sc.String())).Add(1)
+			scenarioScope.Registry().LabeledCounter(obs.MetricEvalCases, "scenario", sc.String()).Add(1)
 		}
 		scenarioScope.End()
 	}

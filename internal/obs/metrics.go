@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,17 +44,26 @@ func Labeled(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
 	}
-	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteByte('{')
+	return string(appendLabeled(nil, name, kv))
+}
+
+// appendLabeled appends the series name Labeled(name, kv...) renders:
+// each value quoted as %q quotes it.
+func appendLabeled(dst []byte, name string, kv []string) []byte {
+	dst = append(dst, name...)
+	if len(kv) == 0 {
+		return dst
+	}
+	dst = append(dst, '{')
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&sb, "%s=%q", kv[i], kv[i+1])
+		dst = append(dst, kv[i]...)
+		dst = append(dst, '=')
+		dst = strconv.AppendQuote(dst, kv[i+1])
 	}
-	sb.WriteByte('}')
-	return sb.String()
+	return append(dst, '}')
 }
 
 // splitSeries splits a (possibly Labeled) series name into its base name
@@ -184,6 +194,25 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// LabeledCounter returns the counter of the series Labeled(name,
+// kv...), creating it on first use (nil-safe). Looking up a series that
+// exists allocates nothing: the name is rendered into a stack buffer,
+// and the map is indexed with it without making a string.
+func (r *Registry) LabeledCounter(name string, kv ...string) *Counter {
+	if r == nil {
+		return nil
+	}
+	var room [128]byte
+	series := appendLabeled(room[:0], name, kv)
+	r.mu.RLock()
+	c := r.counters[string(series)]
+	r.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	return r.Counter(string(series))
 }
 
 // Gauge returns the named gauge, creating it on first use (nil-safe).

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"expvar"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -236,5 +237,37 @@ func TestLabeled(t *testing.T) {
 	base, labels = splitSeries("plain")
 	if base != "plain" || labels != "" {
 		t.Errorf("splitSeries plain = %q, %q", base, labels)
+	}
+}
+
+// TestLabeledMatchesFmt: Labeled renders each label as fmt's "%s=%q"
+// would, control bytes, invalid UTF-8 and non-ASCII text included.
+func TestLabeledMatchesFmt(t *testing.T) {
+	for _, v := range []string{"", "200", `x"y\z`, "tab\tnl\n", "\xff\xfe", "ünï ↑", " ", "\x00\x7f"} {
+		want := fmt.Sprintf("m{k=%q,path=%q}", v, "POST /v1/assess")
+		if got := Labeled("m", "k", v, "path", "POST /v1/assess"); got != want {
+			t.Errorf("Labeled(%q) = %s, want %s", v, got, want)
+		}
+	}
+}
+
+// TestLabeledCounterAllocs: a labeled counter looked up by its labels
+// is the counter of the rendered series name, and a warm lookup
+// allocates nothing.
+func TestLabeledCounterAllocs(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.LabeledCounter(MetricHTTPRequests, "path", "GET /v1/jobs/{id}", "code", "200")
+	if c != reg.Counter(Labeled(MetricHTTPRequests, "path", "GET /v1/jobs/{id}", "code", "200")) {
+		t.Fatal("LabeledCounter returned another series than Counter(Labeled(...))")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		reg.LabeledCounter(MetricHTTPRequests, "path", "GET /v1/jobs/{id}", "code", "200").Add(1)
+	})
+	if allocs != 0 {
+		t.Errorf("warm LabeledCounter allocates %v objects, want 0", allocs)
+	}
+	var nilReg *Registry
+	if nilReg.LabeledCounter("m", "k", "v") != nil {
+		t.Error("a nil registry returned a counter")
 	}
 }

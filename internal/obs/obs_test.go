@@ -79,15 +79,16 @@ func TestScopeTraceTree(t *testing.T) {
 }
 
 // TestScopeChildEndAllocs: once a stage's histogram exists, a
-// Child+End pair allocates only the child span; the stage series name
-// is not rendered again.
+// Child+End pair allocates only the child's 24-byte scope: the span
+// goes into the recorder's store, and the stage series name is not
+// rendered again.
 func TestScopeChildEndAllocs(t *testing.T) {
 	root := New("run", NewRegistry())
 	allocs := testing.AllocsPerRun(100, func() {
 		root.Child(SpanAssessElement).End()
 	})
 	if allocs > 1 {
-		t.Errorf("warm Child+End allocates %v objects, want 1 (the span)", allocs)
+		t.Errorf("warm Child+End allocates %v objects, want 1 (the scope)", allocs)
 	}
 }
 

@@ -1,11 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -15,85 +15,93 @@ type Attr struct {
 	Value any    `json:"value"`
 }
 
-// Span is one timed node of a trace tree. Spans are created through
-// Scope.Child and closed by Scope.End; readers use the exported
-// accessors after the run. A span may be written to (children appended,
-// attrs set) from multiple goroutines.
+// Span is one timed node of a finished trace tree: an immutable copy
+// taken from a trace store (Scope.Span), the form a finished serve job
+// keeps for its trace. The tree is one preorder slice of fixed-size
+// nodes plus one slice of all their attrs, shared by every Span of the
+// tree, so a copy costs three allocations however many spans it holds,
+// and readers need no lock. Attr values are shared with the recording,
+// not copied.
 type Span struct {
 	// Name is the stage name (one of the Span* constants for engine
 	// stages).
 	Name string
-	// Start is the creation time.
-	Start time.Time
-
-	mu       sync.Mutex
-	finish   time.Time
-	attrs    []Attr
-	children []*Span
+	// root is the tree root's start with the monotonic reading stripped:
+	// root.Add(offset) formats exactly as the recorded start did.
+	root  time.Time
+	i     int32
+	nodes []frozenNode
+	attrs []Attr
 }
 
-func newSpan(name string) *Span {
-	return &Span{Name: name, Start: time.Now()}
+// frozenNode is one span of a frozen tree (48 bytes). Node i's subtree
+// is nodes[i:end], so its children are i+1, nodes[i+1].end, ... up to
+// end.
+type frozenNode struct {
+	name string
+	// start is the wall-clock offset from the root's start, dur the
+	// span's duration, both in nanoseconds.
+	start, dur int64
+	// attrLo and attrHi bound the span's attrs in Span.attrs.
+	attrLo, attrHi int32
+	end            int32
 }
 
-func (s *Span) startChild(name string) *Span {
-	c := newSpan(name)
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
-}
+// Duration returns the span's duration; a span still open when the tree
+// was copied reports its age at the copy.
+func (s *Span) Duration() time.Duration { return time.Duration(s.nodes[s.i].dur) }
 
-func (s *Span) end() time.Duration {
-	now := time.Now()
-	s.mu.Lock()
-	if s.finish.IsZero() {
-		s.finish = now
-	}
-	d := s.finish.Sub(s.Start)
-	s.mu.Unlock()
-	return d
-}
-
-func (s *Span) setAttr(key string, value any) {
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	s.mu.Unlock()
-}
-
-// Duration returns the span's duration; for a still-open span it is the
-// time elapsed so far.
-func (s *Span) Duration() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.finish.IsZero() {
-		return time.Since(s.Start)
-	}
-	return s.finish.Sub(s.Start)
-}
-
-// Children returns a snapshot of the span's direct children.
+// Children returns the span's direct children, in creation order.
 func (s *Span) Children() []*Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Span, len(s.children))
-	copy(out, s.children)
+	var out []*Span
+	for c := s.i + 1; c < s.nodes[s.i].end; c = s.nodes[c].end {
+		out = append(out, &Span{Name: s.nodes[c].name, root: s.root, i: c, nodes: s.nodes, attrs: s.attrs})
+	}
 	return out
 }
 
-// Attrs returns a snapshot of the span's annotations.
+// Attrs returns the span's annotations in the order they were set, a
+// repeated key once per setting.
 func (s *Span) Attrs() []Attr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Attr, len(s.attrs))
-	copy(out, s.attrs)
-	return out
+	n := &s.nodes[s.i]
+	return append([]Attr(nil), s.attrs[n.attrLo:n.attrHi]...)
+}
+
+// spanJSON is the export schema of one trace node.
+type spanJSON struct {
+	Name       string         `json:"name"`
+	Start      time.Time      `json:"start"`
+	DurationMs float64        `json:"durationMs"`
+	Attrs      map[string]any `json:"attrs,omitempty"`
+	Children   []spanJSON     `json:"children,omitempty"`
 }
 
 // WriteJSON writes the span's subtree as an indented JSON trace
-// document, rendered from a frozen copy (see Freeze).
+// document: per span its name, start, durationMs, attrs (the last value
+// of a repeated key wins) and children.
 func (s *Span) WriteJSON(w io.Writer) error {
-	return s.Freeze().WriteJSON(w)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s.toJSON(s.i))
+}
+
+func (s *Span) toJSON(i int32) spanJSON {
+	n := &s.nodes[i]
+	out := spanJSON{
+		Name:       n.name,
+		Start:      s.root.Add(time.Duration(n.start)),
+		DurationMs: float64(n.dur) / float64(time.Millisecond),
+	}
+	if n.attrHi > n.attrLo {
+		out.Attrs = make(map[string]any, n.attrHi-n.attrLo)
+		for _, a := range s.attrs[n.attrLo:n.attrHi] {
+			out.Attrs[a.Key] = a.Value
+		}
+	}
+	for c := i + 1; c < n.end; c = s.nodes[c].end {
+		out.Children = append(out.Children, s.toJSON(c))
+	}
+	return out
 }
 
 // flameNode aggregates same-named sibling spans for the text summary.

@@ -11,19 +11,46 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the span-export golden files")
 
-// syntheticTrace builds a deterministic span tree shaped like a real
-// two-KPI assessment: fixed starts and finishes, the canonical stage
-// taxonomy, attrs on the interesting nodes. Same-package access to the
-// unexported finish field is what makes the tree time-independent.
-func syntheticTrace() *Span {
-	at := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	mk := func(name string, offset, dur time.Duration, children ...*Span) *Span {
-		s := &Span{Name: name, Start: at.Add(offset)}
-		s.finish = s.Start.Add(dur)
-		s.children = children
-		return s
+// synth is one span of the synthetic trace: its name, start offset,
+// duration, attrs and children.
+type synth struct {
+	name        string
+	offset, dur time.Duration
+	attrs       []Attr
+	kids        []synth
+}
+
+// record records sp as a child of parent, the clock set to each step's
+// time.
+func (sp synth) record(clock *time.Time, at time.Time, parent *Scope) {
+	*clock = at.Add(sp.offset)
+	c := parent.Child(sp.name)
+	sp.fill(clock, at, c)
+}
+
+// fill sets sp's attrs on c, records its children and ends it.
+func (sp synth) fill(clock *time.Time, at time.Time, c *Scope) {
+	for _, a := range sp.attrs {
+		c.SetAttr(a.Key, a.Value)
 	}
-	group := func(offset, dur time.Duration, kpi string) *Span {
+	for _, k := range sp.kids {
+		k.record(clock, at, c)
+	}
+	*clock = at.Add(sp.offset + sp.dur)
+	c.End()
+}
+
+// syntheticTrace records a deterministic span tree shaped like a real
+// two-KPI assessment through the trace store, on a fake clock: fixed
+// starts and finishes, the canonical stage taxonomy, attrs on the
+// interesting nodes.
+func syntheticTrace(t *testing.T) *Span {
+	clock := fakeClock(t)
+	at := *clock
+	mk := func(name string, offset, dur time.Duration, kids ...synth) synth {
+		return synth{name: name, offset: offset, dur: dur, kids: kids}
+	}
+	group := func(offset, dur time.Duration, kpi string) synth {
 		el := mk(SpanAssessElement, offset+16*time.Millisecond, 4*time.Millisecond,
 			mk(SpanAggregate, offset+16*time.Millisecond, 2*time.Millisecond),
 			mk(SpanRankTest, offset+18*time.Millisecond, time.Millisecond),
@@ -43,7 +70,9 @@ func syntheticTrace() *Span {
 		group(60*time.Millisecond, 35*time.Millisecond, "data-accessibility"),
 	)
 	root.attrs = []Attr{{Key: "change", Value: "CHG-GOLD"}, {Key: "kpis", Value: 2}}
-	return root
+	scope := New(root.name, nil)
+	root.fill(clock, at, scope)
+	return scope.Span()
 }
 
 // TestSpanExportGolden pins the two trace export formats — the indented
@@ -51,7 +80,7 @@ func syntheticTrace() *Span {
 // files. Run with -update to rewrite them after an intentional format
 // change.
 func TestSpanExportGolden(t *testing.T) {
-	root := syntheticTrace()
+	root := syntheticTrace(t)
 	exports := []struct {
 		golden string
 		write  func(*bytes.Buffer) error
@@ -89,7 +118,7 @@ func TestSpanExportGolden(t *testing.T) {
 // aggregation helpers, so the golden files cover trees the helpers
 // consider well-formed.
 func TestSyntheticTraceStats(t *testing.T) {
-	root := syntheticTrace()
+	root := syntheticTrace(t)
 	stats := StageStats(root)
 	if stats[0].Name != SpanAssessChange || stats[0].Total != 100*time.Millisecond {
 		t.Fatalf("root stat = %+v", stats[0])

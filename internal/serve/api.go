@@ -120,7 +120,8 @@ type ControlsSpec struct {
 	// same-traffic. Empty means the pipeline default
 	// [same-kind, same-region].
 	Predicates []string `json:"predicates,omitempty"`
-	// MaxControls caps the control group (0 = default 100).
+	// MaxControls caps the control group (0 = default 100; at most
+	// 1,000).
 	MaxControls int `json:"maxControls,omitempty"`
 }
 
@@ -150,6 +151,11 @@ const (
 	maxMSCsPerRegion        = 8
 	maxStudyElements        = 256
 	maxIterations           = 10_000
+	// maxControls covers the paper's control groups of tens to hundreds
+	// of elements. A control panel's build scans its IDs, so it is
+	// quadratic in its columns: about 2 ms at 1,000 and about 40 ms at
+	// 5,000 (timeseries BenchmarkPanelAdd).
+	maxControls = 1000
 )
 
 // predicateFactories maps the named control predicates of the API to
@@ -358,6 +364,9 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 	}
 	if ctl.MaxControls < 0 {
 		return nil, fmt.Errorf("controls.maxControls %d negative", ctl.MaxControls)
+	}
+	if ctl.MaxControls > maxControls {
+		return nil, fmt.Errorf("controls.maxControls %d above max %d", ctl.MaxControls, maxControls)
 	}
 	c.maxCtrls = ctl.MaxControls
 	c.norm.Controls = &ControlsSpec{Predicates: predNames, MaxControls: ctl.MaxControls}

@@ -30,6 +30,7 @@ package serve
 // alone.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -293,8 +294,10 @@ type batchOutcome struct {
 // batch job runs AssessBatch; each computed entry becomes a done record
 // under its digest — the id a single submission of the change gets —
 // and the entries resolved at submit time are spliced back into its
-// result document.
-func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (rr runResult, err error) {
+// result document. Every document is written into the worker's buffer
+// sc.doc and copied out once, at its exact size: the assessments by
+// AppendAssessment, the batch document by the worker's encoder.
+func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job, sc *scratch) (rr runResult, err error) {
 	bs := j.batch
 	outcomes := map[string]batchOutcome{}
 	if len(bs.pending) > 0 {
@@ -360,7 +363,10 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (rr runR
 			if err != nil {
 				return rr, err
 			}
-			rr.result, err = litmus.MarshalAssessment(res)
+			if sc.doc, err = litmus.AppendAssessment(sc.doc[:0], res); err != nil {
+				return rr, err
+			}
+			rr.result = bytes.Clone(sc.doc)
 			rr.degraded = res.Degraded
 			for _, f := range res.Failures {
 				rr.failures = append(rr.failures, litmus.AssessmentFailureDoc{
@@ -368,7 +374,7 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (rr runR
 					Reason: string(f.Reason), Detail: f.Detail,
 				})
 			}
-			return rr, err
+			return rr, nil
 		}
 		if len(entries) > 0 {
 			res, err := p.AssessBatch(ctx, entries, base.kpis, base.window)
@@ -381,12 +387,11 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (rr runR
 					outcomes[d] = batchOutcome{errText: res.Errors[i].Error()}
 					continue
 				}
-				b, err := litmus.MarshalAssessment(res.Results[i])
-				if err != nil {
+				if sc.doc, err = litmus.AppendAssessment(sc.doc[:0], res.Results[i]); err != nil {
 					marshal.End()
 					return rr, err
 				}
-				outcomes[d] = batchOutcome{result: b, degraded: res.Results[i].Degraded}
+				outcomes[d] = batchOutcome{result: bytes.Clone(sc.doc), degraded: res.Results[i].Degraded}
 			}
 			marshal.End()
 		}
@@ -430,6 +435,6 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job) (rr runR
 		}
 		doc.Entries = append(doc.Entries, ent)
 	}
-	rr.result, err = json.Marshal(&doc)
+	rr.result, err = sc.encode(&doc)
 	return rr, err
 }

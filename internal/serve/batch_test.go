@@ -547,7 +547,7 @@ func TestEntryReplacesFailedJob(t *testing.T) {
 		if j.bare {
 			return nil, false, nil, errors.New("bare job broken")
 		}
-		ar, err := s.execute(ctx, nil, j)
+		ar, err := s.execute(ctx, nil, j, new(scratch))
 		return ar.result, ar.degraded, ar.failures, err
 	}
 	s.start()

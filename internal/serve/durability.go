@@ -105,7 +105,7 @@ func (s *Server) replayJournal() {
 		if st.Submit == nil {
 			continue
 		}
-		if s.replayEnqueue(st.Submit.Payload, st.Submit.Kind == journal.KindBatchSubmit, now) {
+		if s.replayEnqueue(st.Digest, st.Submit.Payload, st.Submit.Kind == journal.KindBatchSubmit, now) {
 			requeued++
 		}
 	}
@@ -120,31 +120,13 @@ func (s *Server) replayJournal() {
 // — a single request's canonical JSON or a batch request document — and
 // puts it back on the queue, waiting for queue space; it gives up only
 // when the server starts draining or when live state (a racing
-// submission, a replayed result) has already claimed the digest.
-func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
-	var id string
-	var sub *submission
-	if batch {
-		var req BatchAssessRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return false
-		}
-		c, err := compileBatch(&req)
-		if err != nil {
-			return false
-		}
-		sub, id = c, c.hash()
-	} else {
-		var req AssessRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return false
-		}
-		c, err := compile(&req)
-		if err != nil {
-			return false
-		}
-		id = c.hash()
-		sub = bareSubmission(c, id)
+// submission, a replayed result) has already claimed the digest. A
+// record that no longer compiles becomes a failed job (replayFail).
+func (s *Server) replayEnqueue(digest string, payload []byte, batch bool, now time.Time) bool {
+	id, sub, err := replaySubmission(payload, batch)
+	if err != nil {
+		s.replayFail(digest, !batch, err, now)
+		return false
 	}
 
 	for {
@@ -172,6 +154,58 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 		s.mu.Unlock()
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// replaySubmission recompiles one journaled submit payload into its
+// submission and job id.
+func replaySubmission(payload []byte, batch bool) (string, *submission, error) {
+	if batch {
+		var req BatchAssessRequest
+		if err := json.Unmarshal(payload, &req); err != nil {
+			return "", nil, err
+		}
+		c, err := compileBatch(&req)
+		if err != nil {
+			return "", nil, err
+		}
+		return c.hash(), c, nil
+	}
+	var req AssessRequest
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return "", nil, err
+	}
+	c, err := compile(&req)
+	if err != nil {
+		return "", nil, err
+	}
+	id := c.hash()
+	return id, bareSubmission(c, id), nil
+}
+
+// replayFail records a journaled submission that this build rejects —
+// one above a cap an earlier build did not have, such as
+// controls.maxControls — as a failed job under its digest, with the
+// compile error, so the client that was answered 202 reads a failure
+// rather than a 404. The failure is journaled like a run's, so the next
+// boot neither re-runs nor restores the submission. Live state under
+// the digest wins.
+func (s *Server) replayFail(digest string, bare bool, err error, now time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.jobs[digest]; ok {
+		return
+	}
+	j := newJob(digest, bare, now)
+	j.traceID = newTraceID()
+	j.state = stateFailed
+	j.err = "journal replay: " + err.Error()
+	j.finished = now
+	if s.cfg.Logger != nil {
+		s.cfg.Logger.Warn("journal replay rejected a submission", "job", digest, "error", err)
+	}
+	s.journalAppendLocked(journal.Record{Kind: journal.KindComplete, Digest: digest, Failed: true, Payload: []byte(j.err)})
+	s.jobs[digest] = j
+	s.keepLocked(j)
 }
 
 // replayJobLocked builds the job record for one re-enqueued submission;

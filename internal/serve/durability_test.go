@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,6 +204,53 @@ func TestJournalReplayReenqueuesCanceled(t *testing.T) {
 	}
 	if callsB.Load() != 1 {
 		t.Fatalf("second boot executed %d jobs, want exactly the re-enqueued one", callsB.Load())
+	}
+}
+
+// TestReplayFailsRejectedSubmission: a journaled submission that this
+// build rejects (controls.maxControls above its cap, which an earlier
+// build accepted) comes back as a failed job with the compile error,
+// not a 404, and the next boot finds it failed in the journal rather
+// than pending.
+func TestReplayFailsRejectedSubmission(t *testing.T) {
+	dir := t.TempDir()
+	req := requestWithSeed(t, 3101)
+	req.Controls = &ControlsSpec{MaxControls: 5000}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "j0f1e2d3c4b5a69788796a5b4c3d2e1f00f1e2d3c4b5a69788796a5b4c3d2e1f0"
+	jr := openJournal(t, dir)
+	if err := jr.Append(journal.Record{Kind: journal.KindSubmit, Digest: id, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var calls atomic.Int64
+	s, ts, jr := journalServer(t, dir, Config{Workers: 1}, &calls, false)
+	<-s.ReplayDone()
+	st := waitDone(t, ts, id)
+	if st.Status != stateFailed || !strings.Contains(st.Error, "controls.maxControls 5000 above max 1000") {
+		t.Errorf("replayed job: status %q, error %q; want failed with the compile error", st.Status, st.Error)
+	}
+	if calls.Load() != 0 {
+		t.Errorf("a rejected submission ran %d times", calls.Load())
+	}
+	stopServer(t, s, ts, jr)
+
+	jr = openJournal(t, dir)
+	defer jr.Close()
+	finals, err := jr.Finals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range finals {
+		if f.Digest == id && (f.Submit != nil || f.Done != nil) {
+			t.Errorf("journal still holds the rejected submission as pending or done: %+v", f)
+		}
 	}
 }
 

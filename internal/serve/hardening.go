@@ -33,21 +33,22 @@ func (e *panicError) Error() string {
 
 // runResult is a job run's outcome: the canonical result bytes, the
 // degraded flag, the isolated degradations of a partial assessment,
-// and the run's trace root — the job record retains the failures and a
+// and the run's root scope — the job record retains the failures and a
 // frozen copy of the span tree so GET /v1/jobs/{id}/trace can replay
 // the execution after the fact.
 type runResult struct {
 	result   []byte
 	degraded bool
 	failures []litmus.AssessmentFailureDoc
-	span     *obs.Span
+	trace    *obs.Scope
 }
 
-// executeJob runs j's assessment under ctx. A panic anywhere in the
-// run — scenario build, assessment, serialization — is recovered into a
-// *panicError so the worker survives; the run's span (partial on panic)
-// survives in the returned result either way.
-func (s *Server) executeJob(ctx context.Context, j *job) (rr runResult, err error) {
+// executeJob runs j's assessment under ctx, recording into the
+// worker's scratch sc. A panic anywhere in the run — scenario build,
+// assessment, serialization — is recovered into a *panicError so the
+// worker survives; the run's trace (partial on panic) survives in the
+// returned result either way.
+func (s *Server) executeJob(ctx context.Context, j *job, sc *scratch) (rr runResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.reg.Counter(obs.MetricJobPanics).Add(1)
@@ -56,23 +57,23 @@ func (s *Server) executeJob(ctx context.Context, j *job) (rr runResult, err erro
 		}
 	}()
 
-	// Each run gets its own trace root recording stage latencies and
-	// engine counters into the shared registry. A frozen copy of the
-	// span tree is kept on the job (for the trace endpoint) until the
-	// record is forgotten. Test hooks execute under the same root, so
-	// hook runs trace too.
-	scope := obs.New(obs.SpanServeJob, s.reg)
+	// Each run records a trace of its own, on the worker's recorder,
+	// with stage latencies and engine counters going into the shared
+	// registry. A frozen copy of the span tree is kept on the job (for
+	// the trace endpoint) until the record is forgotten. Test hooks
+	// execute under the same root, so hook runs trace too.
+	scope := sc.rec.Start(obs.SpanServeJob, s.reg)
 	defer scope.End()
 	scope.SetAttr("job", j.id)
 	scope.SetAttr("traceId", j.traceID)
-	rr.span = scope.Span()
+	rr.trace = scope
 
 	if s.testExecute != nil {
 		rr.result, rr.degraded, rr.failures, err = s.testExecute(ctx, j)
 		return rr, err
 	}
 
-	res, err := s.execute(ctx, scope, j)
-	res.span = rr.span
+	res, err := s.execute(ctx, scope, j, sc)
+	res.trace = rr.trace
 	return res, err
 }

@@ -146,7 +146,7 @@ func TestDegradedJobSurfaced(t *testing.T) {
 	// which splices the resolved entry into the batch document.
 	s.testExecute = func(ctx context.Context, j *job) ([]byte, bool, []litmus.AssessmentFailureDoc, error) {
 		if !j.bare {
-			ar, err := s.execute(ctx, nil, j)
+			ar, err := s.execute(ctx, nil, j, new(scratch))
 			return ar.result, ar.degraded, ar.failures, err
 		}
 		return []byte(`{"degraded": true}`), true, nil, nil

@@ -55,7 +55,7 @@ type job struct {
 	// when the job reaches its terminal state, and failures the isolated
 	// degradations of that run — the substance of GET
 	// /v1/jobs/{id}/trace.
-	span     *obs.FrozenSpan
+	span     *obs.Span
 	failures []litmus.AssessmentFailureDoc
 
 	// finishedElem is this job's node in the server's recency list of

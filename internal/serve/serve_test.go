@@ -195,12 +195,13 @@ func TestSubmitUnknownFieldRejected(t *testing.T) {
 func TestSubmitInvalidRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, mutate := range map[string]func(*AssessRequest){
-		"bad KPI":         func(r *AssessRequest) { r.KPIs = []string{"no-such-kpi"} },
-		"bad index start": func(r *AssessRequest) { r.Index.Start = "yesterday" },
-		"short window":    func(r *AssessRequest) { r.WindowDays = 1 },
-		"no change id":    func(r *AssessRequest) { r.Change.ID = "" },
-		"bad predicate":   func(r *AssessRequest) { r.Controls.Predicates = []string{"same-horoscope"} },
-		"huge topology":   func(r *AssessRequest) { r.Topology.CellsPerTower = 10_000 },
+		"bad KPI":            func(r *AssessRequest) { r.KPIs = []string{"no-such-kpi"} },
+		"bad index start":    func(r *AssessRequest) { r.Index.Start = "yesterday" },
+		"short window":       func(r *AssessRequest) { r.WindowDays = 1 },
+		"no change id":       func(r *AssessRequest) { r.Change.ID = "" },
+		"bad predicate":      func(r *AssessRequest) { r.Controls.Predicates = []string{"same-horoscope"} },
+		"huge topology":      func(r *AssessRequest) { r.Topology.CellsPerTower = 10_000 },
+		"huge control group": func(r *AssessRequest) { r.Controls.MaxControls = maxControls + 1 },
 		"repeated element": func(r *AssessRequest) {
 			r.Change.Elements = append([]string{r.Change.Elements[0]}, r.Change.Elements...)
 		},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -227,8 +228,7 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
-		s.reg.Counter(obs.Labeled(obs.MetricHTTPRequests,
-			"path", pattern, "code", strconv.Itoa(sw.code))).Add(1)
+		s.reg.LabeledCounter(obs.MetricHTTPRequests, "path", pattern, "code", codeLabel(sw.code)).Add(1)
 		if s.cfg.Logger != nil {
 			attrs := []any{
 				"method", r.Method,
@@ -248,12 +248,57 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	})
 }
 
+// codeLabels holds the decimal text of the status codes 100–599, so a
+// request's code label costs no allocation.
+var codeLabels = func() (t [500]string) {
+	for i := range t {
+		t[i] = strconv.Itoa(100 + i)
+	}
+	return t
+}()
+
+func codeLabel(code int) string {
+	if code >= 100 && code < 600 {
+		return codeLabels[code-100]
+	}
+	return strconv.Itoa(code)
+}
+
+// responseEncoder is an indenting JSON encoder and the buffer it writes
+// into, reused from response to response.
+type responseEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// Handlers run on the HTTP server's goroutines, so response encoders
+// come from a pool: a warm response grows no buffer. Status documents
+// are a few hundred bytes; an encoder whose buffer outgrew
+// maxEncoderBytes (a 1,000-entry batch's submit answer) is dropped
+// rather than pooled.
+const maxEncoderBytes = 64 << 10
+
+var encoders = sync.Pool{New: func() any {
+	e := new(responseEncoder)
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
+// writeJSON answers with v as an indented JSON document and a trailing
+// newline: the bytes of json.NewEncoder with SetIndent("", "  ").
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	e := encoders.Get().(*responseEncoder)
+	e.buf.Reset()
+	err := e.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err == nil {
+		_, _ = w.Write(e.buf.Bytes())
+	}
+	if e.buf.Cap() <= maxEncoderBytes {
+		encoders.Put(e)
+	}
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -569,17 +614,58 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
+// maxDocBytes bounds the document buffer a worker keeps between jobs.
+// With its recorder's chunks (at most 512 KiB, see obs.Recorder), a
+// worker keeps at most 1 MiB of scratch between jobs, so one job at
+// the API caps does not pin its memory.
+const maxDocBytes = 512 << 10
+
+// scratch is the memory one worker reuses job after job: the trace
+// recorder its jobs record into, the buffer their documents are written
+// into, and the encoder that writes a batch document into it. Nothing
+// that outlives a job points into it: the job record keeps exact-size
+// copies of its documents and a frozen copy of its trace (which copies
+// names and attrs), and every engine fan-out returns before the job's
+// execute does.
+type scratch struct {
+	rec obs.Recorder
+	doc []byte
+	enc *json.Encoder // compact, writing into doc through scratch.Write
+}
+
+// Write appends p to the document buffer; the encoder writes through
+// it.
+func (sc *scratch) Write(p []byte) (int, error) {
+	sc.doc = append(sc.doc, p...)
+	return len(p), nil
+}
+
+// encode returns v as compact JSON, as json.Marshal writes it, encoded
+// into the document buffer and copied out at its exact size.
+func (sc *scratch) encode(v any) ([]byte, error) {
+	if sc.enc == nil {
+		sc.enc = json.NewEncoder(sc)
+	}
+	sc.doc = sc.doc[:0]
+	if err := sc.enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(sc.doc[:len(sc.doc)-1]), nil // without Encode's newline
+}
+
 // worker consumes the queue until it is closed and drained.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	sc := new(scratch)
 	for j := range s.queue {
-		s.runJob(j)
+		s.runJob(j, sc)
 	}
 }
 
 // runJob executes one assessment under the per-job deadline and the
-// server's base context (canceled on hard shutdown).
-func (s *Server) runJob(j *job) {
+// server's base context (canceled on hard shutdown), recording into
+// the worker's scratch sc.
+func (s *Server) runJob(j *job, sc *scratch) {
 	s.reg.Gauge(obs.MetricQueueDepth).Set(float64(len(s.queue)))
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
 	defer cancel()
@@ -599,9 +685,13 @@ func (s *Server) runJob(j *job) {
 	// The job runs once: it is deterministic, so a failure would repeat
 	// (see hardening.go). Its span tree is retained on the job for the
 	// trace endpoint, frozen as soon as the run returns: the job keeps
-	// the compact copy, not the live tree.
-	rr, err := s.executeJob(ctx, j)
-	span := rr.span.Freeze()
+	// an exact-size copy, and the worker's recorder is free for the next
+	// job.
+	rr, err := s.executeJob(ctx, j, sc)
+	span := rr.trace.Span()
+	if cap(sc.doc) > maxDocBytes {
+		sc.doc = nil
+	}
 
 	statusLabel := stateDone
 	switch {
@@ -619,7 +709,7 @@ func (s *Server) runJob(j *job) {
 	// counters, the histograms and the log.
 	finished := time.Now()
 	queueWait, run := started.Sub(submitted), finished.Sub(started)
-	s.reg.Counter(obs.Labeled(obs.MetricJobs, "status", statusLabel)).Add(1)
+	s.reg.LabeledCounter(obs.MetricJobs, "status", statusLabel).Add(1)
 	s.reg.Histogram(obs.MetricJobSeconds, obs.StageBuckets).Observe(finished.Sub(submitted).Seconds())
 	s.reg.Histogram(obs.MetricJobQueueSeconds, obs.StageBuckets).Observe(queueWait.Seconds())
 	s.reg.Histogram(obs.MetricJobRunSeconds, obs.StageBuckets).Observe(run.Seconds())

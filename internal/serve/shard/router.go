@@ -177,7 +177,7 @@ func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 		rt.clients[ep] = c
 		rt.health[ep] = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(to breakerState) {
 			rt.transitions.Add(1)
-			rt.reg.Counter(obs.Labeled(obs.MetricRouterBreakerTransitions, "endpoint", ep, "to", to.String())).Add(1)
+			rt.reg.LabeledCounter(obs.MetricRouterBreakerTransitions, "endpoint", ep, "to", to.String()).Add(1)
 		})
 	}
 	return rt, nil

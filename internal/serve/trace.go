@@ -167,7 +167,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var tr JobTrace
-	var span *obs.FrozenSpan
+	var span *obs.Span
 	if ok {
 		tr = JobTrace{
 			ID:          j.id,

@@ -18,7 +18,9 @@ import (
 // about as fast at 100, though about 30 times slower at 5,000
 // (BenchmarkPanelAdd). Engine panels are capped by MaxControls (default
 // 100), where the engine's own cost dwarfs the scan, and its hot paths
-// read columns by position (Column).
+// read columns by position (Column). The assessment service caps
+// MaxControls at 1,000, where a build reads about 2 ms; the library
+// leaves it to the caller.
 type Panel struct {
 	ix   Index
 	ids  []string

@@ -486,10 +486,12 @@ func TestPanelBytes(t *testing.T) {
 // the IDs for a repeat, so the build is quadratic in n. On a 2-vCPU VM
 // it read 0.5–0.7 µs, 17–22 µs and 26–40 ms at 9, 100 and 5,000
 // columns; the map-backed panel read 1.5–1.9 µs, 19 µs and 0.7–0.9 ms.
+// At 1,000 columns, the service's cap on controls.maxControls, it read
+// 2.2 ms.
 func BenchmarkPanelAdd(b *testing.B) {
 	ix := NewIndex(epoch, 6*time.Hour, 112)
 	s := NewZeroSeries(ix)
-	for _, n := range []int{9, 100, 5000} {
+	for _, n := range []int{9, 100, 1000, 5000} {
 		ids := make([]string, n)
 		for i := range ids {
 			ids[i] = fmt.Sprintf("nb%d-ne-%d", i/12, i)
