@@ -43,26 +43,35 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Repeated race run over the engine's process-wide working-set pools and
-# sample cache (internal/core/scratch.go), which every concurrent
-# assessment shares: the pool tests (poisoned fit arenas and unit working
-# sets, the group, element and batch paths, concurrent panel shapes, the
-# sample cache's keys and byte bound), the bit-equivalence tests of the
-# buffer forms the pooled working sets feed (Fligner–Policello,
-# DesignMatrixInto) and the worker-count equivalence suites of the
-# engine and the batch path, ten times each; then the process-wide free
-# list of generators (internal/seedmix): a recycled generator against a
-# fresh source, and concurrent network builds and series draws against
+# Repeated race run over the process-wide free lists (internal/freelist)
+# and the engine's sample cache (internal/core/scratch.go), which every
+# concurrent assessment shares, ten times each: the list type itself
+# (LIFO reuse, the byte budget, oversized items dropped, best-fit takes,
+# concurrent takes and puts); the engine's lists (poisoned fit arenas,
+# unit working sets and group records — elements that are stale twins,
+# stale designs — through the group, element and batch paths,
+# concurrent panel shapes, the sample cache's keys and byte bound), the
+# bit-equivalence tests of the buffer forms the listed working sets feed
+# (Fligner–Policello, DesignMatrixInto) and the worker-count equivalence
+# suites of the engine and the batch path; the selection list
+# (internal/control: poisoned excluded sets, walks and candidates,
+# sequential and concurrent); the pipeline's panel list (root package:
+# listed panels hold no IDs or series, and poisoned panels leave the
+# golden change and the batch equivalence byte-identical); the list of
+# generators (internal/seedmix): a recycled generator against a fresh
+# source, and concurrent network builds and series draws against
 # sequential ones; netsim's process-wide layout slot: builds of two
 # shapes, each twice in a row, on several goroutines, each missing,
 # adding IDs to or replaying the slot's layout, against sequential ones;
-# and the serve tier's free list of study-series buffers
-# (internal/serve/world.go): its bound, then, with every released buffer
-# NaN-filled, the golden request on a batch's buffer, a batch against
-# single submissions and concurrent jobs against worlds built from
-# scratch.
+# the serve tier's lists: study-series buffers (internal/serve/world.go:
+# its bound, then, with every released buffer NaN-filled, the golden
+# request on a batch's buffer, a batch against single submissions and
+# concurrent jobs against worlds built from scratch) and the canonical
+# digest's scratch (poisoned, every id against json.Marshal's bytes);
+# and the client's answer buffers (poisoned with a stale answer, the
+# golden request from several goroutines).
 race-pools:
-	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/core ./internal/stats ./internal/timeseries . ./internal/seedmix ./internal/gen ./internal/netsim ./internal/serve
+	$(GO) test -race -count=10 -run 'TestPool[A-Z]|Equivalence' ./internal/freelist ./internal/core ./internal/control ./internal/stats ./internal/timeseries . ./internal/seedmix ./internal/gen ./internal/netsim ./internal/serve ./internal/serve/client
 
 # Focused race run over the observability layer: the concurrent
 # metrics-registry and scope tests plus the instrumented pipeline (its
@@ -78,18 +87,20 @@ race-obs:
 
 # Every allocation-bound test, twenty runs each: the span (a warm
 # Child+End, a warm labeled-counter lookup, the golden job's trace on a
-# warm recorder), a status document on a reused encoder, the selection,
-# per-iteration, per-element and per-element byte budgets of the engine,
-# the network build (replaying its shape's layout, and the miss and
-# second build, which must cost no more than a build did before layouts
-# were shared), generator (new and derived) and series synthesis budgets
-# of the world path, a panel sized once, a warm world's provider serving
-# a change's study series from a listed buffer, and the batch path's
-# amortization against cold singles (allocations and CPU time). The
-# bounds are calibrated on one toolchain and a marginal one flakes
-# rarely, so twenty runs show it before it fails on main.
+# warm recorder), a status document on a reused encoder, a warm
+# submission's digest (the job id only) and a client's warm status
+# decode, the selection, per-iteration, per-element and per-element byte
+# budgets of the engine, the network build (replaying its shape's
+# layout, and the miss and second build, which must cost no more than a
+# build did before layouts were shared), generator (new and derived) and
+# series synthesis budgets of the world path, a panel sized once, a warm
+# world's provider serving a change's study series from a listed buffer,
+# and the batch path's amortization against cold singles (allocations
+# and CPU time). The bounds are calibrated on one toolchain and a
+# marginal one flakes rarely, so twenty runs show it before it fails on
+# main.
 alloc-bounds:
-	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestLabeledCounterAllocs|TestTraceBytes|TestWriteJSONBytes|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestColdBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestPanelBytes|TestProviderBytes|TestBatchAmortization)$$' \
+	$(GO) test -count=20 -run '^(TestScopeChildEndAllocs|TestLabeledCounterAllocs|TestTraceBytes|TestWriteJSONBytes|TestSubmitDigestAllocs|TestStatusDecodeAllocs|TestSelectorBytesPerSelect|TestPoolMarginalBytesPerIteration|TestGroupBytesPerElement|TestAssessElementAllocs|TestElementSize|TestBuildBytesPerElement|TestColdBuildBytesPerElement|TestNewGeneratorBytes|TestSeriesForBytes|TestPanelBytes|TestProviderBytes|TestBatchAmortization)$$' \
 		./internal/obs ./internal/control ./internal/core ./internal/netsim ./internal/gen ./internal/timeseries ./internal/serve ./internal/serve/client
 
 # Chaos suite under the race detector: every fault injector through the

@@ -188,6 +188,18 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 		Errors:  make([]error, len(entries)),
 	}
 	states := make([]*batchEntryState, len(entries))
+	// Every assembly of the call, each once: the panel cache shares them
+	// by pointer. No result keeps a panel, so they go back on the panel
+	// list once the factor groups are assessed.
+	var assembled []*panelEntry
+	defer func() {
+		for _, pe := range assembled {
+			if pe.err == nil {
+				releasePanel(pe.studies)
+				releasePanel(pe.controls)
+			}
+		}
+	}()
 
 	// Phase 1 — sequential per-entry setup: validation, control
 	// selection, panel assembly. Sequential because SeriesProvider
@@ -257,9 +269,11 @@ func (p *Pipeline) assess(ctx context.Context, sc *obs.Scope, batch bool, entrie
 				} else {
 					pe = assemblePanels(&pp, change, se.controls, metric, windowDays)
 					panelCache[key] = pe
+					assembled = append(assembled, pe)
 				}
 			} else {
 				pe = assemblePanels(&pp, change, se.controls, metric, windowDays)
+				assembled = append(assembled, pe)
 			}
 			st.failures = append(st.failures, pe.fails...)
 			if pe.err != nil {

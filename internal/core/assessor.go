@@ -249,15 +249,17 @@ func (a *Assessor) AssessElement(elementID string, study timeseries.Series, cont
 func (a *Assessor) AssessElementContext(ctx context.Context, elementID string, study timeseries.Series, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (ElementResult, error) {
 	studies := timeseries.NewPanel(study.Index)
 	studies.Add(elementID, study)
-	elems, results, _, err := a.assessGroup(ctx, controls, changeAt, []GroupMember{{Studies: studies, KPI: metric}})
+	g, results, _, err := a.assessGroup(ctx, controls, changeAt, []GroupMember{{Studies: studies, KPI: metric}})
 	if err != nil {
 		return ElementResult{}, err
 	}
-	return results[0], elems[0].err
+	err = g.elems[0].err
+	g.release()
+	return results[0], err
 }
 
 // iterFit is one sampling iteration's output: the before/after forecasts
-// (backed by a pooled fitArena; see scratch.go) and the fit quality.
+// (backed by a listed fitArena; see scratch.go) and the fit quality.
 type iterFit struct {
 	fb, fa []float64
 	r2     float64

@@ -39,7 +39,7 @@ package core
 // Each group makes two flat, index-addressed fan-outs at Config.Workers:
 // one over its iterations, then one over its elements for aggregation
 // and the rank test (finishElement). No fan-out runs inside another.
-// Each worker keeps one unit working set from unitPool through both
+// Each worker keeps one unit working set from unitList through both
 // (scratch.go), and the group's two control designs are built once into
 // worker 0's.
 
@@ -148,16 +148,20 @@ func (a *Assessor) AssessFactorGroup(ctx context.Context, controls *timeseries.P
 	}
 	groups := make([]GroupResult, len(members))
 	errs := make([]error, len(members))
-	elems, results, factorized, err := a.assessGroup(ctx, controls, changeAt, members)
-	for m, mem := range members {
-		if err != nil {
+	g, results, factorized, err := a.assessGroup(ctx, controls, changeAt, members)
+	if err != nil {
+		for m := range members {
 			errs[m] = err
-			continue
 		}
+		return groups, errs, factorized
+	}
+	elems := g.elems
+	for m, mem := range members {
 		n := mem.Studies.Len()
 		groups[m], errs[m] = a.memberResult(mem.KPI, elems[:n], results[:n:n])
 		elems, results = elems[n:], results[n:]
 	}
+	g.release()
 	return groups, errs, factorized
 }
 
@@ -201,11 +205,12 @@ func (a *Assessor) memberResult(metric kpi.KPI, elems []groupElement, results []
 
 // assessGroup is the kernel. It validates every member element, fits
 // the valid ones iteration by iteration, then finishes each one. It
-// returns the elements in member order, each member's in ID order, and
-// positionally their results (valid where the element's err is nil),
-// plus the shared design's factorizations; err is ctx's, when it was
-// canceled.
-func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, changeAt time.Time, members []GroupMember) (elems []groupElement, results []ElementResult, factorized int64, err error) {
+// returns the group's records, whose elements are in member order, each
+// member's in ID order, and positionally their results (valid where the
+// element's err is nil), plus the shared design's factorizations; err is
+// ctx's, when it was canceled, and then there are no records. The
+// caller releases the records once it has read the elements.
+func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, changeAt time.Time, members []GroupMember) (g *groupScratch, results []ElementResult, factorized int64, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, err
 	}
@@ -220,12 +225,11 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 	defer sc.End()
 
 	iters, n := a.cfg.Iterations, controls.Len()
+	g = takeGroup(total, max(a.cfg.Workers, 1))
 	// Each worker holds one unit working set through both fan-outs.
-	units := make(workerUnits, max(a.cfg.Workers, 1))
-	defer units.release()
-	elems = make([]groupElement, total)
+	units := g.units
+	elems := g.elems
 	var shared *design
-	var designs []*design
 	i := 0
 	for _, m := range members {
 		for j := 0; j < m.Studies.Len(); j++ {
@@ -244,11 +248,8 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 			var d *design
 			if rows == nil {
 				if shared == nil {
-					shared = &design{k: a.sampleSize(n, e.yBefore.Len()), fitRows: make([]int, e.yBefore.Len())}
-					for r := range shared.fitRows {
-						shared.fitRows[r] = r
-					}
-					designs = append(designs, shared)
+					shared = g.design()
+					shared.k, shared.fitRows = a.sampleSize(n, e.yBefore.Len()), identityRows(e.yBefore.Len())
 				}
 				d = shared
 				e.shared, e.ybFit = true, e.yBefore.Values
@@ -263,8 +264,8 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 					continue
 				}
 			} else {
-				d = &design{k: a.sampleSize(n, len(rows)), fitRows: rows, partial: true}
-				designs = append(designs, d)
+				d = g.design()
+				d.k, d.fitRows, d.partial = a.sampleSize(n, len(rows)), rows, true
 				e.ybFit = make([]float64, len(rows))
 				for j, r := range rows {
 					e.ybFit[j] = e.yBefore.Values[r]
@@ -275,6 +276,7 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 		}
 	}
 
+	designs := g.designs
 	if len(designs) > 0 {
 		// The group's control designs on the before and after windows,
 		// read by every worker.
@@ -315,11 +317,7 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		for i := range elems {
-			if elems[i].fits != nil {
-				elems[i].fits.release()
-			}
-		}
+		g.release()
 		return nil, nil, 0, err
 	}
 
@@ -343,16 +341,15 @@ func (a *Assessor) assessGroup(ctx context.Context, controls *timeseries.Panel, 
 		esc.End()
 	})
 	// Twins read their source's arena, medians included, so every arena
-	// outlives the fan-out.
-	for i := range elems {
-		if elems[i].fits != nil {
-			elems[i].fits.release()
-		}
-	}
+	// outlives the fan-out; g.release returns them.
 	if shared != nil {
 		factorized = shared.factorized.Load()
 	}
-	return elems, results, factorized, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		g.release()
+		return nil, nil, factorized, err
+	}
+	return g, results, factorized, nil
 }
 
 // fitRows validates one element against the control panel and returns

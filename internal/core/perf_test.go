@@ -169,7 +169,7 @@ func TestAssessElementAllocs(t *testing.T) {
 
 	a50, a200 := measure(50), measure(200)
 	perIter := (a200 - a50) / 150
-	// Amortized-zero with slack for the odd sync.Pool eviction under GC.
+	// Amortized-zero, with slack.
 	if perIter > 0.5 {
 		t.Errorf("marginal allocations per sampling iteration = %.2f (50 iters: %.0f, 200 iters: %.0f), want ~0", perIter, a50, a200)
 	}

@@ -8,29 +8,31 @@ package core
 // allocations per iteration and a dozen per element. Two mechanisms
 // bring what a warm assessment allocates down to what its result keeps:
 //
-//   - process-wide working-set pools, shared by every assessor (the
-//     serve tier builds a new assessor per job, so a pool on the
-//     assessor would never outlive a job). fitPool holds one element's
-//     per-iteration forecast slots, acquired when the group kernel
-//     validates the element (a twin, which reads another element's
-//     fits, takes none) and released when the group's element fan-out
-//     is done; unitPool holds one worker's working set for both of a
-//     group's fan-outs (workerUnits): the iteration fan-out's sampled
-//     designs, factorization, leverages and solve vectors, and the
-//     element fan-out's median column, forecast differences and
-//     rank-test buffers. An arena also holds its element's forecast
+//   - process-wide working-set lists (internal/freelist), shared by
+//     every assessor (the serve tier builds a new assessor per job, so a
+//     list on the assessor would never outlive a job). fitList holds one
+//     element's per-iteration forecast slots, acquired when the group
+//     kernel validates the element (a twin, which reads another
+//     element's fits, takes none); unitList holds one worker's working
+//     set for both of a group's fan-outs (workerUnits): the iteration
+//     fan-out's sampled designs, factorization, leverages and solve
+//     vectors, and the element fan-out's median column, forecast
+//     differences and rank-test buffers; groupList holds one group's
+//     kernel records (its elements, designs and worker slots). All three
+//     go back once the group's caller has read the elements
+//     (groupScratch.release). An arena also holds its element's forecast
 //     medians, which the element's twins read. Worker 0's working set
 //     also holds the group's two control designs, built once per group
-//     straight from the control panel's before and after rows.
-//     Slot state is reset on acquire (fit slots) or before each design
-//     build (the unit's leverages), and every float buffer is fully
-//     overwritten before it is read, so a recycled buffer never leaks
-//     into a result. The pools hold one group's elements' arenas plus
-//     one working set per worker, at the largest panel shape; the
-//     garbage collector drains what goes unused. Taking a working set
-//     per worker rather than per unit keeps the race detector, whose
-//     sync.Pool drops a quarter of its Puts, from rebuilding one every
-//     few iterations.
+//     straight from the control panel's before and after rows, and every
+//     shared design reads one process-wide identity slice as its fit
+//     rows (identityRows). Slot state is reset on acquire (fit slots,
+//     group records) or before each design build (the unit's leverages),
+//     and every float buffer is fully overwritten before it is read, so
+//     a recycled buffer never leaks into a result. Each list is bounded
+//     in bytes by a constant that holds what the benchmark workloads
+//     keep on it; a collection empties none of them (a sync.Pool would
+//     be emptied, and under the race detector drops a quarter of its
+//     Puts).
 //   - a process-wide deterministic sample cache: the control columns
 //     iteration it draws depend only on (Seed, it, n, k) — never on the
 //     element — so the per-iteration column sets are computed once per
@@ -50,20 +52,41 @@ package core
 //
 // Nothing here may perturb the (Seed, iteration) RNG-derivation contract
 // of parallel.go: cached samples are the exact draws the contract
-// specifies, and pooled buffers are fully overwritten before every use.
+// specifies, and listed buffers are fully overwritten before every use.
 
 import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/freelist"
 	"repro/internal/linalg"
 )
 
-// The process-wide working-set pools (see the file comment).
+// The byte budgets of the working-set lists. The measured peaks (seed 1,
+// 8 s runs) are what two serve workers keep:
+//   - fit arenas, about 49 KiB each at the workloads' 50 iterations of
+//     112 points: 293,808 B (two jobs' three elements) on fresh-world,
+//     shared-world and routed-mixed, 146,904 B on changelog-batch, whose
+//     twins take none;
+//   - unit working sets: 108,256 B (two jobs' two workers) on
+//     fresh-world and shared-world, 81,192 B on routed-mixed and
+//     54,128 B on changelog-batch;
+//   - group records: 4,192 B on changelog-batch and 2,048 B on the
+//     others.
+const (
+	fitListBytes   = 1 << 20
+	unitListBytes  = 512 << 10
+	groupListBytes = 32 << 10
+)
+
+// The process-wide working-set lists (see the file comment).
 var (
-	fitPool  = sync.Pool{New: func() any { return &fitArena{} }}
-	unitPool = sync.Pool{New: func() any { return &unitScratch{} }}
+	fitList   = freelist.New(fitListBytes, (*fitArena).bytes)
+	unitList  = freelist.New(unitListBytes, (*unitScratch).bytes)
+	groupList = freelist.New(groupListBytes, (*groupScratch).bytes)
 )
 
 // growFloats returns buf resized to n, reusing its storage when capacity
@@ -93,12 +116,15 @@ type fitArena struct {
 	med  []float64
 }
 
-// acquireFits returns a pooled arena of iters slots with before/after
+// acquireFits returns a listed arena of iters slots with before/after
 // forecasts of lenB/lenA points. Every slot starts not ok with zero R²,
 // whatever the arena held before; forecasts and medians are unspecified
 // until their writer (an iteration, finishElement) fills them in full.
 func acquireFits(iters, lenB, lenA int) *fitArena {
-	f := fitPool.Get().(*fitArena)
+	f, ok := fitList.Take()
+	if !ok {
+		f = new(fitArena)
+	}
 	if cap(f.fits) < iters {
 		f.fits = make([]iterFit, iters)
 	}
@@ -113,9 +139,14 @@ func acquireFits(iters, lenB, lenA int) *fitArena {
 	return f
 }
 
-// release returns the arena to the pool. Nothing may read its slots or
+// release returns the arena to the list. Nothing may read its slots or
 // medians afterwards: a result keeps none of them.
-func (f *fitArena) release() { fitPool.Put(f) }
+func (f *fitArena) release() { fitList.Put(f) }
+
+// bytes is what the arena weighs on the list.
+func (f *fitArena) bytes() int {
+	return int(unsafe.Sizeof(*f)) + 8*(cap(f.buf)+cap(f.med)) + int(unsafe.Sizeof(iterFit{}))*cap(f.fits)
+}
 
 // unitScratch is one worker's working set. For the iteration fan-out it
 // holds the sampled before/after designs of one iteration, the design
@@ -146,25 +177,141 @@ type unitScratch struct {
 	col, diff, cleanB, cleanA, rank []float64
 }
 
+// bytes is what the working set weighs on the list.
+func (s *unitScratch) bytes() int {
+	floats := s.xb.Cap() + s.xa.Cap() + s.xfit.Cap() + s.ctlB.Cap() + s.ctlA.Cap() + s.qr.Cap() +
+		cap(s.lev) + cap(s.beta) + cap(s.work) + cap(s.col) + cap(s.diff) + cap(s.cleanB) + cap(s.cleanA) + cap(s.rank)
+	return int(unsafe.Sizeof(*s)) + 8*floats + 24*cap(s.rows)
+}
+
 // workerUnits holds the working set of each worker of a group's
-// fan-outs: taken from unitPool at the worker's first use and kept
+// fan-outs: taken from unitList at the worker's first use and kept
 // through both fan-outs until release.
 type workerUnits []*unitScratch
 
-// get returns worker w's working set, taking one from the pool on first
+// get returns worker w's working set, taking one from the list on first
 // use.
 func (u workerUnits) get(w int) *unitScratch {
 	if u[w] == nil {
-		u[w] = unitPool.Get().(*unitScratch)
+		s, ok := unitList.Take()
+		if !ok {
+			s = new(unitScratch)
+		}
+		u[w] = s
 	}
 	return u[w]
 }
 
-// release returns every working set taken to the pool.
+// release returns every working set taken to the list.
 func (u workerUnits) release() {
-	for _, s := range u {
+	for i, s := range u {
 		if s != nil {
-			unitPool.Put(s)
+			unitList.Put(s)
+			u[i] = nil
+		}
+	}
+}
+
+// groupScratch is one factor group's kernel records: its elements, its
+// designs and its workers' working-set slots. assessGroup takes it from
+// groupList and resets it; the group's caller releases it, with the
+// elements' fit arenas and the workers' working sets, once it has read
+// the elements.
+type groupScratch struct {
+	elems []groupElement
+	// designs are the group's designs; beyond its length, up to its
+	// capacity, lie designs of an earlier group, reused by design.
+	designs []*design
+	units   workerUnits
+}
+
+// takeGroup returns a group scratch of total zeroed elements, no
+// designs and workers empty working-set slots.
+func takeGroup(total, workers int) *groupScratch {
+	g, ok := groupList.Take()
+	if !ok {
+		g = new(groupScratch)
+	}
+	if cap(g.elems) < total {
+		g.elems = make([]groupElement, total)
+	}
+	// Zeroing resets each element's sync.Once and atomics in place.
+	g.elems = g.elems[:total]
+	clear(g.elems)
+	g.designs = g.designs[:0]
+	if cap(g.units) < workers {
+		g.units = make(workerUnits, workers)
+	}
+	g.units = g.units[:workers]
+	clear(g.units)
+	return g
+}
+
+// design returns a new design of the group, reset, reusing an earlier
+// group's when the scratch holds one.
+func (g *groupScratch) design() *design {
+	n := len(g.designs)
+	var d *design
+	if n < cap(g.designs) {
+		d = g.designs[:n+1][n]
+	}
+	if d == nil {
+		d = new(design)
+	} else {
+		*d = design{elems: d.elems[:0]}
+	}
+	g.designs = append(g.designs, d)
+	return d
+}
+
+// release returns the elements' fit arenas and the workers' working
+// sets to their lists, then lists the scratch again. It first drops
+// what would keep memory outside it reachable (each element's series,
+// each design's samples and fit rows), so the list pins no panel or
+// sample draw.
+func (g *groupScratch) release() {
+	for i := range g.elems {
+		if f := g.elems[i].fits; f != nil {
+			f.release()
+		}
+	}
+	g.units.release()
+	clear(g.elems)
+	for _, d := range g.designs {
+		*d = design{elems: d.elems[:0]}
+	}
+	groupList.Put(g)
+}
+
+// bytes is what the scratch weighs on the list.
+func (g *groupScratch) bytes() int {
+	n := int(unsafe.Sizeof(*g)) + int(unsafe.Sizeof(groupElement{}))*cap(g.elems) + 8*(cap(g.designs)+cap(g.units))
+	for _, d := range g.designs[:cap(g.designs)] {
+		if d != nil {
+			n += int(unsafe.Sizeof(*d)) + 8*cap(d.elems)
+		}
+	}
+	return n
+}
+
+// identity is the process-wide identity slice, 0, 1, 2, …: every shared
+// design's fit rows are a prefix of it. It is never written once
+// published; a longer one replaces it when a design needs more rows.
+var identity atomic.Pointer[[]int]
+
+// identityRows returns the fit rows 0…n−1, read-only, capped at n.
+func identityRows(n int) []int {
+	for {
+		cur := identity.Load()
+		if cur != nil && len(*cur) >= n {
+			return (*cur)[:n:n]
+		}
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = i
+		}
+		if identity.CompareAndSwap(cur, &rows) {
+			return rows[:n:n]
 		}
 	}
 }

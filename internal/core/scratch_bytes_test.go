@@ -1,13 +1,11 @@
-//go:build !race
-
 package core
 
-// The byte budget of a warm group assessment. Excluded under the race
-// detector, which makes sync.Pool drop a random quarter of its Puts.
+// The byte budget of a warm group assessment. The working-set lists
+// keep what they hold through collections and under the race detector,
+// so the budget holds under -race and with the collector on.
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -28,25 +26,22 @@ func benchGroup() (studies, controls *timeseries.Panel, changeAt time.Time) {
 }
 
 // warmGroupBytes returns the heap a warm AssessGroup of the benchmark's
-// shape allocates per call at iters sampling iterations. It measures on
-// one P, as testing.AllocsPerRun does: sync.Pool caches per P, and a
-// goroutine moved to another P mid-measurement would miss the working
-// set it warmed and count its rebuild.
+// shape allocates per call at iters sampling iterations. It starts from
+// empty working-set lists: what other tests left on them could fill a
+// list's budget, so that it drops this shape's larger arenas.
 func warmGroupBytes(t *testing.T, iters int) float64 {
 	t.Helper()
+	fitList.Drain(func(*fitArena) {})
+	unitList.Drain(func(*unitScratch) {})
+	groupList.Drain(func(*groupScratch) {})
 	studies, controls, changeAt := benchGroup()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a := MustNewAssessor(Config{Workers: 1, Iterations: iters})
 	run := func() {
 		if _, err := a.AssessGroup(studies, controls, changeAt, kpi.VoiceRetainability); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the sample cache and the pools at this shape
-	// A collection during the measured runs empties the pools, and
-	// re-allocating their buffers would be counted: keep the collector
-	// off until the measurement is done.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run() // warm the sample cache and the lists at this shape
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -57,19 +52,18 @@ func warmGroupBytes(t *testing.T, iters int) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// TestPoolMarginalBytesPerIteration pins the pools' purpose in bytes:
+// TestPoolMarginalBytesPerIteration pins the lists' purpose in bytes:
 // the heap a warm AssessGroup allocates per extra sampling iteration is
 // ~0, because unit working sets and forecast arenas are recycled. Without
-// the pools it is ~20 KiB (two sampled designs, QR storage and
+// the lists it is ~20 KiB (two sampled designs, QR storage and
 // leverages per iteration, plus every element's forecasts) — bytes
 // that TestAssessElementAllocs, which counts objects, does not see.
 func TestPoolMarginalBytesPerIteration(t *testing.T) {
 	b50, b200 := warmGroupBytes(t, 50), warmGroupBytes(t, 200)
 	perIter := (b200 - b50) / 150
 	// Nothing a warm group allocates grows with Iterations: finishElement
-	// reads the fit arenas in place and aggregates in the pooled working
-	// set, and the sample cache holds both shapes. The slack absorbs the
-	// pool refill after a collection the runtime starts anyway.
+	// reads the fit arenas in place and aggregates in the listed working
+	// set, and the sample cache holds both shapes.
 	if perIter > 64 {
 		t.Errorf("bytes per extra sampling iteration = %.0f (50 iterations: %.0f B, 200: %.0f B), want ~0", perIter, b50, b200)
 	}
@@ -77,19 +71,20 @@ func TestPoolMarginalBytesPerIteration(t *testing.T) {
 }
 
 // TestGroupBytesPerElement pins what a warm group assessment allocates
-// per element: its share of the result and bookkeeping slices — the
-// element's verdict, its kernel record and the group's vote — and
-// nothing that grows with the panel, since the forecast medians and
-// differences stay in the pooled arenas and working sets. Keeping both
-// forecasts and both differences in the result cost 2.7 KiB per element
-// at 56 + 56 points; building the control designs through SplitAt
-// panels, gathering the forecasts and finishing in fresh buffers cost
-// 17 KiB.
+// per element: its share of the result slices — the element's verdict
+// and the group's vote — and nothing that grows with the panel, since
+// the forecast medians and differences stay in the listed arenas and
+// working sets and the element's kernel record and the group's designs
+// on the group list. It reads 234 B. Allocating each group's elements
+// and designs cost 682 B per element; keeping both forecasts and both
+// differences in the result 2.7 KiB at 56 + 56 points; building the
+// control designs through SplitAt panels, gathering the forecasts and
+// finishing in fresh buffers 17 KiB.
 func TestGroupBytesPerElement(t *testing.T) {
 	studies, _, _ := benchGroup()
 	perElem := warmGroupBytes(t, DefaultIterations) / float64(studies.Len())
-	if perElem > 1024 {
-		t.Errorf("warm AssessGroup allocates %.0f B per element, want <= 1024", perElem)
+	if perElem > 320 {
+		t.Errorf("warm AssessGroup allocates %.0f B per element, want <= 320", perElem)
 	}
 	t.Logf("%.0f B per element", perElem)
 }

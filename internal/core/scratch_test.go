@@ -26,44 +26,102 @@ import (
 // panel the pool tests assess: iterations, rows, columns.
 var poisonShapes = [][3]int{{72, 64, 16}, {8, 6, 2}}
 
-// poisonPools takes up to six entries out of both working-set pools,
-// poisons each in place in one of poisonShapes — NaN in every float
-// buffer, the arenas' medians and the units' forecast differences
-// included, every fit slot marked ok, leverages present — and puts them
-// back. An acquire that skipped its slot reset, a design build that
-// kept a stale leverage vector, or a read of a buffer before it is
-// overwritten then changes a result's bytes. Taking entries out also
-// poisons anything wrongly released while still in use.
+// poisonPools takes up to six entries off each working-set list, or
+// makes them when the list runs short, poisons each in place in one of
+// poisonShapes — NaN in every float buffer, the arenas' medians and the
+// units' forecast differences included, every fit slot marked ok,
+// leverages present, every group element a failed twin of a stale
+// element with a poisoned arena and its medians marked done, every
+// design holding stale elements and samples — and lists them again. An
+// acquire that skipped its slot reset, a design build that kept a stale
+// leverage vector, a group record reused without its reset, or a read
+// of a buffer before it is overwritten then changes a result's bytes.
+// Taking entries off also poisons anything wrongly released while still
+// in use.
 func poisonPools() {
 	const count = 6
 	var arenas []*fitArena
 	var units []*unitScratch
+	var groups []*groupScratch
 	for i := 0; i < count; i++ {
-		arenas = append(arenas, fitPool.Get().(*fitArena))
-		units = append(units, unitPool.Get().(*unitScratch))
+		f, ok := fitList.Take()
+		if !ok {
+			f = new(fitArena)
+		}
+		u, ok := unitList.Take()
+		if !ok {
+			u = new(unitScratch)
+		}
+		g, ok := groupList.Take()
+		if !ok {
+			g = new(groupScratch)
+		}
+		arenas, units, groups = append(arenas, f), append(units, u), append(groups, g)
 	}
 	for i, f := range arenas {
 		sh := poisonShapes[i%len(poisonShapes)]
-		iters, rows := sh[0], sh[1]
-		stride := 2 * rows
-		f.buf = nanFloats(f.buf, iters*stride)
-		f.med = nanFloats(f.med, stride)
-		f.fits = make([]iterFit, iters)
-		for it := range f.fits {
-			buf := f.buf[it*stride : (it+1)*stride]
-			f.fits[it] = iterFit{fb: carve(&buf, rows), fa: carve(&buf, rows), r2: math.NaN(), ok: true}
-		}
+		poisonArena(f, sh[0], sh[1])
 	}
 	for i, s := range units {
 		sh := poisonShapes[i%len(poisonShapes)]
 		poisonUnit(s, sh[1], sh[2])
 	}
-	// Put back only once everything is poisoned: the allocations above
-	// can start collections, and two of them drop what a pool holds.
-	for i := range arenas {
-		fitPool.Put(arenas[i])
-		unitPool.Put(units[i])
+	for i, g := range groups {
+		sh := poisonShapes[i%len(poisonShapes)]
+		poisonGroup(g, sh[0], sh[1])
 	}
+	for i := range arenas {
+		fitList.Put(arenas[i])
+		unitList.Put(units[i])
+		groupList.Put(groups[i])
+	}
+}
+
+// poisonArena poisons one fit arena in place at iters slots of two
+// windows of rows: NaN forecasts and medians, every slot ok with NaN R².
+func poisonArena(f *fitArena, iters, rows int) {
+	stride := 2 * rows
+	f.buf = nanFloats(f.buf, iters*stride)
+	f.med = nanFloats(f.med, stride)
+	f.fits = make([]iterFit, iters)
+	for it := range f.fits {
+		buf := f.buf[it*stride : (it+1)*stride]
+		f.fits[it] = iterFit{fb: carve(&buf, rows), fa: carve(&buf, rows), r2: math.NaN(), ok: true}
+	}
+}
+
+// poisonGroup poisons one group's records in place: n elements, each a
+// shared, failed twin of the first with a poisoned arena of its own,
+// stale series, hash and counters and its medians marked computed, and
+// two designs holding them with stale samples, fit rows and counts.
+func poisonGroup(g *groupScratch, n, rows int) {
+	if cap(g.elems) < n {
+		g.elems = make([]groupElement, n)
+	}
+	g.elems = g.elems[:n]
+	stale := nanFloats(nil, rows)
+	samples := [][]int{{0}, {1}}
+	for i := range g.elems {
+		e := &g.elems[i]
+		e.id, e.change, e.err = "stale", "stale", ErrDegenerateStatistics
+		e.shared, e.ybFit, e.fitHash = true, stale, hashBits(stale)
+		e.twin = &g.elems[0]
+		e.fits = new(fitArena)
+		poisonArena(e.fits, 4, rows)
+		e.levSkipped.Store(99)
+		e.medOnce.Do(func() {})
+	}
+	g.designs = g.designs[:0]
+	for j := 0; j < 2; j++ {
+		d := g.design()
+		d.k, d.fitRows, d.partial, d.samples = 1, []int{0}, j == 1, samples
+		for i := range g.elems {
+			d.elems = append(d.elems, &g.elems[i])
+		}
+		d.factorized.Store(99)
+		d.resampled.Store(99)
+	}
+	g.units = append(g.units[:0], &unitScratch{})
 }
 
 // poisonUnit poisons one unit working set in place at a rows × cols
@@ -331,13 +389,13 @@ func TestPoolTwinElementsMatchAlone(t *testing.T) {
 				for rep := 0; rep < 3; rep++ {
 					poisonPools()
 					ctx, log := recordSeries(context.Background())
-					elems, results, _, err := a.assessGroup(ctx, c.controls, c.changeAt, []GroupMember{{Studies: studies, KPI: kpi.VoiceRetainability}})
+					g, results, _, err := a.assessGroup(ctx, c.controls, c.changeAt, []GroupMember{{Studies: studies, KPI: kpi.VoiceRetainability}})
 					if err != nil {
 						t.Fatal(err)
 					}
 					var got strings.Builder
-					for i := range elems {
-						e := &elems[i]
+					for i := range g.elems {
+						e := &g.elems[i]
 						twin := ""
 						if e.twin != nil {
 							twin = e.twin.id
@@ -347,6 +405,7 @@ func TestPoolTwinElementsMatchAlone(t *testing.T) {
 						}
 						got.WriteString(elementText(log, results[i], e.err))
 					}
+					g.release()
 					if got.String() != want.String() {
 						t.Fatalf("workers %d rep %d: group with twins differs from assessing each element alone:\n got %s\nwant %s", workers, rep, got.String(), want.String())
 					}

@@ -129,6 +129,25 @@ func (g *Generator) WithEffects(effects []Effect) *Generator {
 	return d
 }
 
+// ShareRegions gives g every regional stress path d has drawn and g has
+// not, so g never draws them again. A path depends only on the seed, the
+// index and the regional process's coefficients, so it is shared only
+// when g and d agree on those — as a generator and one derived from it
+// with WithEffects do — and g then draws exactly what it would have
+// drawn itself. It writes g's cache and reads d's, so it must not run
+// concurrently with a draw of either.
+func (g *Generator) ShareRegions(d *Generator) {
+	if g.cfg.Seed != d.cfg.Seed || !g.cfg.Index.Equal(d.cfg.Index) ||
+		g.cfg.RegionalAR != d.cfg.RegionalAR || g.cfg.RegionalNoiseSD != d.cfg.RegionalNoiseSD {
+		return
+	}
+	for r, path := range d.regional {
+		if g.regional[r] == nil {
+			g.regional[r] = path
+		}
+	}
+}
+
 // Network returns the underlying network.
 func (g *Generator) Network() *netsim.Network { return g.net }
 

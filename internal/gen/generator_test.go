@@ -495,6 +495,52 @@ func TestWithEffectsMatchesNew(t *testing.T) {
 	}
 }
 
+// TestShareRegionsHandsBackPaths pins the hand-back: a parent given a
+// derived generator's paths with ShareRegions draws every series bit
+// for bit as before and never draws those regions itself, while a
+// generator on another seed takes none of them.
+func TestShareRegionsHandsBackPaths(t *testing.T) {
+	net := netsim.Build(netsim.DefaultTopologyConfig())
+	cfg := DefaultConfig(dailyIndex(30))
+	ids := net.OfKind(netsim.NodeB)
+	study, control := ids[0], ""
+	r := net.MustElement(study).Region
+	for _, id := range ids[1:] {
+		if net.MustElement(id).Region == r {
+			control = id
+			break
+		}
+	}
+	ks := []kpi.KPI{kpi.VoiceRetainability, kpi.DataAccessibility}
+	want := New(net, cfg).SeriesFor(control, ks)
+
+	base := New(net, cfg)
+	d := base.WithEffects([]Effect{EffectOn("chg", []string{study}, epoch.Add(12*24*time.Hour), time.Time{}, -1.5)})
+	d.SeriesFor(study, ks)
+	other := cfg
+	other.Seed++
+	stranger := New(net, other)
+	stranger.ShareRegions(d)
+	if stranger.regional[r] != nil {
+		t.Error("a generator on another seed took a derived generator's path")
+	}
+	base.ShareRegions(d)
+	if base.regional[r] == nil || &base.regional[r][0] != &d.regional[r][0] {
+		t.Fatal("the parent did not take its derived generator's path")
+	}
+	got := base.SeriesFor(control, ks)
+	for i := range ks {
+		for b, v := range want[i].Values {
+			if math.Float64bits(got[i].Values[b]) != math.Float64bits(v) {
+				t.Fatalf("%v at %d: %v with the handed-back path, %v drawn alone", ks[i], b, got[i].Values[b], v)
+			}
+		}
+	}
+	if &base.regional[r][0] != &d.regional[r][0] {
+		t.Error("the parent drew the handed-back region again")
+	}
+}
+
 // TestPoolConcurrentGeneratorsMatchSequential has goroutines each draw
 // series from a generator of their own on one network, so their draws
 // take and return generators of the process-wide free list at once, and

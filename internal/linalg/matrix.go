@@ -126,6 +126,10 @@ func (m *Matrix) Clone() *Matrix {
 // arena can carve many matrices out of one allocation.
 func Over(buf []float64) Matrix { return Matrix{data: buf[:0:len(buf)]} }
 
+// Cap returns the number of values m's backing storage holds, which a
+// Reshape to any shape of at most that many values reuses.
+func (m *Matrix) Cap() int { return cap(m.data) }
+
 // Reshape resizes m to rows×cols, reusing the backing storage when its
 // capacity allows and allocating otherwise. The contents are unspecified
 // after the call — every caller in the hot path overwrites the full

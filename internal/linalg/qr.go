@@ -105,6 +105,10 @@ func (f *QR) Factor(a *Matrix) {
 	}
 }
 
+// Cap returns the number of values f's storage holds: the packed
+// factors and the diagonal of R.
+func (f *QR) Cap() int { return f.qr.Cap() + cap(f.rd) }
+
 // Rows returns the row count of the factored matrix.
 func (f *QR) Rows() int { return f.m }
 

@@ -174,37 +174,38 @@ func (n *Network) Children(id string) []string {
 // Descendants returns all transitive children of id, in breadth-first
 // order — the "causal impact scope" of a change at an upstream element
 // (paper §2.2).
-func (n *Network) Descendants(id string) []string {
-	root := n.lookup(id)
-	if root < 0 {
-		return nil
-	}
+func (n *Network) Descendants(id string) []string { return n.AppendDescendants(nil, id) }
+
+// AppendDescendants appends the IDs of all transitive children of id to
+// dst, in breadth-first order, and returns the extended slice. The
+// appended IDs are the walk's queue: each is looked up again to visit
+// its children.
+func (n *Network) AppendDescendants(dst []string, id string) []string {
 	// A child is added after its parent, so the links are acyclic.
-	queue := []int32{root}
-	for i := 0; i < len(queue); i++ {
-		for c := n.first[queue[i]]; c >= 0; c = n.next[c] {
-			queue = append(queue, c)
+	start := len(dst)
+	for c := n.firstChild(n.lookup(id)); c >= 0; c = n.next[c] {
+		dst = append(dst, n.elems[c].ID)
+	}
+	for i := start; i < len(dst); i++ {
+		for c := n.firstChild(n.lookup(dst[i])); c >= 0; c = n.next[c] {
+			dst = append(dst, n.elems[c].ID)
 		}
 	}
-	if len(queue) == 1 {
-		return nil
-	}
-	out := make([]string, len(queue)-1)
-	for i, pos := range queue[1:] {
-		out[i] = n.elems[pos].ID
-	}
-	return out
+	return dst
 }
 
 // Ancestors returns the chain of parents of id from nearest to root.
-func (n *Network) Ancestors(id string) []string {
-	var out []string
+func (n *Network) Ancestors(id string) []string { return n.AppendAncestors(nil, id) }
+
+// AppendAncestors appends the chain of parents of id, nearest first, to
+// dst and returns the extended slice.
+func (n *Network) AppendAncestors(dst []string, id string) []string {
 	e := n.Element(id)
 	for e != nil && e.Parent != "" {
-		out = append(out, e.Parent)
+		dst = append(dst, e.Parent)
 		e = n.Element(e.Parent)
 	}
-	return out
+	return dst
 }
 
 // OfKind returns the IDs of all elements of the given kind, in insertion
@@ -220,14 +221,17 @@ func (n *Network) InRegion(r Region) []string {
 }
 
 // Filter returns the IDs of elements satisfying pred, in insertion order.
-func (n *Network) Filter(pred func(*Element) bool) []string {
-	var out []string
+func (n *Network) Filter(pred func(*Element) bool) []string { return n.AppendFilter(nil, pred) }
+
+// AppendFilter appends the IDs of elements satisfying pred, in
+// insertion order, to dst and returns the extended slice.
+func (n *Network) AppendFilter(dst []string, pred func(*Element) bool) []string {
 	for _, e := range n.elems {
 		if pred(e) {
-			out = append(out, e.ID)
+			dst = append(dst, e.ID)
 		}
 	}
-	return out
+	return dst
 }
 
 // WithinKm returns the IDs of elements within radius km of the given

@@ -36,9 +36,7 @@ func TestFNV64aMatchesStdlib(t *testing.T) {
 // it must draw exactly what a generator on a new source with the same
 // seed draws, for every method the build and the series draws use.
 func TestPoolRandMatchesFreshSource(t *testing.T) {
-	for len(rands) > 0 {
-		<-rands // start from an empty list, so the next take is ours
-	}
+	rands.Drain(func(*rand.Rand) {}) // start from an empty list, so the next take is ours
 	dirty := TakeRand()
 	for _, seed := range []int64{0, 1, -7, 1 << 40, math.MaxInt64} {
 		dirty.Seed(seed)

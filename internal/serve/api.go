@@ -43,9 +43,11 @@ import (
 	"slices"
 	"sort"
 	"time"
+	"unsafe"
 
 	"repro/internal/changelog"
 	"repro/internal/control"
+	"repro/internal/freelist"
 	"repro/internal/kpi"
 	"repro/internal/netsim"
 	"repro/internal/timeseries"
@@ -175,13 +177,15 @@ var predicateFactories = map[string]func() control.Predicate{
 
 // compiledRequest is a validated request: the canonical (defaulted,
 // normalized) form that feeds the hash, plus the parsed values the
-// scenario builder consumes.
+// scenario builder consumes. The change is compiled apart from the rest
+// (compiledChange), so the entries of a batch share one compiledRequest
+// of the fields they share, whose change is empty.
 type compiledRequest struct {
 	norm     AssessRequest
+	changeAt time.Time
 	topo     netsim.TopologyConfig
 	genSeed  int64
 	index    timeseries.Index
-	changeAt time.Time
 	kpis     []kpi.KPI
 	window   int
 	cfg      litmus.Config
@@ -189,25 +193,62 @@ type compiledRequest struct {
 	maxCtrls int
 }
 
+// compiledChange is a validated change record: its normalized form,
+// which enters the canonical request, and its parsed time.
+type compiledChange struct {
+	spec ChangeSpec
+	at   time.Time
+}
+
 // compile validates req and returns its compiled form, leaving req
 // unchanged. Every error is a client error (HTTP 400).
 func compile(req *AssessRequest) (*compiledRequest, error) {
-	c := &compiledRequest{norm: *req}
+	c := &compiledRequest{}
+	if err := c.compileWorld(req); err != nil {
+		return nil, err
+	}
+	ch, err := compileChange(&req.Change)
+	if err != nil {
+		return nil, err
+	}
+	c.norm.Change, c.changeAt = ch.spec, ch.at
+	if err := c.compileParams(req); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
+// compileShared validates every field of req but its change — the
+// fields the entries of a batch share — in compile's order, and returns
+// them compiled, with no change.
+func compileShared(req *AssessRequest) (*compiledRequest, error) {
+	c := &compiledRequest{}
+	if err := c.compileWorld(req); err != nil {
+		return nil, err
+	}
+	if err := c.compileParams(req); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// compileWorld validates and normalizes the fields that determine the
+// world: the index, the topology and the generator.
+func (c *compiledRequest) compileWorld(req *AssessRequest) error {
 	// Index.
 	start, err := time.Parse(time.RFC3339, req.Index.Start)
 	if err != nil {
-		return nil, fmt.Errorf("index.start: %v", err)
+		return fmt.Errorf("index.start: %v", err)
 	}
 	step, err := time.ParseDuration(req.Index.Step)
 	if err != nil {
-		return nil, fmt.Errorf("index.step: %v", err)
+		return fmt.Errorf("index.step: %v", err)
 	}
 	if step <= 0 {
-		return nil, fmt.Errorf("index.step %q must be positive", req.Index.Step)
+		return fmt.Errorf("index.step %q must be positive", req.Index.Step)
 	}
 	if req.Index.N < 6 || req.Index.N > maxIndexPoints {
-		return nil, fmt.Errorf("index.n %d outside [6, %d]", req.Index.N, maxIndexPoints)
+		return fmt.Errorf("index.n %d outside [6, %d]", req.Index.N, maxIndexPoints)
 	}
 	c.index = timeseries.NewIndex(start.UTC(), step, req.Index.N)
 	c.norm.Index = IndexSpec{Start: start.UTC().Format(time.RFC3339Nano), Step: step.String(), N: req.Index.N}
@@ -234,7 +275,7 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 		{"mscsPerRegion", t.MSCsPerRegion, &topo.MSCsPerRegion, maxMSCsPerRegion},
 	} {
 		if f.val < 0 || f.val > f.cap {
-			return nil, fmt.Errorf("topology.%s %d outside [0, %d]", f.name, f.val, f.cap)
+			return fmt.Errorf("topology.%s %d outside [0, %d]", f.name, f.val, f.cap)
 		}
 		if f.val != 0 {
 			*f.dst = f.val
@@ -256,42 +297,47 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 		c.genSeed = req.Generator.Seed
 	}
 	c.norm.Generator = &GeneratorSpec{Seed: c.genSeed}
+	return nil
+}
 
-	// Change.
-	if req.Change.ID == "" {
-		return nil, fmt.Errorf("change.id is required")
+// compileChange validates and normalizes a change record.
+func compileChange(spec *ChangeSpec) (compiledChange, error) {
+	if spec.ID == "" {
+		return compiledChange{}, fmt.Errorf("change.id is required")
 	}
-	if len(req.Change.Elements) == 0 {
-		return nil, fmt.Errorf("change.elements is required")
+	if len(spec.Elements) == 0 {
+		return compiledChange{}, fmt.Errorf("change.elements is required")
 	}
-	if len(req.Change.Elements) > maxStudyElements {
-		return nil, fmt.Errorf("change.elements has %d entries, max %d", len(req.Change.Elements), maxStudyElements)
+	if len(spec.Elements) > maxStudyElements {
+		return compiledChange{}, fmt.Errorf("change.elements has %d entries, max %d", len(spec.Elements), maxStudyElements)
 	}
-	for i, id := range req.Change.Elements {
-		if slices.Contains(req.Change.Elements[:i], id) {
-			return nil, fmt.Errorf("change.elements lists %q twice", id)
+	for i, id := range spec.Elements {
+		if slices.Contains(spec.Elements[:i], id) {
+			return compiledChange{}, fmt.Errorf("change.elements lists %q twice", id)
 		}
 	}
-	at, err := time.Parse(time.RFC3339, req.Change.At)
+	at, err := time.Parse(time.RFC3339, spec.At)
 	if err != nil {
-		return nil, fmt.Errorf("change.at: %v", err)
+		return compiledChange{}, fmt.Errorf("change.at: %v", err)
 	}
-	c.changeAt = at.UTC()
-	typeName := req.Change.Type
-	if typeName == "" {
-		typeName = "config-change"
+	ch := compiledChange{spec: *spec, at: at.UTC()}
+	if ch.spec.Type == "" {
+		ch.spec.Type = "config-change"
 	}
-	if _, err := changelog.ParseType(typeName); err != nil {
-		return nil, err
+	if _, err := changelog.ParseType(ch.spec.Type); err != nil {
+		return compiledChange{}, err
 	}
-	c.norm.Change = req.Change
-	c.norm.Change.Type = typeName
-	c.norm.Change.At = c.changeAt.Format(time.RFC3339Nano)
+	ch.spec.At = ch.at.Format(time.RFC3339Nano)
+	return ch, nil
+}
 
+// compileParams validates and normalizes the assessment parameters: the
+// KPIs, the window, the assessor and the controls.
+func (c *compiledRequest) compileParams(req *AssessRequest) error {
 	// KPIs: parsed, sorted and deduplicated — the per-KPI results are
 	// order-independent, so order must not split the cache.
 	if len(req.KPIs) == 0 {
-		return nil, fmt.Errorf("kpis is required")
+		return fmt.Errorf("kpis is required")
 	}
 	names := append([]string(nil), req.KPIs...)
 	sort.Strings(names)
@@ -303,11 +349,11 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 		seen[name] = true
 		k, err := kpi.Parse(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.kpis = append(c.kpis, k)
 	}
-	// A fresh slice: norm.KPIs starts out sharing req.KPIs' backing
+	// A fresh slice, so the canonical form never shares req.KPIs' backing
 	// array, which compile must not write through.
 	c.norm.KPIs = make([]string, len(c.kpis))
 	for i, k := range c.kpis {
@@ -316,9 +362,10 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 
 	// Window.
 	if req.WindowDays < 2 {
-		return nil, fmt.Errorf("windowDays %d too short (need >= 2)", req.WindowDays)
+		return fmt.Errorf("windowDays %d too short (need >= 2)", req.WindowDays)
 	}
 	c.window = req.WindowDays
+	c.norm.WindowDays = req.WindowDays
 
 	// Assessor config: validate eagerly so bad configs are a 400, not a
 	// failed job. Workers is normalized to 0 in the canonical form —
@@ -328,7 +375,7 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 		a = &AssessorSpec{}
 	}
 	if a.Iterations > maxIterations {
-		return nil, fmt.Errorf("assessor.iterations %d above max %d", a.Iterations, maxIterations)
+		return fmt.Errorf("assessor.iterations %d above max %d", a.Iterations, maxIterations)
 	}
 	c.cfg = litmus.Config{
 		Alpha:          a.Alpha,
@@ -340,7 +387,7 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 		Workers:        a.Workers,
 	}
 	if err := c.cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("assessor: %v", err)
+		return fmt.Errorf("assessor: %v", err)
 	}
 	normA := *a
 	normA.Workers = 0
@@ -358,20 +405,19 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 	for _, name := range predNames {
 		f, ok := predicateFactories[name]
 		if !ok {
-			return nil, fmt.Errorf("controls.predicates: unknown predicate %q", name)
+			return fmt.Errorf("controls.predicates: unknown predicate %q", name)
 		}
 		c.preds = append(c.preds, f())
 	}
 	if ctl.MaxControls < 0 {
-		return nil, fmt.Errorf("controls.maxControls %d negative", ctl.MaxControls)
+		return fmt.Errorf("controls.maxControls %d negative", ctl.MaxControls)
 	}
 	if ctl.MaxControls > maxControls {
-		return nil, fmt.Errorf("controls.maxControls %d above max %d", ctl.MaxControls, maxControls)
+		return fmt.Errorf("controls.maxControls %d above max %d", ctl.MaxControls, maxControls)
 	}
 	c.maxCtrls = ctl.MaxControls
 	c.norm.Controls = &ControlsSpec{Predicates: predNames, MaxControls: ctl.MaxControls}
-
-	return c, nil
+	return nil
 }
 
 // hash returns the canonical request hash — the job and cache key. It
@@ -380,25 +426,87 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 // the same key. The full sha256 digest is kept: ids are opaque to
 // clients, and a truncated key colliding would silently serve one
 // request's cached assessment as another's.
-func (c *compiledRequest) hash() string { return jobDigest(c.canonicalJSON()) }
+func (c *compiledRequest) hash() string { return c.digest(c.change()) }
 
-// jobDigest returns the job id of a request's canonical bytes.
-func jobDigest(canon []byte) string {
-	sum := sha256.Sum256(canon)
-	return "j" + hex.EncodeToString(sum[:])
+// change returns the request's own compiled change.
+func (c *compiledRequest) change() compiledChange {
+	return compiledChange{spec: c.norm.Change, at: c.changeAt}
 }
 
-// canonicalJSON renders the normalized request — the bytes the hash
-// covers, and the journal's submit payload. Compiling these bytes again
-// reproduces the same canonical form (normalization is idempotent), so
-// a journaled submission replays to the same job id.
-func (c *compiledRequest) canonicalJSON() []byte {
-	b, err := json.Marshal(c.norm)
-	if err != nil {
-		// The normalized form is plain data; Marshal cannot fail on it.
-		panic("serve: marshaling normalized request: " + err.Error())
+// digest returns the job id of c's shared fields with change ch: the id
+// a single submission of that change gets.
+func (c *compiledRequest) digest(ch compiledChange) string {
+	cb, canon := c.canonical(ch)
+	id := jobDigest(canon)
+	cb.release()
+	return id
+}
+
+// jobDigest returns the job id of a request's canonical bytes: "j" and
+// the hex SHA-256, rendered in a fixed array, so the id is the one
+// string it allocates.
+func jobDigest(canon []byte) string {
+	sum := sha256.Sum256(canon)
+	var id [1 + 2*sha256.Size]byte
+	id[0] = 'j'
+	hex.Encode(id[1:], sum[:])
+	return string(id[:])
+}
+
+// canonicalScratch is the memory one rendering of a canonical form
+// reuses: the normalized request, and the buffer a compact encoder
+// writes it into.
+type canonicalScratch struct {
+	req AssessRequest
+	buf []byte
+	enc *json.Encoder // compact, writing into buf through Write
+}
+
+// Write appends p to the buffer; the encoder writes through it.
+func (cb *canonicalScratch) Write(p []byte) (int, error) {
+	cb.buf = append(cb.buf, p...)
+	return len(p), nil
+}
+
+// canonicalListBytes bounds the list of canonical scratch, one per
+// concurrent rendering of about 1.1 KiB. Measured peaks (seed 1, 8 s
+// runs): 2,288 B (two) on fresh-world and shared-world, 1,968 B on
+// routed-mixed and 1,144 B on changelog-batch.
+const canonicalListBytes = 16 << 10
+
+// canonicals is the process-wide list of canonical scratch: the submit
+// handlers, batch compilation and the router's CanonicalJobID render
+// every digest in it.
+var canonicals = freelist.New(canonicalListBytes, func(cb *canonicalScratch) int {
+	return int(unsafe.Sizeof(*cb)) + cap(cb.buf)
+})
+
+// canonical renders the normalized request of c's shared fields with
+// change ch — the bytes the hash covers, equal to json.Marshal of it,
+// and the journal's submit payload — into listed scratch. The bytes
+// stay valid until the caller releases the scratch. Compiling these
+// bytes again reproduces the same canonical form (normalization is
+// idempotent), so a journaled submission replays to the same job id.
+func (c *compiledRequest) canonical(ch compiledChange) (*canonicalScratch, []byte) {
+	cb, ok := canonicals.Take()
+	if !ok {
+		cb = new(canonicalScratch)
+		cb.enc = json.NewEncoder(cb)
 	}
-	return b
+	cb.req = c.norm
+	cb.req.Change = ch.spec
+	cb.buf = cb.buf[:0]
+	if err := cb.enc.Encode(&cb.req); err != nil {
+		// The normalized form is plain data; encoding cannot fail on it.
+		panic("serve: encoding normalized request: " + err.Error())
+	}
+	return cb, cb.buf[:len(cb.buf)-1] // without Encode's newline
+}
+
+// release lists the scratch again, dropping the request it held.
+func (cb *canonicalScratch) release() {
+	cb.req = AssessRequest{}
+	canonicals.Put(cb)
 }
 
 // CanonicalJobID returns the job id req would get from POST /v1/assess

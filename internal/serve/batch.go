@@ -124,10 +124,13 @@ type batchDocEntry struct {
 	compileErr string
 }
 
-// pendingEntry is one unique entry: its digest and compiled request.
+// pendingEntry is one unique entry: its digest, the compiled fields it
+// shares with its batch (a bare submission's own request) and its
+// compiled change.
 type pendingEntry struct {
 	digest string
 	req    *compiledRequest
+	change compiledChange
 }
 
 // submission is a validated submission. A batch (POST /v1/assess/batch)
@@ -146,7 +149,7 @@ func bareSubmission(c *compiledRequest, id string) *submission {
 	return &submission{
 		bare:    true,
 		entries: []batchDocEntry{{digest: id, changeID: c.norm.Change.ID}},
-		unique:  []pendingEntry{{digest: id, req: c}},
+		unique:  []pendingEntry{{digest: id, req: c, change: c.change()}},
 	}
 }
 
@@ -162,7 +165,9 @@ type batchState struct {
 // compileBatch validates a batch request. Shared-field errors (index,
 // topology, KPIs, window, assessor, controls) fail the whole request;
 // per-entry change errors are recorded on the entry and never fail the
-// batch.
+// batch. The shared fields are compiled once, and each entry compiles
+// only its change: its digest is still the id a single submission of
+// that change gets, and its error the 400 that submission would get.
 func compileBatch(req *BatchAssessRequest) (*submission, error) {
 	if len(req.Changes) == 0 {
 		return nil, fmt.Errorf("changes is required")
@@ -170,7 +175,7 @@ func compileBatch(req *BatchAssessRequest) (*submission, error) {
 	if len(req.Changes) > maxBatchEntries {
 		return nil, fmt.Errorf("changes has %d entries, max %d", len(req.Changes), maxBatchEntries)
 	}
-	single := AssessRequest{
+	shared, err := compileShared(&AssessRequest{
 		Topology:   req.Topology,
 		Generator:  req.Generator,
 		Index:      req.Index,
@@ -178,28 +183,25 @@ func compileBatch(req *BatchAssessRequest) (*submission, error) {
 		WindowDays: req.WindowDays,
 		Assessor:   req.Assessor,
 		Controls:   req.Controls,
-	}
-	// Probe compile with a syntactically valid placeholder change: any
-	// error it surfaces is a shared-field error and fails the request.
-	probe := single
-	probe.Change = ChangeSpec{ID: "probe", Elements: []string{"probe"}, At: "2000-01-01T00:00:00Z"}
-	if _, err := compile(&probe); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	sub := &submission{}
-	seen := map[string]bool{}
-	for _, ch := range req.Changes {
-		entryReq := single
-		entryReq.Change = ch
-		entry := batchDocEntry{changeID: ch.ID}
-		c, err := compile(&entryReq)
+	sub := &submission{
+		entries: make([]batchDocEntry, 0, len(req.Changes)),
+		unique:  make([]pendingEntry, 0, len(req.Changes)),
+	}
+	seen := make(map[string]bool, len(req.Changes))
+	for i := range req.Changes {
+		entry := batchDocEntry{changeID: req.Changes[i].ID}
+		ch, err := compileChange(&req.Changes[i])
 		if err != nil {
 			entry.compileErr = err.Error()
 		} else {
-			entry.digest = c.hash()
+			entry.digest = shared.digest(ch)
 			if !seen[entry.digest] {
 				seen[entry.digest] = true
-				sub.unique = append(sub.unique, pendingEntry{digest: entry.digest, req: c})
+				sub.unique = append(sub.unique, pendingEntry{digest: entry.digest, req: shared, change: ch})
 			}
 		}
 		sub.entries = append(sub.entries, entry)
@@ -321,7 +323,7 @@ func (s *Server) execute(ctx context.Context, scope *obs.Scope, j *job, sc *scra
 		var digests []string
 		need := 0 // values of the entries' study series
 		for _, pe := range bs.pending {
-			change, err := pe.req.buildChange()
+			change, err := pe.change.build()
 			if err == nil {
 				err = change.Validate(w.net)
 			}

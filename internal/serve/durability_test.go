@@ -6,6 +6,7 @@ package serve
 // hard-stop Shutdown that cuts an in-flight batch short.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -328,7 +329,10 @@ func journalSubmits(t *testing.T, jr *journal.Journal, seeds ...int64) []string 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := jr.Append(journal.Record{Kind: journal.KindSubmit, Digest: c.hash(), Payload: c.canonicalJSON()}); err != nil {
+		cb, canon := c.canonical(c.change())
+		err = jr.Append(journal.Record{Kind: journal.KindSubmit, Digest: c.hash(), Payload: bytes.Clone(canon)})
+		cb.release()
+		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, c.hash())

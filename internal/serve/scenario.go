@@ -1,9 +1,9 @@
 package serve
 
-// Scenario construction: a compiled request's change record and its
-// assessment pipeline, wired on the request's world from the world slot
-// (world.go). The series are bit-identical to the golden fixture's
-// construction, so the service reproduces offline assessments
+// Scenario construction: a compiled change's record and a compiled
+// request's assessment pipeline, wired on the request's world from the
+// world slot (world.go). The series are bit-identical to the golden
+// fixture's construction, so the service reproduces offline assessments
 // byte-for-byte.
 
 import (
@@ -15,22 +15,22 @@ import (
 	litmus "repro"
 )
 
-// buildChange materializes the request's change record. Topology fit is
-// not checked here — callers validate against their network.
-func (c *compiledRequest) buildChange() (*changelog.Change, error) {
-	changeType, err := changelog.ParseType(c.norm.Change.Type)
+// build materializes the change record. Topology fit is not checked
+// here — callers validate against their network.
+func (ch compiledChange) build() (*changelog.Change, error) {
+	changeType, err := changelog.ParseType(ch.spec.Type)
 	if err != nil {
 		return nil, err
 	}
 	return &changelog.Change{
-		ID:                     c.norm.Change.ID,
+		ID:                     ch.spec.ID,
 		Type:                   changeType,
-		Description:            c.norm.Change.Description,
-		Elements:               c.norm.Change.Elements,
-		At:                     c.changeAt,
-		PropagateToDescendants: c.norm.Change.PropagateToDescendants,
-		TrueQuality:            c.norm.Change.TrueQuality,
-		TrueLoadMult:           c.norm.Change.TrueLoadMult,
+		Description:            ch.spec.Description,
+		Elements:               ch.spec.Elements,
+		At:                     ch.at,
+		PropagateToDescendants: ch.spec.PropagateToDescendants,
+		TrueQuality:            ch.spec.TrueQuality,
+		TrueLoadMult:           ch.spec.TrueLoadMult,
 	}, nil
 }
 

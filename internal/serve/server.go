@@ -321,11 +321,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
-	// The canonical form is rendered once: its digest is the job id and
-	// the bytes are the journal's submit payload.
-	canon := compiled.canonicalJSON()
+	// The canonical form is rendered once, into listed scratch: its
+	// digest is the job id, and an exact-size copy of the bytes is the
+	// journal's submit payload when a record is appended.
+	cb, canon := compiled.canonical(compiled.change())
+	defer cb.release()
 	id := jobDigest(canon)
-	res, ok := s.submit(w, r, id, bareSubmission(compiled, id), func() []byte { return canon })
+	res, ok := s.submit(w, r, id, bareSubmission(compiled, id), func() []byte { return bytes.Clone(canon) })
 	if ok {
 		writeJSON(w, res.code, SubmitResponse{ID: id, Status: res.status, Cached: res.cached})
 	}

@@ -25,19 +25,17 @@ import (
 )
 
 // forgetStudyBufs empties the process-wide free list.
-func forgetStudyBufs() {
-	studyBufs.mu.Lock()
-	studyBufs.free, studyBufs.bytes = nil, 0
-	studyBufs.mu.Unlock()
-}
+func forgetStudyBufs() { studyBufs.Drain(func([]float64) {}) }
 
-// studyBufCaps lists the capacities of the listed buffers, ascending.
+// studyBufCaps lists the capacities of the listed buffers, ascending,
+// leaving the list as it was.
 func studyBufCaps() []int {
-	studyBufs.mu.Lock()
-	defer studyBufs.mu.Unlock()
+	var bufs [][]float64
+	studyBufs.Drain(func(b []float64) { bufs = append(bufs, b) })
 	var caps []int
-	for _, b := range studyBufs.free {
-		caps = append(caps, cap(b))
+	for i := len(bufs) - 1; i >= 0; i-- {
+		studyBufs.Put(bufs[i])
+		caps = append(caps, cap(bufs[i]))
 	}
 	slices.Sort(caps)
 	return caps
@@ -160,8 +158,8 @@ var providerSink litmus.SeriesProvider
 // into a listed buffer: the change's effect, the provider, its generator
 // derived with the world's regional paths, and the draws' bookkeeping,
 // but no series values, no memo map and no regional path. It reads
-// 1,099 B; a provider with a generator of its own, a memo map and fresh
-// series read 8,736 B.
+// 1,075 B (1,099 B with the provider a closure); a provider with a
+// generator of its own, a memo map and fresh series read 8,736 B.
 func TestProviderBytes(t *testing.T) {
 	forgetStudyBufs()
 	t.Cleanup(forgetStudyBufs)
@@ -171,7 +169,7 @@ func TestProviderBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := lookupWorld(c)
-	change, err := c.buildChange()
+	change, err := c.change().build()
 	if err != nil {
 		t.Fatal(err)
 	}

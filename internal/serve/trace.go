@@ -10,7 +10,8 @@ package serve
 //   - POST /v1/assess reads the standard traceparent request header
 //     ("00-<32 hex trace-id>-<16 hex span-id>-<2 hex flags>"). A valid
 //     header's trace-id becomes the job's trace identity; a missing or
-//     malformed header gets a freshly generated one. Deduplicated and
+//     malformed header, which includes an all-zero trace-id or
+//     parent-id, gets a freshly generated one. Deduplicated and
 //     cache-hit submissions join the existing job's trace — the job keeps
 //     the identity of the submission that caused the work.
 //   - Responses that name a job echo a traceparent header carrying the
@@ -32,36 +33,33 @@ import (
 	litmus "repro"
 )
 
-// traceparentHeader is the W3C Trace Context header name.
-const traceparentHeader = "traceparent"
+// traceparentHeader is the W3C Trace Context header name, in the
+// canonical form net/http keys headers by, so setting it canonicalizes
+// nothing.
+const traceparentHeader = "Traceparent"
 
-// randHex returns n cryptographically random bytes in hex, never
-// all-zero (the all-zero trace and span ids are invalid per spec).
-func randHex(n int) string {
-	b := make([]byte, n)
+// randID fills b with cryptographically random bytes, never all-zero
+// (the all-zero trace and span ids are invalid per spec).
+func randID(b []byte) {
 	if _, err := rand.Read(b); err != nil {
 		// crypto/rand reads the OS entropy pool; failure means the
 		// process environment is broken beyond serving requests.
 		panic("serve: reading random trace id: " + err.Error())
 	}
-	zero := true
 	for _, x := range b {
 		if x != 0 {
-			zero = false
-			break
+			return
 		}
 	}
-	if zero {
-		b[n-1] = 1
-	}
-	return hex.EncodeToString(b)
+	b[len(b)-1] = 1
 }
 
 // newTraceID returns a fresh 32-hex-digit trace id.
-func newTraceID() string { return randHex(16) }
-
-// newSpanID returns a fresh 16-hex-digit span id.
-func newSpanID() string { return randHex(8) }
+func newTraceID() string {
+	var b [16]byte
+	randID(b[:])
+	return hex.EncodeToString(b[:])
+}
 
 // parseTraceparent extracts the trace id of a traceparent header value.
 // ok is false for a missing or malformed header — callers then generate
@@ -81,7 +79,7 @@ func parseTraceparent(h string) (traceID string, ok bool) {
 		return "", false
 	}
 	traceID = h[3:35]
-	if traceID == "00000000000000000000000000000000" {
+	if traceID == "00000000000000000000000000000000" || h[36:52] == "0000000000000000" {
 		return "", false
 	}
 	return traceID, true
@@ -97,17 +95,22 @@ func isLowerHex(s string) bool {
 	return true
 }
 
-// formatTraceparent renders a traceparent value for the given trace and
-// span ids, sampled flag set.
-func formatTraceparent(traceID, spanID string) string {
-	return "00-" + traceID + "-" + spanID + "-01"
-}
-
-// setTraceparent stamps the response with the job's trace identity.
+// setTraceparent stamps the response with the job's trace identity (32
+// hex digits) and a fresh span id, sampled flag set, rendered into one
+// 55-byte string.
 func setTraceparent(w http.ResponseWriter, traceID string) {
-	if traceID != "" {
-		w.Header().Set(traceparentHeader, formatTraceparent(traceID, newSpanID()))
+	if traceID == "" {
+		return
 	}
+	var span [8]byte
+	randID(span[:])
+	var v [55]byte
+	copy(v[:], "00-")
+	copy(v[3:35], traceID)
+	v[35] = '-'
+	hex.Encode(v[36:52], span[:])
+	copy(v[52:], "-01")
+	w.Header().Set(traceparentHeader, string(v[:]))
 }
 
 // TraceAttempt is a job's run in a job trace: its ordinal, always 1

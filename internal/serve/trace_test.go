@@ -517,6 +517,7 @@ func TestParseTraceparent(t *testing.T) {
 		{"00-0AF7651916CD43DD8448EB211C80319C-00f067aa0ba902b7-01", "", false}, // uppercase
 		{"ff-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01", "", false}, // forbidden version
 		{"00-00000000000000000000000000000000-00f067aa0ba902b7-01", "", false}, // zero trace id
+		{"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", "", false}, // zero parent id
 		{"00_0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01", "", false}, // bad separator
 	}
 	for _, c := range cases {
@@ -528,7 +529,10 @@ func TestParseTraceparent(t *testing.T) {
 	if tid := newTraceID(); !hexID32.MatchString(tid) {
 		t.Errorf("newTraceID() = %q, want 32 lowercase hex digits", tid)
 	}
-	if sid := newSpanID(); len(sid) != 16 {
-		t.Errorf("newSpanID() = %q, want 16 hex digits", sid)
+	rec := httptest.NewRecorder()
+	setTraceparent(rec, "0af7651916cd43dd8448eb211c80319c")
+	h := rec.Result().Header.Get(traceparentHeader)
+	if got, ok := parseTraceparent(h); !ok || got != "0af7651916cd43dd8448eb211c80319c" || h[:3] != "00-" || h[52:] != "-01" {
+		t.Errorf("setTraceparent stamped %q, want 00-<trace id>-<fresh span id>-01", h)
 	}
 }

@@ -18,8 +18,12 @@ package serve
 // any benchmark workload. Retained memory is therefore bounded by one
 // world under the topology caps of api.go, plus the one network layout
 // netsim keeps for the shape it built last (see netsim.Build), which may
-// be another shape than this world's, plus at most 1 MiB of study-series
-// buffers on the free list below. At the caps (152,495 elements) a
+// be another shape than this world's, plus the constant budgets of the
+// process's free lists (internal/freelist): at most 1 MiB of
+// study-series buffers on the list below, and the engine's, the
+// pipeline's and the request plane's working memory, about 2 MiB more at
+// most (DESIGN.md "Working memory"), of which the benchmark workloads
+// keep at most about 0.4 MiB. At the caps (152,495 elements) a
 // layout is about 8.3 MB: a 2.4 MB ID table, a 2.1 MB index, 1.8 MB of
 // child links and 1.9 MB of ID strings; for the default shape it is
 // about 100 KB. A network of the layout's shape shares all of it but the
@@ -30,6 +34,7 @@ import (
 	"sync"
 
 	"repro/internal/changelog"
+	"repro/internal/freelist"
 	"repro/internal/gen"
 	"repro/internal/kpi"
 	"repro/internal/netsim"
@@ -135,44 +140,72 @@ func newWorld(key worldKey, c *compiledRequest) *world {
 // the job may keep a slice of it: the world memo never does. The change's
 // generator is derived from the world's base generator at the first
 // study draw, so it shares every regional stress path the base has drawn
-// by then. The provider is for one sequential panel assembly, so its own
-// state needs no lock; the base memo behind it is shared.
-func (w *world) provider(change *changelog.Change, kpis []kpi.KPI, study []float64) litmus.SeriesProvider {
-	effect := change.Effect(w.net) // covers exactly change.ImpactScope
-	var eg *gen.Generator
-	drawn := make([]bool, len(change.Elements))
-	per := len(kpis) * w.ix.N
-	return litmus.ProviderFunc(func(id string, metric kpi.KPI) (litmus.Series, bool) {
-		if w.net.Element(id) == nil {
-			return litmus.Series{}, false
+// by then, and it hands each path it draws itself back to the base, so
+// a fresh world's first change draws its study region once, not once
+// for the study and again for the controls. The provider is for one
+// sequential panel assembly, so its own state needs no lock; the base
+// memo behind it is shared.
+func (w *world) provider(change *changelog.Change, kpis []kpi.KPI, study []float64) *changeProvider {
+	return &changeProvider{
+		w: w, change: change, kpis: kpis, study: study,
+		effect: change.Effect(w.net), // covers exactly change.ImpactScope
+		drawn:  make([]bool, len(change.Elements)),
+	}
+}
+
+// changeProvider serves one change's series in its world (provider).
+type changeProvider struct {
+	w      *world
+	change *changelog.Change
+	kpis   []kpi.KPI
+	study  []float64
+	effect gen.Effect
+	eg     *gen.Generator // the change's generator, derived at its first draw
+	drawn  []bool         // study element i's series are in study
+}
+
+// Series implements litmus.SeriesProvider.
+func (p *changeProvider) Series(id string, metric kpi.KPI) (litmus.Series, bool) {
+	w := p.w
+	if w.net.Element(id) == nil {
+		return litmus.Series{}, false
+	}
+	if !p.effect.Elements[id] {
+		return w.baseSeries(id, metric, p.kpis), true
+	}
+	k := slices.Index(p.kpis, metric)
+	if k < 0 {
+		return litmus.Series{}, false
+	}
+	if p.eg == nil {
+		w.mu.Lock()
+		p.eg = w.base.WithEffects([]gen.Effect{p.effect})
+		w.mu.Unlock()
+	}
+	per := len(p.kpis) * w.ix.N
+	var vals []float64
+	if i := slices.Index(p.change.Elements, id); i >= 0 {
+		vals = p.study[i*per : (i+1)*per]
+		if !p.drawn[i] {
+			p.draw(id, vals)
+			p.drawn[i] = true
 		}
-		if !effect.Elements[id] {
-			return w.baseSeries(id, metric, kpis), true
-		}
-		k := slices.Index(kpis, metric)
-		if k < 0 {
-			return litmus.Series{}, false
-		}
-		if eg == nil {
-			w.mu.Lock()
-			eg = w.base.WithEffects([]gen.Effect{effect})
-			w.mu.Unlock()
-		}
-		var vals []float64
-		if i := slices.Index(change.Elements, id); i >= 0 {
-			vals = study[i*per : (i+1)*per]
-			if !drawn[i] {
-				eg.SeriesInto(id, kpis, vals)
-				drawn[i] = true
-			}
-		} else {
-			// Below a study element in a propagating change's scope:
-			// never a control, so panel assembly does not ask for it.
-			vals = make([]float64, per)
-			eg.SeriesInto(id, kpis, vals)
-		}
-		return w.seriesOf(vals, k), true
-	})
+	} else {
+		// Below a study element in a propagating change's scope:
+		// never a control, so panel assembly does not ask for it.
+		vals = make([]float64, per)
+		p.draw(id, vals)
+	}
+	return w.seriesOf(vals, k), true
+}
+
+// draw draws id's series for every KPI into vals on the change's
+// generator, then hands the regional paths it drew back to the base.
+func (p *changeProvider) draw(id string, vals []float64) {
+	p.eg.SeriesInto(id, p.kpis, vals)
+	p.w.mu.Lock()
+	p.w.base.ShareRegions(p.eg)
+	p.w.mu.Unlock()
 }
 
 // baseSeries returns the effect-free series of (id, metric) from the
@@ -203,18 +236,17 @@ func (w *world) seriesOf(vals []float64, k int) litmus.Series {
 }
 
 // studyBufBytes bounds the free list of study-series buffers, as the
-// engine's sample cache is bounded (internal/core/scratch.go).
+// engine's sample cache is bounded (internal/core/scratch.go). Measured
+// peaks (seed 1, 8 s runs): 542,976 B on changelog-batch (a 100-entry
+// batch's 525 KiB buffer and a single's) and 10,752 B (two singles'
+// buffers) on fresh-world, shared-world and routed-mixed.
 const studyBufBytes = 1 << 20
 
 // studyBufs is the process-wide free list of study-series buffers: the
 // buffers of finished jobs, at most studyBufBytes of them in total. It is
 // deliberately not a sync.Pool, which garbage collection empties between
-// batches (see DESIGN.md "Panel-assembly memory").
-var studyBufs struct {
-	mu    sync.Mutex
-	free  [][]float64
-	bytes int
-}
+// batches (see DESIGN.md "Working memory").
+var studyBufs = freelist.New(studyBufBytes, func(b []float64) int { return 8 * cap(b) })
 
 // takeStudyBuf returns a buffer of n values: the smallest listed buffer
 // that holds n, or, when none does, a new one of exactly n. It does not
@@ -223,32 +255,17 @@ func takeStudyBuf(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
-	studyBufs.mu.Lock()
-	defer studyBufs.mu.Unlock()
-	best := -1
-	for i, b := range studyBufs.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(studyBufs.free[best])) {
-			best = i
-		}
-	}
-	if best < 0 {
+	b, ok := studyBufs.TakeBest(func(b []float64) (int, bool) { return cap(b), cap(b) >= n })
+	if !ok {
 		return make([]float64, n)
 	}
-	b := studyBufs.free[best]
-	studyBufs.free = slices.Delete(studyBufs.free, best, best+1)
-	studyBufs.bytes -= 8 * cap(b)
 	return b[:n]
 }
 
 // releaseStudyBuf returns a buffer taken by takeStudyBuf to the list
 // once nothing reads it, or drops it when the list has no room for it.
 func releaseStudyBuf(buf []float64) {
-	size := 8 * cap(buf)
-	studyBufs.mu.Lock()
-	defer studyBufs.mu.Unlock()
-	if size == 0 || studyBufs.bytes+size > studyBufBytes {
-		return
+	if cap(buf) > 0 {
+		studyBufs.Put(buf)
 	}
-	studyBufs.free = append(studyBufs.free, buf)
-	studyBufs.bytes += size
 }

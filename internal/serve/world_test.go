@@ -4,13 +4,15 @@ package serve
 // reproduces the committed fixture on a cold, a warm and a replaced
 // slot; a single job and a batch entry on one warm world return the same
 // bytes; concurrent jobs in one world equal their changes assessed in
-// worlds built from scratch; and the slot retains one world at a time.
+// worlds built from scratch; the slot retains one world at a time; and a
+// fresh world's first change draws its study region once.
 
 import (
 	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -72,7 +74,7 @@ func scratchAssessment(t *testing.T, req *AssessRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	change, err := c.buildChange()
+	change, err := c.change().build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,5 +227,52 @@ func TestWorldSlotHoldsOneWorld(t *testing.T) {
 	}
 	if w, hit := lookupWorld(compiled(goldenRequest(t))); hit || w == first {
 		t.Error("the replaced world is still retained")
+	}
+}
+
+// regionalPath returns the address of the stress path of region r that
+// g has drawn, or 0 when it has drawn none (gen.Generator keeps its
+// paths unexported).
+func regionalPath(g *gen.Generator, r netsim.Region) uintptr {
+	path := reflect.ValueOf(g).Elem().FieldByName("regional").Index(int(r))
+	if path.IsNil() {
+		return 0
+	}
+	return path.Pointer()
+}
+
+// TestFreshWorldDrawsEachRegionOnce: the golden change is the first in a
+// fresh world, so its generator, derived before the base has drawn
+// anything, draws the study region's stress path. It hands the path back
+// to the base, which then serves the controls in the same region on it
+// instead of drawing it again; the answers stay the golden fixture's
+// (TestWorldSlotGolden).
+func TestFreshWorldDrawsEachRegionOnce(t *testing.T) {
+	resetWorldSlot()
+	c, err := compile(goldenRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := lookupWorld(c)
+	change, err := c.change().build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := w.net.MustElement(change.Elements[0]).Region
+	if regionalPath(w.base, region) != 0 {
+		t.Fatal("a fresh world's base has drawn the study region")
+	}
+	p := w.provider(change, c.kpis, make([]float64, len(change.Elements)*len(c.kpis)*w.ix.N))
+	for _, id := range append(append([]string(nil), change.Elements...), goldenTowers(t)[5]) {
+		if _, ok := p.Series(id, c.kpis[0]); !ok {
+			t.Fatalf("no series for %s", id)
+		}
+	}
+	if w.net.MustElement(goldenTowers(t)[5]).Region != region {
+		t.Fatal("the control is in another region than the study")
+	}
+	drawn, base := regionalPath(p.eg, region), regionalPath(w.base, region)
+	if drawn == 0 || base != drawn {
+		t.Errorf("the study region was drawn twice: the change's path at %#x, the base's at %#x", drawn, base)
 	}
 }

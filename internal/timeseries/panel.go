@@ -39,6 +39,18 @@ func (p *Panel) Grow(n int) {
 	p.cols = grow(p.cols, n)
 }
 
+// Reset empties p and moves it onto index ix, keeping the room its
+// columns took: it drops every ID and column slice, so p keeps no
+// series reachable, and Adds up to Cap columns allocate nothing.
+func (p *Panel) Reset(ix Index) {
+	clear(p.ids)
+	clear(p.cols)
+	p.ix, p.ids, p.cols = ix, p.ids[:0], p.cols[:0]
+}
+
+// Cap returns the number of columns p holds without growing.
+func (p *Panel) Cap() int { return min(cap(p.ids), cap(p.cols)) }
+
 // grow returns s with room for n more elements, allocating exactly that
 // room when s lacks it. (slices.Grow allocates a temporary of n elements
 // under the race detector.)

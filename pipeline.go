@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"repro/internal/changelog"
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/kpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -157,15 +159,51 @@ func (p *Pipeline) AssessChangeContext(ctx context.Context, change *changelog.Ch
 	return out.Results[0], out.Errors[0]
 }
 
+// panelListBytes bounds the list of assembled panels. A call lists its
+// panels only once its factor groups are assessed, so a batch needs room
+// for all of them: measured peaks (seed 1, 8 s runs) 179,200 B (400
+// panels, a 100-entry batch's four per entry) on changelog-batch and
+// 3,584 B (8) on fresh-world, shared-world and routed-mixed. A
+// 1,000-entry batch's panels do not fit, and most are allocated as before.
+const panelListBytes = 256 << 10
+
+// panelList is the process-wide list of the panels pipeline calls
+// assemble: a call takes its study and control panels from it and lists
+// them again once its factor groups are assessed (assess). Only panels
+// the pipeline assembled go on it, never a caller's.
+var panelList = freelist.New(panelListBytes, func(p *Panel) int {
+	return int(unsafe.Sizeof(*p)) + 40*p.Cap() // an ID and a column slice per column
+})
+
+// takePanel returns an empty panel on ix with room for n columns.
+func takePanel(ix Index, n int) *Panel {
+	pan, ok := panelList.Take()
+	if !ok {
+		pan = NewPanel(ix)
+	}
+	pan.Reset(ix)
+	pan.Grow(n)
+	return pan
+}
+
+// releasePanel lists pan again. Reset drops its IDs and series, so the
+// list pins no world memo or study buffer.
+func releasePanel(pan *Panel) {
+	pan.Reset(Index{})
+	panelList.Put(pan)
+}
+
 // panels assembles the study and control panels for one KPI, windowed to
-// ±windowDays around the change. Elements the provider has no data for,
-// or whose windowed series disagrees with the panel's time grid (e.g.
-// dropped timepoints in broken telemetry), are skipped and reported in
-// fails. The panel panics of a naive Add are never reachable from data:
-// Validate rejects a change that lists a study element twice, and the
-// selector never picks a study element or a control twice. Each panel is
-// sized once, for every column it may take. The returned error is
-// KPI-level: no usable study element, or no usable control.
+// ±windowDays around the change, on panels from the panel list, which
+// the caller releases once it has assessed them. Elements the provider
+// has no data for, or whose windowed series disagrees with the panel's
+// time grid (e.g. dropped timepoints in broken telemetry), are skipped
+// and reported in fails. The panel panics of a naive Add are never
+// reachable from data: Validate rejects a change that lists a study
+// element twice, and the selector never picks a study element or a
+// control twice. Each panel is sized once, for every column it may
+// take. The returned error is KPI-level: no usable study element, or no
+// usable control; its panels are already released.
 func (p *Pipeline) panels(change *changelog.Change, controls []string, metric KPI, windowDays int) (*Panel, *Panel, []AssessmentFailure, error) {
 	window := time.Duration(windowDays) * 24 * time.Hour
 	from := change.At.Add(-window)
@@ -193,16 +231,14 @@ func (p *Pipeline) panels(change *changelog.Change, controls []string, metric KP
 			continue
 		}
 		if studies == nil {
-			studies = NewPanel(w.Index)
-			studies.Grow(len(change.Elements))
+			studies = takePanel(w.Index, len(change.Elements))
 		}
 		studies.Add(id, w)
 	}
 	if studies == nil {
 		return nil, nil, fails, fmt.Errorf("%w: no study element has usable %v data", core.ErrNoData, metric)
 	}
-	panel := NewPanel(studies.Index())
-	panel.Grow(len(controls))
+	panel := takePanel(studies.Index(), len(controls))
 	for _, id := range controls {
 		w, err := fetch(id)
 		if err == nil && !w.Index.Equal(studies.Index()) {
@@ -215,6 +251,8 @@ func (p *Pipeline) panels(change *changelog.Change, controls []string, metric KP
 		panel.Add(id, w)
 	}
 	if panel.Len() == 0 {
+		releasePanel(studies)
+		releasePanel(panel)
 		return nil, nil, fails, fmt.Errorf("%w: no control element has usable %v data", core.ErrInsufficientControls, metric)
 	}
 	return studies, panel, fails, nil
